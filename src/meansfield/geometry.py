@@ -31,8 +31,8 @@ class SolverConfig:
     Parameters
     ----------
     tolerance : float, default 1e-7
-        Convergence threshold; its exact meaning (relative iterate
-        change, stationarity norm, criterion decrement) is documented
+        Convergence threshold; its exact meaning (relative error
+        estimate, stationarity norm, criterion decrement) is documented
         by each solver.
     max_iterations : int, default 150
         Hard cap on update steps before :class:`ConvergenceFailure`.

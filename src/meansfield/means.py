@@ -2,12 +2,12 @@
 one-parameter power-mean family, plus the per-class mean field.
 
 The power mean with exponent ``h`` in (0, 1] is the unique fixed point
-of ``P -> sum_i w_i (P #_h C_i)`` where ``#_h`` is the geodesic; it is
-solved by iterating that map, which contracts toward the fixed point.
-Negative exponents follow the duality ``P_{-h}(C) = P_h(C^{-1})^{-1}``
-and ``h = 0`` denotes the geometric mean, solved by a unit-step fixed
-point of the stationarity condition. ``h = 1`` and ``h = -1`` are the
-closed-form arithmetic and harmonic means.
+of ``P -> sum_i w_i (P #_h C_i)`` where ``#_h`` is the geodesic, with
+the duality ``P_{-h}(C) = P_h(C^{-1})^{-1}`` for negative exponents;
+the MPM iteration solves both, in about ten steps at any ``h`` on
+concentrated sets. ``h = 0`` denotes the geometric mean, solved by a
+unit-step fixed point of the stationarity condition. ``h = 1`` and
+``h = -1`` are the closed-form arithmetic and harmonic means.
 
 A mean field collects the means over a grid of exponents per class,
 solving them in two warm-started chains (down from ``h = 1`` and up
@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .exceptions import ConvergenceFailure, InvalidInput
 from .geometry import (
     SolverConfig, _eigh_stack, _sym, airm_distance, expm, frobenius,
-    invm, logm, powm,
+    invm, invsqrtm, logm,
 )
 
 __all__ = [
@@ -147,36 +147,50 @@ def harmonic_mean(mats, weights=None):
     return invm(np.einsum("i,ijk->jk", weights, invm(mats)))
 
 
-def _power_mean_positive(mats, h, weights, init, config):
-    """Fixed-point solve for h in (0, 1): iterate the geodesic mixture.
+def _power_mean_mpm(mats, h, weights, init, config):
+    """MPM solve (Congedo, Barachant & Kharati Koopaei, IEEE TSP 2017).
 
-    One iteration costs a single eigendecomposition of the iterate plus
-    one batched eigendecomposition of the whitened set, using
-    ``T(P) = P^{1/2} [sum_i w_i (P^{-1/2} C_i P^{-1/2})^h] P^{1/2}``.
+    Iterates on a factor ``X^T X = P^{-1}``, starting from ``init``:
+    each step forms ``H = sum_i w_i (X C_i X^T)^h`` with one batched
+    eigendecomposition and sets ``X <- H^{-phi} X`` with one more, until
+    ``H = I``; for ``h < 0`` this is the dual solve on ``C_i^{-1}``.
+    The step is MPM's ``phi = 0.375 / h``, capped like the geometric
+    mean's: an eigenvalue pair of ``X C_i X^T`` with log-ratio ``t``
+    amplifies the update by ``tanh(|h| t/2) / (|h| tanh(t/2))``, from 1
+    up to ``1/|h|``, and ``2 h phi`` stays below ``2 / (1 + L)`` with
+    ``L`` the weighted mean of that factor, so that widely spread sets
+    converge instead of oscillating.
     """
-    p = arithmetic_mean(mats, weights) if init is None else np.array(init)
-    residual = np.inf
-    for it in range(config.max_iterations):
-        w, v = _eigh_stack(p)
-        if np.min(w) <= 0.0:
-            raise ConvergenceFailure(
-                "power-mean iterate lost positive definiteness",
-                last_iterate=p, residual=residual, iterations=it,
-            )
-        vt = v.T
-        r = (v * (1.0 / np.sqrt(w))[None, :]) @ vt
-        rh = (v * np.sqrt(w)[None, :]) @ vt
-        mix = np.einsum("i,ijk->jk", weights, powm(r @ mats @ r, h))
-        p_next = _sym(rh @ mix @ rh)
-        residual = float(frobenius(p_next - p) / frobenius(p))
-        p = p_next
-        if residual <= config.tolerance:
-            return MeanResult(p, it + 1, residual)
-    raise ConvergenceFailure(
-        f"power mean (h={h}) did not converge in "
-        f"{config.max_iterations} iterations (residual {residual:.3e})",
-        last_iterate=p, residual=residual, iterations=config.max_iterations,
-    )
+    x = invsqrtm(init)
+    for it in range(config.max_iterations + 1):
+        lam, u = _eigh_stack(x @ mats @ x.T)
+        if np.min(lam) <= 0.0:
+            break
+        mix = np.einsum("i,ijk->jk", weights,
+                        (u * lam[:, None, :] ** h) @ np.swapaxes(u, -1, -2))
+        w, v = _eigh_stack(mix)
+        residual = float(np.sqrt(np.mean((w - 1.0) ** 2)) / abs(h))
+        if residual <= config.tolerance or it == config.max_iterations:
+            break
+        t = np.maximum(np.log(lam[:, -1] / lam[:, 0]), 1e-9)
+        gain = weights @ (np.tanh(abs(h) * t / 2.0)
+                          / (abs(h) * np.tanh(t / 2.0)))
+        step = min(0.75, 2.0 / (1.0 + gain))
+        x = (v * w ** (-step / (2.0 * h))) @ v.T @ x
+    xi = np.linalg.inv(x)
+    p = _sym(xi @ xi.T)
+    if np.min(lam) <= 0.0:
+        raise ConvergenceFailure(
+            "power-mean iterate lost positive definiteness",
+            last_iterate=p, residual=np.inf, iterations=it,
+        )
+    if residual > config.tolerance:
+        raise ConvergenceFailure(
+            f"power mean (h={h}) did not converge in "
+            f"{config.max_iterations} iterations (residual {residual:.3e})",
+            last_iterate=p, residual=residual, iterations=it,
+        )
+    return MeanResult(p, it, residual)
 
 
 def power_mean(mats, h, weights=None, init=None, config=None):
@@ -199,9 +213,9 @@ def power_mean(mats, h, weights=None, init=None, config=None):
     Returns
     -------
     MeanResult
-        Solved matrix, update steps used, and the final residual (the
-        relative Frobenius change between the last two iterates; the
-        dual solve's residual for ``h < 0``).
+        Solved matrix, update steps used, and the final residual
+        ``||H - I||_F / (|h| sqrt(d))`` of the MPM mixture ``H``; to
+        first order, the relative Frobenius error of the returned mean.
     """
     mats, weights = _check_set(mats, weights)
     if not (0.0 < abs(h) <= 1.0):
@@ -213,11 +227,9 @@ def power_mean(mats, h, weights=None, init=None, config=None):
         return MeanResult(arithmetic_mean(mats, weights), 0, 0.0)
     if h == -1.0:
         return MeanResult(harmonic_mean(mats, weights), 0, 0.0)
-    if h < 0.0:
-        dual_init = None if init is None else invm(init)
-        res = _power_mean_positive(invm(mats), -h, weights, dual_init, config)
-        return MeanResult(invm(res.matrix), res.iterations, res.residual)
-    return _power_mean_positive(mats, h, weights, init, config)
+    if init is None:
+        init = (arithmetic_mean if h > 0 else harmonic_mean)(mats, weights)
+    return _power_mean_mpm(mats, h, weights, init, config)
 
 
 def geometric_mean(mats, weights=None, init=None, config=None):

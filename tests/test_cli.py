@@ -131,6 +131,14 @@ class TestMean:
         doc = json.loads(capsys.readouterr().out)
         assert doc["n_trials_used"] == len(doc["kept_indices"])
 
+    def test_small_exponent_converges(self, tmp_path, rg_config, capsys):
+        arch_path = tmp_path / "a.spdt"
+        main(["gen", "--config", str(rg_config), "--out", str(arch_path)])
+        capsys.readouterr()  # drop the gen output
+        assert main(["mean", "--archive", str(arch_path), "--h", "0.05"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["iterations"] <= 150
+
     def test_nonconvergence_is_numerical_error(self, tmp_path, rg_config,
                                                capsys):
         arch_path = tmp_path / "a.spdt"

@@ -134,6 +134,47 @@ class TestPowerMean:
             expected = w @ power_mean(mats, h).matrix @ w.T
             assert frobenius(mapped - expected) <= 1e-6 * frobenius(expected)
 
+    @pytest.mark.parametrize("dim", [4, 12, 32])
+    def test_residual_bounds_relative_error(self, dim):
+        # the residual estimates the relative error of the returned
+        # mean, judged against a much tighter solve of the same set
+        rng = np.random.default_rng(30 + dim)
+        mats = np.stack([random_spd(dim, rng, log_spread=3.0)
+                         for _ in range(30)])
+        tol = SolverConfig().tolerance
+        tight = SolverConfig(tolerance=1e-12)
+        for h in (0.1, -0.1, 0.25, -0.5, 0.75):
+            res = power_mean(mats, h)
+            ref = power_mean(mats, h, config=tight).matrix
+            assert res.residual <= tol
+            assert frobenius(res.matrix - ref) / frobenius(ref) <= 2 * tol
+
+    @pytest.mark.parametrize("h", [0.05, -0.05, 0.01, -0.01, 0.001, -0.001])
+    def test_small_exponents_converge(self, h):
+        rng = np.random.default_rng(31)
+        mats = np.stack([random_spd(12, rng, log_spread=3.0)
+                         for _ in range(30)])
+        cfg = SolverConfig()
+        res = power_mean(mats, h, config=cfg)
+        assert res.iterations <= cfg.max_iterations
+        assert res.residual <= cfg.tolerance
+
+    @pytest.mark.parametrize("log10_cond", [6, 10])
+    def test_ill_conditioned_sets_converge(self, log10_cond):
+        # widely spread sets need a shorter step than the MPM default
+        rng = np.random.default_rng(40 + log10_cond)
+        mats = np.stack([random_spd(12, rng, log_spread=log10_cond
+                                    * np.log(10.0)) for _ in range(30)])
+        cfg = SolverConfig()
+        for h in (0.25, 0.1, -0.1, -0.25):
+            res = power_mean(mats, h, config=cfg)
+            assert res.residual <= cfg.tolerance
+            p, base = res.matrix, mats
+            if h < 0:
+                p, base = invm(p), invm(mats)
+            image = np.mean([geodesic(p, c, abs(h)) for c in base], axis=0)
+            assert frobenius(p - image) / frobenius(p) <= 1e-6
+
     def test_h_zero_rejected(self):
         mats = np.stack([np.eye(2), np.eye(2)])
         with pytest.raises(InvalidInput):
@@ -220,6 +261,20 @@ class TestOrderAndLimits:
             for far, near in zip(dists[:-1], dists[1:]):
                 assert near <= far + 1e-8
 
+
+    def test_continuity_at_zero(self):
+        # Lim & Palfia: P_h -> G as h -> 0 from either side, at a rate
+        # linear in |h|
+        rng = np.random.default_rng(32)
+        mats = np.stack([random_spd(6, rng, log_spread=3.0)
+                         for _ in range(20)])
+        tight = SolverConfig(tolerance=1e-10, max_iterations=500)
+        g = geometric_mean(mats, config=tight).matrix
+        ratios = [airm_distance(power_mean(mats, s * h, config=tight).matrix,
+                                g) / h
+                  for s in (1.0, -1.0) for h in (1e-1, 1e-2, 1e-3)]
+        assert min(ratios) > 0.0
+        assert max(ratios) <= 2.0 * min(ratios)
 
 class TestRpme:
     def test_far_outlier_removed(self):
@@ -352,6 +407,20 @@ class TestMeanField:
         mats = np.stack([np.eye(2)] * 3)
         with pytest.raises(InvalidInput):
             build_mean_field({0: mats, 1: mats[:1]})
+
+    def test_grid_with_small_exponents(self):
+        rng = np.random.default_rng(33)
+        mats = np.stack([random_spd(5, rng, log_spread=3.0)
+                         for _ in range(12)])
+        grid = (-1.0, -0.1, -0.01, 0.0, 0.01, 0.1, 1.0)
+        field = build_mean_field({0: mats, 1: mats[:3]}, h_grid=grid)
+        tol = SolverConfig().tolerance
+        for label in field.classes:
+            assert [e.h for e in field.entries[label]] == list(grid)
+            for e in field.entries[label]:
+                # the geometric mean's residual is a stationarity norm
+                # bounded by tolerance * d
+                assert e.residual <= tol * (5 if e.h == 0.0 else 1)
 
     def test_failure_names_class_and_exponent(self):
         rng = np.random.default_rng(24)
