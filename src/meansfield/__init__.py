@@ -11,9 +11,8 @@ score tables.
 __version__ = "0.1.0"
 
 from .exceptions import (
-    ConvergenceFailure, CorruptArchive, DegenerateEffect, DegenerateInput,
-    InvalidInput, NumericalFailure, RoutedElsewhere, UndefinedMetric,
-    UnsupportedFormat,
+    ConvergenceFailure, CorruptArchive, DegenerateInput, InvalidInput,
+    NumericalFailure, RoutedElsewhere, UndefinedMetric, UnsupportedFormat,
 )
 from .geometry import (
     SolverConfig, airm_distance, check_spd, expm, geodesic, invm, invsqrtm,

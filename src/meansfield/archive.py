@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import CorruptArchive, InvalidInput, UnsupportedFormat
-from .geometry import check_spd, is_symmetric
+from .geometry import _first_not_spd, check_spd
 
 __all__ = ["TrialArchive", "read_archive", "write_archive",
            "MAGIC", "VERSION"]
@@ -76,8 +76,7 @@ class TrialArchive:
         if self.kind == "covariance":
             if trials.shape[1] != trials.shape[2]:
                 raise InvalidInput("covariance trials must be square")
-            for i, t in enumerate(trials):
-                check_spd(t, name=f"trial {i}")
+            check_spd(trials, name="trial")
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "labels", labels)
 
@@ -223,19 +222,11 @@ def read_archive(path, dataset_id="dataset", subject_id=None,
             offset=payload_offset + 8 * first_bad,
         )
     kind = _KIND_NAMES[kind_code]
-    if kind == "covariance":
-        for i, t in enumerate(payload):
-            trial_offset = payload_offset + 8 * i * shape[1] * shape[2]
-            if not is_symmetric(t):
-                raise CorruptArchive(
-                    f"covariance trial {i} is not symmetric",
-                    offset=trial_offset,
-                )
-            if np.linalg.eigvalsh(t).min() <= 0.0:
-                raise CorruptArchive(
-                    f"covariance trial {i} is not positive definite",
-                    offset=trial_offset,
-                )
+    bad = _first_not_spd(payload) if kind == "covariance" else None
+    if bad is not None:
+        i, problem = bad
+        raise CorruptArchive(f"covariance trial {i} {problem}",
+                             offset=payload_offset + 8 * i * dim * dim)
 
     if subject_id is None:
         import os

@@ -9,9 +9,15 @@ Four pipelines over the same geometric substrate:
 * logistic regression on tangent-space coordinates at the global
   geometric mean (``ts_lr_*``).
 
-Binary decision scores are oriented so that higher means the class
-with the larger label index; ties in predicted labels resolve to the
-lower class index.
+The first three share one distance kernel (one batched
+eigendecomposition of the whitened trials) and differ in its head:
+argmin over class means, minimum over each class field, discriminant.
+
+Every ``*_score`` takes one ``(d, d)`` trial and returns ``(label,
+score)``, or an ``(n, d, d)`` stack and returns ``(labels, scores)``
+arrays. Binary decision scores are oriented so that higher means the
+class with the larger label index; ties in predicted labels resolve to
+the lower class index.
 """
 
 import numpy as np
@@ -62,13 +68,48 @@ def _group_by_class(covs, labels):
     return groups
 
 
-def _check_dim(cov, dim):
-    cov = np.asarray(cov, dtype=np.float64)
-    if cov.shape[-1] != dim or cov.shape[-2] != dim:
+def _trials(covs, dim):
+    """A ``(d, d)`` trial or ``(n, d, d)`` stack as a stack, and whether
+    it was a single trial."""
+    covs = np.asarray(covs, dtype=np.float64)
+    if (covs.ndim not in (2, 3) or covs.shape[-2:] != (dim, dim)
+            or covs.size == 0):
         raise InvalidInput(
-            f"trial dimension {cov.shape[-1]} does not match model ({dim})"
-        )
-    return cov
+            f"expected a ({dim}, {dim}) trial or a non-empty "
+            f"(n, {dim}, {dim}) stack, got shape {covs.shape}")
+    return covs.reshape(-1, dim, dim), covs.ndim == 2
+
+
+def _whiten_field(field):
+    """``M^{-1/2}`` of every mean of a field by one stacked ``invsqrtm``,
+    class ascending, then ``h`` ascending within each class."""
+    means = [field.matrices(c) for c in field.classes]
+    return invsqrtm(np.concatenate(means))
+
+
+def _sq_distances(whiteners, covs):
+    """Squared affine-invariant distances, shape ``(n, K)``, from ``n``
+    trials to the ``K`` means whose whiteners ``M^{-1/2}`` are stacked:
+    summed squared log-eigenvalues of ``M^{-1/2} C M^{-1/2}``, all from
+    one batched ``eigh``."""
+    lam, _ = _eigh_stack(whiteners @ covs[:, None] @ whiteners)
+    if np.min(lam) <= 0.0:
+        raise InvalidInput("distance requires positive-definite trials")
+    return np.sum(np.log(lam) ** 2, axis=-1)
+
+
+def _decide(classes, evidence, single):
+    """Label and score from per-class evidence ``(n, classes)``, higher
+    meaning likelier: the argmax label (ties to the lower index) and,
+    as score, ``evidence_1 - evidence_0`` for two classes, else the
+    evidence row. ``(label, score)`` for one trial, else arrays."""
+    best = np.argmax(evidence, axis=1)
+    scores = (evidence[:, 1] - evidence[:, 0] if len(classes) == 2
+              else evidence)
+    if not single:
+        return np.asarray(classes)[best], scores
+    return classes[int(best[0])], (
+        scores[0] if scores.ndim > 1 else float(scores[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +118,7 @@ def _check_dim(cov, dim):
 
 @dataclass(frozen=True)
 class MdmModel:
-    """Per-class geometric means plus their cached whiteners."""
+    """Per-class geometric means plus their whiteners, in class order."""
 
     classes: tuple
     means: np.ndarray
@@ -86,14 +127,6 @@ class MdmModel:
     @property
     def dim(self):
         return self.means.shape[-1]
-
-
-def _make_mdm(classes, means):
-    means = np.stack(means)
-    whiteners = np.stack([invsqrtm(m) for m in means])
-    for a in (means, whiteners):
-        a.flags.writeable = False
-    return MdmModel(tuple(classes), means, whiteners)
 
 
 def mdm_fit(train_covs, labels, config=None, robust=None):
@@ -110,42 +143,26 @@ def mdm_fit(train_covs, labels, config=None, robust=None):
             means.append(rpme_clean(mats, robust=robust, config=config).mean)
         else:
             means.append(geometric_mean(mats, config=config).matrix)
-    return _make_mdm(groups.keys(), means)
+    means = np.stack(means)
+    whiteners = invsqrtm(means)
+    for a in (means, whiteners):
+        a.flags.writeable = False
+    return MdmModel(tuple(groups), means, whiteners)
 
 
-def _score_from_per_class(classes, values_smaller_is_better):
-    v = values_smaller_is_better
-    predicted = classes[int(np.argmin(v))]
-    if len(classes) == 2:
-        return predicted, float(v[0] - v[1])
-    return predicted, -np.asarray(v)
-
-
-def mdm_distances(model, cov):
-    """Distances from one trial to every class mean."""
-    cov = _check_dim(cov, model.dim)
-    return np.sqrt(_whitened_sq_distances_multi(model._whiteners, cov))
-
-
-def _whitened_sq_distances_multi(whiteners, cov):
-    w, _ = _eigh_stack(whiteners @ cov @ whiteners)
-    if np.min(w) <= 0.0:
-        raise InvalidInput("distance requires positive-definite trials")
-    return np.sum(np.log(w) ** 2, axis=-1)
-
-
-def mdm_score(model, cov):
-    """Classify one trial by its nearest class mean.
+def mdm_score(model, covs):
+    """Classify trials by their nearest class mean.
 
     Returns
     -------
-    (label, score)
+    (label, score), or (labels, scores) arrays for a stack
         Binary score is ``d(C, mean_0) - d(C, mean_1)`` (higher means
         the second class); multiclass score is the vector of negated
         distances. Ties go to the lower class index.
     """
-    d = mdm_distances(model, cov)
-    return _score_from_per_class(model.classes, d)
+    covs, single = _trials(covs, model.dim)
+    return _decide(model.classes,
+                   -np.sqrt(_sq_distances(model._whiteners, covs)), single)
 
 
 # ---------------------------------------------------------------------------
@@ -160,30 +177,18 @@ def mdmf_fit(train_covs, labels, h_grid=DEFAULT_H_GRID, config=None,
                             robust=robust)
 
 
-def _field_whiteners(field):
-    return {
-        label: np.stack([invsqrtm(e.matrix) for e in field.entries[label]])
-        for label in field.classes
-    }
-
-
-def mdmf_score(field, cov, _whiteners=None):
-    """Classify one trial by its nearest mean across each class field.
+def mdmf_score(field, covs):
+    """Classify trials by their nearest mean across each class field.
 
     Per class the score is the minimum distance over the class's
     means; the trial goes to the class with the smallest minimum,
     ties to the lower index. Binary decision score is
-    ``min_d(class_0) - min_d(class_1)``.
+    ``min_d(class_0) - min_d(class_1)``. Returns ``(label, score)``,
+    or ``(labels, scores)`` arrays for a stack.
     """
-    whiteners = _whiteners or _field_whiteners(field)
-    classes = field.classes
-    dim = field.entries[classes[0]][0].matrix.shape[-1]
-    cov = _check_dim(cov, dim)
-    mins = [
-        float(np.sqrt(_whitened_sq_distances_multi(whiteners[c], cov)).min())
-        for c in classes
-    ]
-    return _score_from_per_class(classes, np.asarray(mins))
+    feats = np.atleast_2d(distance_features(field, covs))
+    dists = np.sqrt(feats).reshape(len(feats), len(field.classes), -1)
+    return _decide(field.classes, -dists.min(axis=2), np.ndim(covs) == 2)
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +250,12 @@ def lda_discriminants(model, features):
 
 @dataclass(frozen=True)
 class MfModel:
-    """A mean field and the discriminant trained on its distances."""
+    """A mean field, the discriminant on its distances, and the field's
+    whiteners in feature order."""
 
     field: MeanField
     lda: LdaModel
-    _whiteners: dict
+    _whiteners: np.ndarray
 
     @property
     def classes(self):
@@ -264,21 +270,14 @@ def distance_features(field, covs, _whiteners=None):
     """Squared distances from trials to every mean of the field.
 
     Feature order: class labels ascending, then ``h`` ascending within
-    each class; length ``n_classes * len(h_grid)``.
+    each class; length ``n_classes * len(h_grid)``, one row per trial
+    of a stack. ``_whiteners`` are the field's whiteners in that order,
+    when the caller holds them.
     """
-    covs = np.asarray(covs, dtype=np.float64)
-    single = covs.ndim == 2
-    if single:
-        covs = covs[None]
-    whiteners = _whiteners or _field_whiteners(field)
-    cols = []
-    for c in field.classes:
-        w = whiteners[c]
-        lam, _ = _eigh_stack(w[None, :, :, :] @ covs[:, None, :, :] @ w[None, :, :, :])
-        if np.min(lam) <= 0.0:
-            raise InvalidInput("distance requires positive-definite trials")
-        cols.append(np.sum(np.log(lam) ** 2, axis=-1))
-    feats = np.concatenate(cols, axis=1)
+    if _whiteners is None:
+        _whiteners = _whiten_field(field)
+    covs, single = _trials(covs, _whiteners.shape[-1])
+    feats = _sq_distances(_whiteners, covs)
     return feats[0] if single else feats
 
 
@@ -291,27 +290,23 @@ def mf_fit(train_covs, labels, h_grid=DEFAULT_H_GRID, config=None,
     covs = np.asarray(train_covs, dtype=np.float64)
     y = np.asarray(labels)
     field = mdmf_fit(covs, y, h_grid=h_grid, config=config, robust=robust)
-    whiteners = _field_whiteners(field)
+    whiteners = _whiten_field(field)
     feats = distance_features(field, covs, _whiteners=whiteners)
     lda = lda_fit(feats, y)
     return MfModel(field, lda, whiteners)
 
 
-def mf_score(model, cov):
-    """Classify one trial from its distance features.
+def mf_score(model, covs):
+    """Classify trials from their distance features.
 
     Binary decision score is the discriminant difference
     ``g_1(x) - g_0(x)``; multiclass returns the discriminant vector.
-    Ties go to the lower class index.
+    Ties go to the lower class index. Returns ``(label, score)``, or
+    ``(labels, scores)`` arrays for a stack.
     """
-    dim = model.field.entries[model.classes[0]][0].matrix.shape[-1]
-    cov = _check_dim(cov, dim)
-    feats = distance_features(model.field, cov, _whiteners=model._whiteners)
-    g = lda_discriminants(model.lda, feats)[0]
-    predicted = model.lda.classes[int(np.argmax(g))]
-    if len(model.lda.classes) == 2:
-        return predicted, float(g[1] - g[0])
-    return predicted, g
+    feats = distance_features(model.field, covs, _whiteners=model._whiteners)
+    return _decide(model.lda.classes, lda_discriminants(model.lda, feats),
+                   np.ndim(covs) == 2)
 
 
 # ---------------------------------------------------------------------------
@@ -451,20 +446,18 @@ def ts_lr_fit(train_covs, labels, config=None):
                      intercepts)
 
 
-def ts_lr_score(model, cov):
-    """Classify one trial by its tangent-space logit.
+def ts_lr_score(model, covs):
+    """Classify trials by their tangent-space logits.
 
     Binary score is the logit of the second class; multiclass returns
     the one-vs-rest logit vector and predicts its argmax (ties to the
-    lower class index).
+    lower class index). Returns ``(label, score)``, or
+    ``(labels, scores)`` arrays for a stack.
     """
-    cov = _check_dim(cov, model.dim)
-    feats = tangent_map(cov, model.reference)
+    covs, single = _trials(covs, model.dim)
+    feats = tangent_map(covs, model.reference)
     x = (feats - model.feature_mean) / model.feature_scale
-    logits = model.weights @ x + model.intercepts
-    if len(model.classes) == 2:
-        logit = float(logits[0])
-        predicted = model.classes[1] if logit > 0 else model.classes[0]
-        return predicted, logit
-    predicted = model.classes[int(np.argmax(logits))]
-    return predicted, logits
+    logits = x @ model.weights.T + model.intercepts
+    if len(model.classes) == 2:  # evidence 0 for the first class
+        logits = np.hstack([np.zeros_like(logits), logits])
+    return _decide(model.classes, logits, single)

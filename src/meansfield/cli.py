@@ -236,6 +236,13 @@ def _load_trialset(dataset_id, paths):
     )
 
 
+def _worker_count(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _cmd_eval(args):
     trialset = _load_trialset(args.dataset_id, args.archives)
     config = EvalConfig(pipeline=args.pipeline, seed=args.seed, k=args.k)
@@ -412,7 +419,7 @@ def _build_parser():
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--dataset-id", default="dataset")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
     p.add_argument("--timing", action="store_true",
                    help="include wall-clock fold times (breaks byte-level "
                         "reproducibility of the output)")

@@ -230,19 +230,18 @@ def _fit_and_score(filter_kind, clf_kind, train_covs, train_labels,
     test_f = apply_filter(filt, test_covs)
 
     if clf_kind == "MDM":
-        model = mdm_fit(train_f, train_labels, config=config)
-        scores = [mdm_score(model, c)[1] for c in test_f]
+        model, score = mdm_fit(train_f, train_labels, config=config), mdm_score
     elif clf_kind == "MDMF":
         model = mdmf_fit(train_f, train_labels, config=config)
-        scores = [mdmf_score(model, c)[1] for c in test_f]
+        score = mdmf_score
     elif clf_kind in ("MF", "MF_RPME"):
         robust = RobustConfig() if clf_kind == "MF_RPME" else None
         model = mf_fit(train_f, train_labels, config=config, robust=robust)
-        scores = [mf_score(model, c)[1] for c in test_f]
+        score = mf_score
     else:  # TS+LR
         model = ts_lr_fit(train_f, train_labels, config=config)
-        scores = [ts_lr_score(model, c)[1] for c in test_f]
-    return np.asarray(scores, dtype=np.float64), filt.output_dim
+        score = ts_lr_score
+    return score(model, test_f)[1], filt.output_dim
 
 
 def run_pipeline(trialset, config, solver=None, workers=1,
@@ -253,7 +252,8 @@ def run_pipeline(trialset, config, solver=None, workers=1,
     :func:`stratified_kfold`; per fold, the spatial filter and the
     classifier are fit on the training folds only and the held-out
     fold is scored with AUC-ROC and wall-clock timing. Failures are
-    recorded in the affected row and the run continues.
+    recorded in the affected row and the run continues; a group with
+    fewer than ``k`` trials of a class gets ``k`` error rows.
 
     Parameters
     ----------
@@ -263,8 +263,8 @@ def run_pipeline(trialset, config, solver=None, workers=1,
     solver : SolverConfig, optional
         Convergence budget passed to filters and classifiers.
     workers : int, default 1
-        Thread pool width over (subject, session, fold) tasks; the
-        result is identical for any width.
+        Thread pool width over (subject, session, fold) tasks, at least
+        1; the result is identical for any width.
     fit_observer : callable, optional
         Called as ``fit_observer(stage, subject, session, fold,
         trial_indices, detail)`` with the global trial indices each
@@ -278,6 +278,8 @@ def run_pipeline(trialset, config, solver=None, workers=1,
     """
     if not isinstance(config, EvalConfig):
         raise InvalidInput("config must be an EvalConfig")
+    if workers < 1:
+        raise InvalidInput(f"workers must be at least 1, got {workers}")
     solver = solver or SolverConfig()
     filter_kind, clf_kind = parse_pipeline(config.pipeline)
     classes = trialset.classes
@@ -292,9 +294,15 @@ def run_pipeline(trialset, config, solver=None, workers=1,
     else:
         covs = trialset.trials
 
-    tasks = []
+    tasks, rows = [], []
     for subject, session, idx in trialset.groups():
-        folds = stratified_kfold(y[idx], config.k, config.seed)
+        try:
+            folds = stratified_kfold(y[idx], config.k, config.seed)
+        except InvalidInput as exc:
+            rows += [ScoreRow(trialset.dataset_id, subject, session, f, None,
+                              0.0, f"{type(exc).__name__}: {exc}")
+                     for f in range(config.k)]
+            continue
         for f, test_local in enumerate(folds):
             train_local = np.setdiff1d(np.arange(idx.size), test_local)
             tasks.append((subject, session, f, idx, train_local, test_local))
@@ -326,9 +334,9 @@ def run_pipeline(trialset, config, solver=None, workers=1,
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_task, tasks))
+            rows += pool.map(run_task, tasks)
     else:
-        rows = [run_task(t) for t in tasks]
+        rows += [run_task(t) for t in tasks]
     rows.sort(key=lambda r: (r.dataset, r.subject, r.session, r.fold))
     return PipelineScoreTable(
         pipeline=config.pipeline, k=config.k, seed=int(config.seed),

@@ -36,10 +36,6 @@ class RoutedElsewhere(InvalidInput):
     """The input belongs to a companion routine (soft routing error)."""
 
 
-class DegenerateEffect(InvalidInput):
-    """An effect size is undefined because the differences have no spread."""
-
-
 class UnsupportedFormat(ValueError):
     """A file does not carry the expected magic or version."""
 

@@ -58,13 +58,16 @@ def _as_square(a, name="matrix"):
 
 
 def is_symmetric(a, rtol=SYMMETRY_RTOL):
-    """True when ``max |a - a.T|`` is at most ``rtol * max |a|``."""
+    """True when every matrix of ``a`` (one matrix or a stack) has
+    ``max |a - a.T|`` at most ``rtol`` times its own ``max |a|``."""
+    return bool(_symmetric_each(a, rtol).all())
+
+
+def _symmetric_each(a, rtol=SYMMETRY_RTOL):
     a = np.asarray(a, dtype=np.float64)
-    scale = np.abs(a).max()
-    if scale == 0.0:
-        return True
-    gap = np.abs(a - np.swapaxes(a, -1, -2)).max()
-    return bool(gap <= rtol * scale)
+    scale = np.abs(a).max(axis=(-2, -1))
+    gap = np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1))
+    return gap <= rtol * scale
 
 
 def _sym(a):
@@ -78,23 +81,37 @@ def frobenius(a):
 
 
 def check_spd(a, name="matrix"):
-    """Validate a symmetric positive-definite matrix.
+    """Validate a symmetric positive-definite matrix or stack of them.
 
-    Returns the matrix as a ``float64`` array; raises
-    :class:`InvalidInput` when the matrix is not symmetric within
-    ``SYMMETRY_RTOL`` or its smallest eigenvalue is not strictly
-    positive. Nothing is repaired or clamped.
+    Returns the input as a ``float64`` array; raises
+    :class:`InvalidInput` when a matrix is not symmetric within
+    ``SYMMETRY_RTOL`` of its own largest entry or its smallest
+    eigenvalue is not strictly positive, naming the first such matrix
+    of a stack as ``"{name} {i}"``. Nothing is repaired or clamped.
     """
     a = _as_square(a, name)
-    if not is_symmetric(a):
-        raise InvalidInput(f"{name} is not symmetric")
-    w = np.linalg.eigvalsh(a)
-    if np.min(w) <= 0.0:
-        raise InvalidInput(
-            f"{name} is not positive definite "
-            f"(smallest eigenvalue {np.min(w):.3e})"
-        )
+    bad = _first_not_spd(a)
+    if bad is not None:
+        i, problem = bad
+        where = name if a.ndim == 2 else f"{name} {i}"
+        raise InvalidInput(f"{where} {problem}")
     return a
+
+
+def _first_not_spd(a):
+    """Index and problem of the first matrix of a square stack that is
+    not SPD, indexed over the flattened leading axes, or ``None`` when
+    all are; one ``eigvalsh`` call covers the stack."""
+    stack = a.reshape((-1,) + a.shape[-2:])
+    symmetric = _symmetric_each(stack)
+    low = np.linalg.eigvalsh(stack).min(axis=-1)
+    bad = np.flatnonzero(~symmetric | (low <= 0.0))
+    if bad.size == 0:
+        return None
+    i = int(bad[0])
+    if not symmetric[i]:
+        return i, "is not symmetric"
+    return i, f"is not positive definite (smallest eigenvalue {low[i]:.3e})"
 
 
 def sym_eig(s):

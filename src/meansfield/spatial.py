@@ -69,19 +69,17 @@ def identity_filter(dim):
 
 
 def apply_filter(f, cov):
-    """Apply a spatial filter to an SPD matrix: ``W C W^T``.
+    """Apply a spatial filter to an SPD matrix or stack: ``W C W^T``.
 
-    The output is validated positive definite.
+    Every output matrix is validated positive definite, a stack by one
+    :func:`check_spd` call.
     """
     cov = np.asarray(cov, dtype=np.float64)
     if cov.shape[-1] != f.input_dim:
         raise InvalidInput(
             f"filter expects dimension {f.input_dim}, got {cov.shape[-1]}"
         )
-    out = f.matrix @ cov @ f.matrix.T
-    if out.ndim == 2:
-        return check_spd(out, name="filtered matrix")
-    return np.stack([check_spd(o, name="filtered matrix") for o in out])
+    return check_spd(f.matrix @ cov @ f.matrix.T, name="filtered matrix")
 
 
 def _quantize(x):
@@ -224,8 +222,7 @@ def pham_ajd(mats, config=None, weights=None, return_info=False):
     mats = np.asarray(mats, dtype=np.float64)
     if mats.ndim != 3 or mats.shape[0] < 2:
         raise InvalidInput("joint diagonalization needs at least 2 matrices")
-    for c in mats:
-        check_spd(c, "ajd input")
+    check_spd(mats, "ajd input")
     config = config or SolverConfig()
     n, d, _ = mats.shape
     if weights is None:

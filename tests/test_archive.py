@@ -200,6 +200,29 @@ class TestValidation:
         with pytest.raises(CorruptArchive):
             read_archive(path)
 
+    @pytest.mark.parametrize("bad,reason", [
+        ([2.0, 1.0, 0.5, 2.0], "symmetric"),
+        ([1.0, 2.0, 2.0, 1.0], "positive definite"),
+    ])
+    def test_first_bad_trial_named_with_offset(self, tmp_path, bad, reason):
+        good = [2.0, 1.0, 1.0, 2.0]
+        blob = build_bytes(kind=1, n_trials=3, n_classes=1, dims=[2],
+                           labels=[0, 0, 0], payload=good + bad + bad)
+        path = tmp_path / "second.spdt"
+        path.write_bytes(blob)
+        with pytest.raises(CorruptArchive,
+                           match=f"trial 1 is not {reason}") as info:
+            read_archive(path)
+        # header 21 bytes, labels 12, then the first 2x2 trial
+        assert info.value.offset == 21 + 12 + 32
+
+    def test_constructor_names_bad_trial(self):
+        trials = np.stack([np.eye(2), np.eye(2), np.diag([1.0, -1.0])])
+        with pytest.raises(InvalidInput,
+                           match="trial 2 is not positive definite"):
+            TrialArchive(kind="covariance", trials=trials,
+                         labels=np.zeros(3, dtype=int), n_classes=1)
+
     def test_trailing_bytes(self, tmp_path):
         blob = build_bytes(kind=1, n_trials=1, n_classes=1, dims=[2],
                            labels=[0], payload=[2.0, 1.0, 1.0, 2.0])

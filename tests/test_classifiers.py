@@ -140,6 +140,10 @@ class TestMdmf:
             lm, sm = mdm_score(mdm, probe)
             assert lf == lm
             assert sf == sm  # bit-identical: same solver, same init
+        lf, sf = mdmf_score(field, probes)
+        lm, sm = mdm_score(mdm, probes)
+        np.testing.assert_array_equal(lf, lm)
+        np.testing.assert_array_equal(sf, sm)
 
 
 class TestLda:
@@ -310,6 +314,70 @@ class TestTsLr:
         correct = sum(ts_lr_score(model, t)[0] == y
                       for t, y in zip(trials, labels))
         assert correct / len(labels) >= 0.9
+
+
+SCORERS = {
+    "MDM": (mdm_fit, mdm_score),
+    "MDMF": (mdmf_fit, mdmf_score),
+    "MF": (mf_fit, mf_score),
+    "TS+LR": (ts_lr_fit, ts_lr_score),
+}
+
+
+def fitted_scorer(name, n_classes, rng):
+    """A model of the named pipeline on 3x3 trials, its scorer, and 12
+    probe trials."""
+    trials, labels = dispersion_classes(
+        rng, n=15, sigmas=(0.15, 0.5, 0.3)[:n_classes])
+    fit, score = SCORERS[name]
+    return fit(trials, labels), score, spd_cloud(np.eye(3), 0.4, 12, rng)
+
+
+class TestStackScoring:
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("name", sorted(SCORERS))
+    def test_stack_equals_per_trial(self, name, n_classes):
+        rng = np.random.default_rng(23)
+        model, score, probes = fitted_scorer(name, n_classes, rng)
+        labels, scores = score(model, probes)
+        singles = [score(model, p) for p in probes]
+        assert labels.shape == (len(probes),)
+        assert labels.tolist() == [lab for lab, _ in singles]
+        expected = np.array([s for _, s in singles])
+        assert scores.shape == expected.shape
+        if name in ("MDM", "MDMF"):
+            np.testing.assert_array_equal(scores, expected)
+        else:
+            # one row goes through gemv, a stack through gemm
+            assert np.allclose(scores, expected, rtol=1e-9)
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("name", sorted(SCORERS))
+    def test_single_trial_return_types(self, name, n_classes):
+        rng = np.random.default_rng(24)
+        model, score, probes = fitted_scorer(name, n_classes, rng)
+        label, value = score(model, probes[0])
+        assert label in range(n_classes) and np.ndim(label) == 0
+        if n_classes == 2:
+            assert type(value) is float
+        else:
+            assert isinstance(value, np.ndarray)
+            assert value.shape == (n_classes,)
+
+    @pytest.mark.parametrize("name", sorted(SCORERS))
+    def test_bad_stacks_rejected(self, name):
+        rng = np.random.default_rng(25)
+        model, score, probes = fitted_scorer(name, 2, rng)
+        with pytest.raises(InvalidInput):
+            score(model, np.stack([np.eye(4)] * 3))  # wrong dimension
+        with pytest.raises(InvalidInput):
+            score(model, probes[None])  # a stack of stacks
+        with pytest.raises(InvalidInput):
+            score(model, probes[:0])  # empty stack
+        indefinite = probes.copy()
+        indefinite[5] = np.diag([1.0, 2.0, -1.0])
+        with pytest.raises(InvalidInput):
+            score(model, indefinite)
 
 
 class TestInvariances:

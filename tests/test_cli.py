@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from meansfield.archive import read_archive
+from meansfield.archive import TrialArchive, read_archive, write_archive
 from meansfield.cli import main
 from meansfield.means import geometric_mean, power_mean
 from meansfield.reports import load_score_table, meta_report_to_dict
@@ -196,6 +196,41 @@ class TestEval:
                      "--out", str(out), *paths]) == 0
         doc = json.loads(out.read_text())
         assert all("fold_time_seconds" in row for row in doc["rows"])
+
+    def test_undersized_subject_recorded_as_errors(self, tmp_path,
+                                                   rg_config, capsys):
+        paths = self.make_archives(tmp_path, rg_config)
+        full = read_archive(paths[1])
+        keep = np.r_[np.flatnonzero(full.labels == 0),
+                     np.flatnonzero(full.labels == 1)[:3]]
+        small = tmp_path / "s03@0.spdt"
+        write_archive(TrialArchive(kind="covariance",
+                                   trials=full.trials[keep],
+                                   labels=full.labels[keep], n_classes=2),
+                      small)
+        out = tmp_path / "t.json"
+        assert main(["eval", "--pipeline", "MDM", "--seed", "7",
+                     "--out", str(out), *paths, str(small)]) == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert summary.startswith("MDM: 15 fold rows")
+        assert ", 5 errors ->" in summary
+        rows = json.loads(out.read_text())["rows"]
+        failed = [r for r in rows if r["error"] is not None]
+        assert [r["subject"] for r in failed] == ["s03"] * 5
+        assert all(r["auc"] is None for r in failed)
+        assert all(r["auc"] is not None for r in rows if r not in failed)
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_usage_error(self, tmp_path, rg_config,
+                                              capsys, workers):
+        paths = self.make_archives(tmp_path, rg_config)
+        assert main(["eval", "--pipeline", "MDM", "--seed", "7",
+                     "--workers", workers, "--out",
+                     str(tmp_path / "t.json"), *paths]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "UsageError"
+        assert "--workers" in err["error"]["message"]
+        assert not (tmp_path / "t.json").exists()
 
     def test_corrupt_archive_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.spdt"

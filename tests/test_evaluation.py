@@ -225,6 +225,40 @@ class TestRunPipeline:
         with pytest.raises(InvalidInput):
             run_pipeline(ts, EvalConfig(pipeline="MDM", seed=0))
 
+    def test_undersized_group_recorded_run_continues(self):
+        rng = np.random.default_rng(12)
+        ts = make_trialset(rng, SEPARABLE_CENTERS, n=10)
+        # s02 has 10 + 3 trials: too few of class 1 for k = 5 folds
+        small = make_trialset(rng, SEPARABLE_CENTERS, n=10,
+                              subjects=("s02",))
+        keep = np.r_[0:10, 10:13]
+        ts = TrialSet(
+            dataset_id=ts.dataset_id, kind=ts.kind,
+            trials=np.concatenate([ts.trials, small.trials[keep]]),
+            labels=np.concatenate([ts.labels, small.labels[keep]]),
+            subjects=np.concatenate([ts.subjects, small.subjects[keep]]),
+            sessions=np.concatenate([ts.sessions, small.sessions[keep]]),
+        )
+        for workers in (1, 2):
+            table = run_pipeline(ts, EvalConfig(pipeline="MDM", seed=3),
+                                 workers=workers)
+            assert [(r.subject, r.fold) for r in table.rows] == [
+                (s, f) for s in ("s01", "s02") for f in range(5)]
+            scored, failed = table.rows[:5], table.rows[5:]
+            assert all(r.auc == 1.0 and r.error is None for r in scored)
+            for r in failed:
+                assert r.auc is None and r.fold_time_seconds == 0.0
+                assert r.error == ("InvalidInput: class 1 has 3 trials, "
+                                   "fewer than k=5")
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, workers):
+        rng = np.random.default_rng(13)
+        ts = make_trialset(rng, SEPARABLE_CENTERS, n=5)
+        with pytest.raises(InvalidInput, match="workers"):
+            run_pipeline(ts, EvalConfig(pipeline="MDM", seed=1),
+                         workers=workers)
+
     def test_worker_count_does_not_change_results(self):
         rng = np.random.default_rng(9)
         ts = make_trialset(rng, SEPARABLE_CENTERS, sigma=0.4, n=10,

@@ -55,6 +55,24 @@ class TestSpdCheck:
         assert is_symmetric(a)  # 5e-5 <= 1e-10 * 1e6
         check_spd(a)
 
+    def test_stack_symmetry_judged_per_matrix(self):
+        # the skewed matrix is rejected alone; a large neighbour in the
+        # stack must not lend it its scale
+        skewed = np.array([[1.0, 1e-6], [0.0, 1.0]])
+        stack = np.stack([1e6 * np.eye(2), skewed])
+        assert not is_symmetric(skewed)
+        assert not is_symmetric(stack)
+        with pytest.raises(InvalidInput, match="matrix 1 is not symmetric"):
+            check_spd(stack)
+
+    def test_stack_names_first_bad_matrix(self):
+        stack = np.stack([np.eye(2), np.eye(2), np.diag([1.0, -1.0]),
+                          np.diag([1.0, 0.0])])
+        with pytest.raises(InvalidInput,
+                           match="trial 2 is not positive definite"):
+            check_spd(stack, name="trial")
+        np.testing.assert_array_equal(check_spd(stack[:2]), stack[:2])
+
 
 class TestSymEig:
     def test_identity(self):
