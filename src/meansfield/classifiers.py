@@ -9,8 +9,8 @@ Four pipelines over the same geometric substrate:
 * logistic regression on tangent-space coordinates at the global
   geometric mean (``ts_lr_*``).
 
-The first three share one distance kernel (one batched
-eigendecomposition of the whitened trials) and differ in its head:
+The first three share one distance kernel (batched eigendecompositions
+of the whitened trials, in bounded blocks) and differ in its head:
 argmin over class means, minimum over each class field, discriminant.
 
 Every ``*_score`` takes one ``(d, d)`` trial and returns ``(label,
@@ -49,6 +49,9 @@ LDA_RIDGE = 1e-9
 # Fixed L2 penalty weight of the tangent-space logistic regression.
 LR_PENALTY = 1.0
 LR_GRAD_TOL = 1e-8
+
+# Entries per eigh call of the distance kernel, bounding its memory.
+KERNEL_BLOCK = 1 << 21
 
 
 def _group_by_class(covs, labels):
@@ -90,9 +93,12 @@ def _whiten_field(field):
 def _sq_distances(whiteners, covs):
     """Squared affine-invariant distances, shape ``(n, K)``, from ``n``
     trials to the ``K`` means whose whiteners ``M^{-1/2}`` are stacked:
-    summed squared log-eigenvalues of ``M^{-1/2} C M^{-1/2}``, all from
-    one batched ``eigh``."""
-    lam, _ = _eigh_stack(whiteners @ covs[:, None] @ whiteners)
+    summed squared log-eigenvalues of ``M^{-1/2} C M^{-1/2}``, from one
+    batched ``eigh`` per ``KERNEL_BLOCK`` whitened entries."""
+    step = max(1, KERNEL_BLOCK // whiteners.size)
+    lam = np.concatenate([
+        _eigh_stack(whiteners @ covs[i:i + step, None] @ whiteners)[0]
+        for i in range(0, len(covs), step)])
     if np.min(lam) <= 0.0:
         raise InvalidInput("distance requires positive-definite trials")
     return np.sum(np.log(lam) ** 2, axis=-1)

@@ -230,7 +230,8 @@ def _fit_and_score(filter_kind, clf_kind, train_covs, train_labels,
     test_f = apply_filter(filt, test_covs)
 
     if clf_kind == "MDM":
-        model, score = mdm_fit(train_f, train_labels, config=config), mdm_score
+        model = mdm_fit(train_f, train_labels, config=config)
+        score = mdm_score
     elif clf_kind == "MDMF":
         model = mdmf_fit(train_f, train_labels, config=config)
         score = mdmf_score

@@ -101,6 +101,15 @@ class MeanField:
         """Stack of the means of one class, ``h`` ascending."""
         return np.stack([e.matrix for e in self.entries[label]])
 
+    def entry(self, label, h):
+        for e in self.entries[label]:
+            if e.h == h:
+                return e
+        raise KeyError(f"no mean with h={h} for class {label}")
+
+    def total_iterations(self):
+        return sum(e.iterations for es in self.entries.values() for e in es)
+
 
 def _check_set(mats, weights, name="matrix set"):
     mats = np.asarray(mats, dtype=np.float64)

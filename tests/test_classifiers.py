@@ -5,6 +5,7 @@ regression."""
 import numpy as np
 import pytest
 
+from meansfield import classifiers
 from meansfield.classifiers import (
     distance_features, lda_discriminants, lda_fit, mdm_fit, mdm_score,
     mdmf_fit, mdmf_score, mf_fit, mf_score, tangent_map, ts_lr_fit,
@@ -348,8 +349,33 @@ class TestStackScoring:
         if name in ("MDM", "MDMF"):
             np.testing.assert_array_equal(scores, expected)
         else:
-            # one row goes through gemv, a stack through gemm
-            assert np.allclose(scores, expected, rtol=1e-9)
+            # one row goes through gemv, a stack through gemm; MF rounds
+            # relative to its discriminants, before their difference
+            scale = 0.0
+            if name == "MF":
+                scale = np.abs(lda_discriminants(
+                    model.lda, distance_features(model.field, probes))).max()
+            np.testing.assert_allclose(scores, expected, rtol=1e-9,
+                                       atol=1e-9 * scale)
+
+    @pytest.mark.parametrize("block", [1, 1000])
+    @pytest.mark.parametrize("name", ["MDM", "MDMF", "MF"])
+    def test_blocked_kernel_matches_one_call(self, name, block,
+                                             monkeypatch):
+        # 1 entry: one trial per eigh call; 1000 entries: one call for
+        # MDM (18 entries a trial), blocks of 5, 5 and 2 trials for the
+        # 22 means of MDMF and MF
+        rng = np.random.default_rng(26)
+        model, score, probes = fitted_scorer(name, 2, rng)
+        labels, scores = score(model, probes)
+        monkeypatch.setattr(classifiers, "KERNEL_BLOCK", block)
+        blocked_labels, blocked_scores = score(model, probes)
+        np.testing.assert_array_equal(blocked_labels, labels)
+        np.testing.assert_array_equal(blocked_scores, scores)
+        indefinite = probes.copy()
+        indefinite[-1] = np.diag([1.0, 2.0, -1.0])
+        with pytest.raises(InvalidInput):
+            score(model, indefinite)
 
     @pytest.mark.parametrize("n_classes", [2, 3])
     @pytest.mark.parametrize("name", sorted(SCORERS))
