@@ -26,7 +26,7 @@ print(f"{archive.n_trials} trials, {spec.channels} channels, "
       f"{spec.samples} samples each")
 
 # per-trial shrunk covariance
-covs = np.stack([oas_covariance(t) for t in archive.trials])
+covs = oas_covariance(archive.trials)
 labels = archive.labels.astype(int)
 print("covariance shape per trial:", covs.shape[1:])
 

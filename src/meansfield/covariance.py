@@ -15,15 +15,18 @@ from .geometry import check_spd
 __all__ = ["oas_covariance", "oas_shrinkage"]
 
 
-def _check_trial(data):
+def _check_trials(data):
     data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2:
+    if data.ndim not in (2, 3):
         raise InvalidInput(
-            f"trial data must be (channels, samples), got shape {data.shape}"
+            "trial data must be (channels, samples) or a stack of such "
+            f"trials, got shape {data.shape}"
         )
+    if data.ndim == 3 and data.shape[0] == 0:
+        raise InvalidInput("trial stack is empty")
     if not np.all(np.isfinite(data)):
         raise InvalidInput("trial data contains non-finite entries")
-    channels, samples = data.shape
+    channels, samples = data.shape[-2:]
     if channels < 1 or samples < 2:
         raise InvalidInput("trial needs at least 1 channel and 2 samples")
     if samples < channels:
@@ -57,39 +60,51 @@ def oas_shrinkage(sample_cov, n_samples):
 
 
 def oas_covariance(data, return_shrinkage=False):
-    """Shrunk covariance of one multichannel trial.
+    """Shrunk covariance of one multichannel trial or a stack of them.
 
     Parameters
     ----------
-    data : ndarray, shape (channels, samples)
-        One trial; rows are channels. Channels are mean-centered and
-        the sample covariance uses the 1/samples normalization.
+    data : ndarray, shape (channels, samples) or (n, channels, samples)
+        One trial or a stack of trials; rows are channels. Channels are
+        mean-centered per trial and the sample covariance uses the
+        1/samples normalization.
     return_shrinkage : bool, default False
         Also return the shrinkage intensity.
 
     Returns
     -------
-    cov : ndarray, shape (channels, channels)
-        ``(1 - rho) S + rho (tr(S)/p) I``, validated positive definite.
-    rho : float
-        Only when ``return_shrinkage`` is true.
+    cov : ndarray, shape (channels, channels) or (n, channels, channels)
+        ``(1 - rho) S + rho (tr(S)/p) I`` per trial, validated positive
+        definite by one check over the stack.
+    rho : float or ndarray, shape (n,)
+        Only when ``return_shrinkage`` is true; one intensity per trial
+        of a stack.
 
     Raises
     ------
     DegenerateInput
-        When every channel is constant (zero total variance).
+        When every channel of a trial is constant (zero total
+        variance); for a stack, the message names the trial's index.
     """
-    data = _check_trial(data)
-    p, n = data.shape
-    centered = data - data.mean(axis=1, keepdims=True)
-    s = (centered @ centered.T) / n
-    mu = float(np.trace(s)) / p
-    if mu <= 0.0:
-        raise DegenerateInput("all channels are constant; covariance is zero")
-    rho = oas_shrinkage(s, n)
-    cov = (1.0 - rho) * s
-    cov[np.diag_indices(p)] += rho * mu
-    cov = check_spd(cov, name="shrunk covariance")
+    data = _check_trials(data)
+    trials = data if data.ndim == 3 else data[None]
+    count, p, n = trials.shape
+    covs = np.empty((count, p, p))
+    rhos = np.empty(count)
+    for i, trial in enumerate(trials):
+        centered = trial - trial.mean(axis=1, keepdims=True)
+        s = (centered @ centered.T) / n
+        mu = float(np.trace(s)) / p
+        if mu <= 0.0:
+            where = f"trial {i}: all" if data.ndim == 3 else "all"
+            raise DegenerateInput(
+                f"{where} channels are constant; covariance is zero")
+        rhos[i] = oas_shrinkage(s, n)
+        covs[i] = (1.0 - rhos[i]) * s
+        covs[i][np.diag_indices(p)] += rhos[i] * mu
+    if data.ndim == 2:
+        covs, rhos = covs[0], float(rhos[0])
+    covs = check_spd(covs, name="shrunk covariance")
     if return_shrinkage:
-        return cov, rho
-    return cov
+        return covs, rhos
+    return covs

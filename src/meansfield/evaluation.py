@@ -291,7 +291,7 @@ def run_pipeline(trialset, config, solver=None, workers=1,
     y = np.searchsorted(classes, trialset.labels)
 
     if trialset.kind == "time-series":
-        covs = np.stack([oas_covariance(t) for t in trialset.trials])
+        covs = oas_covariance(trialset.trials)
     else:
         covs = trialset.trials
 

@@ -89,3 +89,34 @@ class TestOasCovariance:
             oas_covariance(np.array([[1.0, np.nan]]))
         with pytest.raises(InvalidInput):
             oas_covariance(np.ones((2, 1)))
+
+
+class TestOasStack:
+    def test_stack_matches_per_trial_calls(self):
+        rng = np.random.default_rng(4)
+        stack = rng.standard_normal((7, 5, 40)) * rng.uniform(0.5, 3.0, (7, 5, 1))
+        covs, rhos = oas_covariance(stack, return_shrinkage=True)
+        assert covs.shape == (7, 5, 5) and rhos.shape == (7,)
+        for i, trial in enumerate(stack):
+            cov, rho = oas_covariance(trial, return_shrinkage=True)
+            np.testing.assert_array_equal(covs[i], cov)
+            assert rhos[i] == rho
+
+    def test_constant_trial_named(self):
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((4, 3, 10))
+        stack[2] = 1.0
+        with pytest.raises(DegenerateInput, match="trial 2"):
+            oas_covariance(stack)
+
+    def test_short_trials_warn_once(self):
+        rng = np.random.default_rng(6)
+        with pytest.warns(UserWarning) as record:
+            oas_covariance(rng.standard_normal((5, 8, 4)))
+        assert len(record) == 1
+
+    def test_bad_stacks_rejected(self):
+        with pytest.raises(InvalidInput):
+            oas_covariance(np.ones((0, 3, 10)))
+        with pytest.raises(InvalidInput):
+            oas_covariance(np.ones((2, 2, 3, 10)))

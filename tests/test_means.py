@@ -13,6 +13,8 @@ from meansfield.means import (
     geometric_mean, harmonic_mean, power_mean, rpme_clean,
 )
 
+from meansfield.synth import RiemannianGaussianSpec, synth_riemannian_gaussian
+
 from oracles import commuting_power_mean, random_gl, random_spd, spd_cloud
 
 
@@ -23,6 +25,21 @@ def commuting_set(dim, n, rng, low=0.2, high=5.0):
     rows = rng.uniform(low, high, size=(n, dim))
     mats = np.stack([(q * r[None, :]) @ q.T for r in rows])
     return mats, q, rows
+
+
+def log_uniform_case(seed):
+    """The acceptance convergence test's set for ``seed``: random bases,
+    log-uniform spectra over four decades (condition up to 1e4)."""
+    rng = np.random.default_rng(7000 + seed)
+    dim = int(round(np.exp(rng.uniform(np.log(4), np.log(32)))))
+    n = int(round(np.exp(rng.uniform(np.log(10), np.log(200)))))
+    rng = np.random.default_rng(500 + seed)
+    mats = []
+    for _ in range(n):
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        lam = np.exp(rng.uniform(-np.log(100.0), np.log(100.0), dim))
+        mats.append((q * lam) @ q.T)
+    return np.stack(mats)
 
 
 class TestClosedForms:
@@ -231,6 +248,52 @@ class TestGeometricMean:
         mapped = geometric_mean(w @ mats @ w.T).matrix
         expected = w @ geometric_mean(mats).matrix @ w.T
         assert frobenius(mapped - expected) <= 1e-6 * frobenius(expected)
+
+    @pytest.mark.parametrize("dim, log10_cond", [
+        (4, 2), (4, 6), (12, 4), (12, 6), (24, 6), (48, 6)])
+    def test_stationarity_recomputed_from_matrix(self, dim, log10_cond):
+        # the returned matrix, not the solver's own bookkeeping, must
+        # satisfy ||sum_i w_i log(G^{-1/2} C_i G^{-1/2})||_F <= tol * d;
+        # the d = 48 set exhausted the budget of a 2/(1 + L) step with
+        # the comparison bound theta(||log||_F / sqrt(2))
+        rng = np.random.default_rng(100 * dim + log10_cond)
+        mats = np.stack([random_spd(dim, rng, log_spread=log10_cond
+                                    * np.log(10.0)) for _ in range(25)])
+        cfg = SolverConfig()
+        res = geometric_mean(mats, config=cfg)
+        w, v = np.linalg.eigh(res.matrix)
+        r = (v / np.sqrt(w)) @ v.T
+        lam, u = np.linalg.eigh(r @ mats @ r)
+        logs = (u * np.log(lam)[:, None, :]) @ np.swapaxes(u, -1, -2)
+        stationarity = np.linalg.norm(logs.mean(axis=0))
+        assert stationarity <= cfg.tolerance * dim
+
+    @pytest.mark.parametrize("seed", [2, 9, 17, 18, 29])
+    def test_widely_spread_sets_converge(self, seed):
+        # sets of the acceptance convergence test on which a plain unit
+        # step stalls: the spread-based step 2/(1 + L) must take over
+        mats = log_uniform_case(seed)
+        cfg = SolverConfig()
+        res = geometric_mean(mats, config=cfg)
+        assert res.iterations <= cfg.max_iterations
+        assert res.residual <= cfg.tolerance * mats.shape[-1]
+
+    def test_concentrated_class_takes_full_steps(self):
+        # a test_10-shaped class: every trial's log-eigenvalue spread is
+        # small enough for the unit Karcher step
+        spec = RiemannianGaussianSpec(dim=12, sigmas=(0.15, 0.35),
+                                      trials_per_class=48, seed=1000)
+        archive = synth_riemannian_gaussian(spec)
+        mats = archive.trials[archive.labels == 1]
+        res = geometric_mean(mats)
+        assert res.iterations <= 8
+        assert res.residual <= SolverConfig().tolerance * 12
+
+    def test_non_spd_init_rejected(self):
+        rng = np.random.default_rng(15)
+        mats = np.stack([random_spd(3, rng) for _ in range(4)])
+        with pytest.raises(InvalidInput):
+            geometric_mean(mats, init=np.diag([1.0, -1.0, 1.0]))
 
 
 class TestOrderAndLimits:
