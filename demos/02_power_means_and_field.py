@@ -3,8 +3,8 @@
 One exponent knob interpolates from the harmonic mean (h = -1) through
 the geometric mean (h = 0) to the arithmetic mean (h = +1). The whole
 family is computed as a field, each solve seeded by its neighbour; the
-MPM solver needs five or six steps per exponent either way, so on this
-set the warm-started field takes 50 iterations against 55 from scratch.
+MPM solver needs four to six steps per exponent either way, so on this
+set the warm-started field takes 41 iterations against 45 from scratch.
 A robust cleaning pass protects all of them from outlying trials at once.
 """
 

@@ -292,6 +292,11 @@ def _selftest_checks():
                             ((np.sqrt(2) + 2) / 2) ** 2])
         return np.allclose(res.matrix, expected, atol=1e-6)
 
+    def check_geometric_mean():
+        mats = np.stack([np.diag([1.0, 1.0]), np.diag([4.0, 9.0])])
+        res = geometric_mean(mats)
+        return np.allclose(res.matrix, np.diag([2.0, 3.0]), atol=1e-6)
+
     def check_closed_forms():
         mats = np.stack([np.diag([1.0, 2.0]), np.diag([3.0, 4.0])])
         ok_a = np.allclose(arithmetic_mean(mats), np.diag([2.0, 3.0]))
@@ -358,6 +363,7 @@ def _selftest_checks():
         ("affine-invariant distance closed form", check_distance),
         ("geodesic midpoint of commuting matrices", check_geodesic),
         ("power mean vs scalar oracle", check_power_mean),
+        ("geometric mean of commuting matrices", check_geometric_mean),
         ("arithmetic/harmonic closed forms", check_closed_forms),
         ("exact permutation test enumeration", check_permutation),
         ("inverse-normal combination", check_liptak),

@@ -4,11 +4,10 @@ one-parameter power-mean family, plus the per-class mean field.
 The power mean with exponent ``h`` in (0, 1] is the unique fixed point
 of ``P -> sum_i w_i (P #_h C_i)`` where ``#_h`` is the geodesic, with
 the duality ``P_{-h}(C) = P_h(C^{-1})^{-1}`` for negative exponents;
-the MPM iteration solves both, in four to eleven steps at any ``h`` on
-concentrated sets. ``h = 0`` denotes the geometric mean, solved as the
-``h = 0`` member of the same factor iteration with a full Karcher step
-(about six steps on concentrated sets). ``h = 1`` and ``h = -1`` are
-the closed-form arithmetic and harmonic means.
+``h = 0`` denotes the geometric mean. One MPM factor loop solves every
+``h`` in (-1, 1), in three to seven steps on concentrated sets.
+``h = 1`` and ``h = -1`` are the closed-form arithmetic and harmonic
+means.
 
 A mean field collects the means over a grid of exponents per class,
 solving them in two warm-started chains (down from ``h = 1`` and up
@@ -108,9 +107,6 @@ class MeanField:
                 return e
         raise KeyError(f"no mean with h={h} for class {label}")
 
-    def total_iterations(self):
-        return sum(e.iterations for es in self.entries.values() for e in es)
-
 
 def _check_set(mats, weights, name="matrix set"):
     mats = np.asarray(mats, dtype=np.float64)
@@ -148,47 +144,74 @@ def harmonic_mean(mats, weights=None):
     return invm(np.einsum("i,ijk->jk", weights, invm(mats)))
 
 
-def _power_mean_mpm(mats, h, weights, init, config):
-    """MPM solve (Congedo, Barachant & Kharati Koopaei, IEEE TSP 2017).
+def _mpm(mats, h, weights, init, config):
+    """MPM factor iteration (Congedo, Barachant & Kharati Koopaei, IEEE
+    TSP 2017) for the power mean with exponent ``h`` in (-1, 1), where
+    ``h = 0`` is the geometric mean.
 
-    Iterates on a factor ``X^T X = P^{-1}``, starting from ``init``:
-    each step forms ``H = sum_i w_i (X C_i X^T)^h`` with one batched
-    eigendecomposition and sets ``X <- H^{-phi} X`` with one more, until
-    ``H = I``; for ``h < 0`` this is the dual solve on ``C_i^{-1}``.
-    The step ``2 h phi`` is the smaller of 1 (the full step) and
-    ``2 / (1 + L)``: an eigenvalue pair of ``X C_i X^T`` with log-ratio
-    ``t`` amplifies the update by ``tanh(|h| t/2) / (|h| tanh(t/2))``,
-    from 1 up to ``1/|h|``, and ``L`` is the weighted mean of that
-    factor at each trial's widest pair, so that widely spread sets
-    converge instead of oscillating.
+    Iterates on ``X^T X = P^{-1}`` from ``X = init^{-1/2}``. One batched
+    eigendecomposition of ``X C_i X^T`` per step gives each trial's
+    log-eigenvalue spread ``s_i`` and ``M = sum_i w_i f_h(X C_i X^T)``,
+    with ``f_h(l) = (l^h - 1)/h`` and ``f_0 = log``, which vanishes at
+    the mean; one more, of ``M``, sets ``X <- (I + h M)^{-nu/(2h)} X``,
+    or ``exp(-nu M/2) X`` at ``h = 0``. A pair of eigenvalues ``s``
+    apart amplifies the update by ``tanh(|h| s/2) / (|h| tanh(s/2))``,
+    whose ``h = 0`` limit ``theta(s/2) = (s/2) coth(s/2)`` is the exact
+    Hessian factor; ``L_h`` is its weighted mean over the trials. The
+    unit step contracts by ``L_0 - 1`` while ``L_0 < 2``; wider sets
+    take ``nu = 2/(1 + L_h)``, and a halving safeguard catches any
+    increase of the residual, a scaled ``||M||_F``.
     """
+    d = mats.shape[-1]
+    tol = config.tolerance
+    if h == 0:
+        name, scale, bound = "geometric mean", 1.0, tol * d
+    else:
+        name, scale, bound = f"power mean (h={h})", np.sqrt(d), tol
     x = invsqrtm(init)
+    damp, prev = 1.0, np.inf
     for it in range(config.max_iterations + 1):
         lam, u = _eigh_stack(x @ mats @ x.T)
         if np.min(lam) <= 0.0:
+            if it == 0:  # X is positive definite, so a trial is not
+                bad = int(np.argmin(lam[:, 0]))
+                raise InvalidInput(
+                    f"{name}: trial {bad} is not positive definite")
             break
-        mix = np.einsum("i,ijk->jk", weights,
-                        (u * lam[:, None, :] ** h) @ np.swapaxes(u, -1, -2))
-        w, v = _eigh_stack(mix)
-        residual = float(np.sqrt(np.mean((w - 1.0) ** 2)) / abs(h))
-        if residual <= config.tolerance or it == config.max_iterations:
+        loglam = np.log(lam)
+        f = loglam if h == 0 else np.expm1(h * loglam) / h
+        m = np.einsum("i,ijk->jk", weights,
+                      (u * f[:, None, :]) @ np.swapaxes(u, -1, -2))
+        residual = float(frobenius(m)) / scale
+        if residual <= bound or it == config.max_iterations:
             break
-        t = np.maximum(np.log(lam[:, -1] / lam[:, 0]), 1e-9)
-        gain = weights @ (np.tanh(abs(h) * t / 2.0)
-                          / (abs(h) * np.tanh(t / 2.0)))
-        step = min(1.0, 2.0 / (1.0 + gain))
-        x = (v * w ** (-step / (2.0 * h))) @ v.T @ x
-    xi = np.linalg.inv(x)
-    p = _sym(xi @ xi.T)
+        if residual >= prev:
+            damp *= 0.5
+            if damp < 1e-12:
+                break
+        prev = residual
+        half = np.maximum((loglam[:, -1] - loglam[:, 0]) / 2.0, 1e-9)
+        l0 = float(weights @ (half / np.tanh(half)))
+        lh = l0 if h == 0 else float(
+            weights @ (np.tanh(abs(h) * half) / (abs(h) * np.tanh(half))))
+        nu = damp * (1.0 if l0 < 2.0 else 2.0 / (1.0 + lh))
+        w, v = _eigh_stack(m)
+        g = w if h == 0 else np.log1p(h * w) / h
+        x = (v * np.exp(-nu * g / 2.0)) @ v.T @ x
+    if it == 0:
+        p = np.array(init, dtype=np.float64)
+    else:
+        xi = np.linalg.inv(x)
+        p = _sym(xi @ xi.T)
     if np.min(lam) <= 0.0:
         raise ConvergenceFailure(
-            "power-mean iterate lost positive definiteness",
+            f"{name} iterate lost positive definiteness",
             last_iterate=p, residual=np.inf, iterations=it,
         )
-    if residual > config.tolerance:
+    if residual > bound:
         raise ConvergenceFailure(
-            f"power mean (h={h}) did not converge in "
-            f"{config.max_iterations} iterations (residual {residual:.3e})",
+            f"{name} did not converge in {config.max_iterations} "
+            f"iterations (residual {residual:.3e})",
             last_iterate=p, residual=residual, iterations=it,
         )
     return MeanResult(p, it, residual)
@@ -215,8 +238,17 @@ def power_mean(mats, h, weights=None, init=None, config=None):
     -------
     MeanResult
         Solved matrix, update steps used, and the final residual
-        ``||H - I||_F / (|h| sqrt(d))`` of the MPM mixture ``H``; to
+        ``||M||_F / sqrt(d)`` of the MPM field (see :func:`_mpm`); to
         first order, the relative Frobenius error of the returned mean.
+
+    Raises
+    ------
+    InvalidInput
+        When ``h`` is out of range, or a trial or ``init`` is not
+        positive definite.
+    ConvergenceFailure
+        When the budget runs out or an iterate loses positive
+        definiteness.
     """
     mats, weights = _check_set(mats, weights)
     if not (0.0 < abs(h) <= 1.0):
@@ -230,87 +262,35 @@ def power_mean(mats, h, weights=None, init=None, config=None):
         return MeanResult(harmonic_mean(mats, weights), 0, 0.0)
     if init is None:
         init = (arithmetic_mean if h > 0 else harmonic_mean)(mats, weights)
-    return _power_mean_mpm(mats, h, weights, init, config)
+    return _mpm(mats, h, weights, init, config)
 
 
 def geometric_mean(mats, weights=None, init=None, config=None):
-    """Geometric (Karcher) mean of an SPD set.
-
-    The ``h = 0`` member of the MPM iteration: iterates on a factor
-    ``X^T X = G^{-1}``, starting from ``X = init^{-1/2}`` (``init``
-    defaults to the arithmetic mean). Each step makes one batched
-    eigendecomposition of ``X C_i X^T``, whose log-eigenvalues give the
-    stationarity field ``K = sum_i w_i log(X C_i X^T)`` and each trial's
-    log-eigenvalue spread ``s_i``, and sets ``X <- exp(-nu K / 2) X``
-    with one more. Convergence is declared when ``||K||_F``, the
-    stationarity norm ``||sum_i w_i log(G^{-1/2} C_i G^{-1/2})||_F``,
-    drops to ``tolerance * d``.
-
-    The step is curvature-aware: the Hessian of the dispersion
-    functional lies between 1 and ``L = sum_i w_i theta(s_i / 2)`` with
-    ``theta(t) = t coth(t)``, the exact factor of a log-eigenvalue pair
-    ``s_i`` apart. While ``L < 2`` the unit step ``nu = 1`` contracts by
-    ``L - 1 < 1``; wider sets take ``nu = 2/(1 + L)``. Either way the
-    flow is a guaranteed contraction, and a halving safeguard catches
-    any residual increase.
+    """Geometric (Karcher) mean of an SPD set: the ``h = 0`` member of
+    the MPM iteration (see :func:`_mpm`), started at ``init``, which
+    defaults to the arithmetic mean.
 
     Returns
     -------
     MeanResult
-        The residual is the stationarity norm at the returned matrix;
-        a mean found before any step is ``init`` itself.
+        The residual is the stationarity norm
+        ``||sum_i w_i log(G^{-1/2} C_i G^{-1/2})||_F`` at the returned
+        matrix, at most ``tolerance * d``; a mean found before any step
+        is a copy of ``init``.
 
     Raises
     ------
     InvalidInput
-        When ``init`` is not positive definite.
+        When a trial or ``init`` is not positive definite.
     ConvergenceFailure
         When the budget runs out or an iterate loses positive
         definiteness.
     """
     mats, weights = _check_set(mats, weights)
     config = config or SolverConfig()
-    d = mats.shape[-1]
-    g = arithmetic_mean(mats, weights) if init is None else np.array(init)
-    x = invsqrtm(g)
-    bound = config.tolerance * d
-    damp = 1.0
-    prev = np.inf
-    for it in range(config.max_iterations + 1):
-        lam, u = _eigh_stack(x @ mats @ x.T)
-        if np.min(lam) <= 0.0:
-            break
-        loglam = np.log(lam)
-        k = np.einsum("i,ijk->jk", weights,
-                      (u * loglam[:, None, :]) @ np.swapaxes(u, -1, -2))
-        residual = float(frobenius(k))
-        if residual <= bound or it == config.max_iterations:
-            break
-        if residual >= prev:
-            damp *= 0.5
-            if damp < 1e-12:
-                break
-        prev = residual
-        half = np.maximum((loglam[:, -1] - loglam[:, 0]) / 2.0, 1e-9)
-        hess_cap = float(weights @ (half / np.tanh(half)))
-        nu = damp * (1.0 if hess_cap < 2.0 else 2.0 / (1.0 + hess_cap))
-        w, v = _eigh_stack(k)
-        x = (v * np.exp(-nu * w / 2.0)) @ v.T @ x
-    if it > 0:
-        xi = np.linalg.inv(x)
-        g = _sym(xi @ xi.T)
-    if np.min(lam) <= 0.0:
-        raise ConvergenceFailure(
-            "geometric-mean iterate lost positive definiteness",
-            last_iterate=g, residual=np.inf, iterations=it,
-        )
-    if residual > bound:
-        raise ConvergenceFailure(
-            f"geometric mean did not converge in {config.max_iterations} "
-            f"iterations (stationarity norm {residual:.3e})",
-            last_iterate=g, residual=residual, iterations=it,
-        )
-    return MeanResult(g, it, residual)
+    if init is None:
+        init = arithmetic_mean(mats, weights)
+    return _mpm(mats, 0.0, weights, init, config)
 
 
 def rpme_clean(mats, robust=None, config=None):

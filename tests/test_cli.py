@@ -289,3 +289,4 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") >= 8
+        assert "PASS geometric mean of commuting matrices" in out

@@ -183,9 +183,13 @@ class TestPowerMean:
         mats = np.stack([random_spd(12, rng, log_spread=log10_cond
                                     * np.log(10.0)) for _ in range(30)])
         cfg = SolverConfig()
-        for h in (0.25, 0.1, -0.1, -0.25):
+        for h in (0.5, 0.25, 0.1, -0.1, -0.25, -0.5):
             res = power_mean(mats, h, config=cfg)
             assert res.residual <= cfg.tolerance
+            if abs(h) == 0.5:
+                # the unit step is gated on the h-free factor L_0; gated
+                # on L_h <= 1/|h| <= 2 it would be taken and oscillate
+                assert res.iterations <= 25
             p, base = res.matrix, mats
             if h < 0:
                 p, base = invm(p), invm(mats)
@@ -280,14 +284,36 @@ class TestGeometricMean:
 
     def test_concentrated_class_takes_full_steps(self):
         # a test_10-shaped class: every trial's log-eigenvalue spread is
-        # small enough for the unit Karcher step
+        # small enough for the unit step, at h = 0 and at every power
         spec = RiemannianGaussianSpec(dim=12, sigmas=(0.15, 0.35),
                                       trials_per_class=48, seed=1000)
         archive = synth_riemannian_gaussian(spec)
         mats = archive.trials[archive.labels == 1]
+        tol = SolverConfig().tolerance
         res = geometric_mean(mats)
         assert res.iterations <= 8
-        assert res.residual <= SolverConfig().tolerance * 12
+        assert res.residual <= tol * 12
+        for h in DEFAULT_H_GRID:
+            if 0.0 < abs(h) < 1.0:
+                res = power_mean(mats, h)
+                assert res.iterations <= 8, h
+                assert res.residual <= tol
+
+    @pytest.mark.parametrize("h", [0.0, 0.5, -0.5])
+    def test_non_pd_trial_rejected(self, h):
+        rng = np.random.default_rng(16)
+        mats = np.stack([random_spd(3, rng) for _ in range(3)]
+                        + [np.diag([1.0, 1.0, -0.5])])
+
+        def solve(**kwargs):
+            if h == 0.0:
+                return geometric_mean(mats, **kwargs)
+            return power_mean(mats, h, **kwargs)
+
+        with pytest.raises(InvalidInput):
+            solve()
+        with pytest.raises(InvalidInput, match="trial 3"):
+            solve(init=np.eye(3))
 
     def test_non_spd_init_rejected(self):
         rng = np.random.default_rng(15)
