@@ -29,8 +29,8 @@ from .spatial import (
     identity_filter, pham_ajd,
 )
 from .classifiers import (
-    LdaModel, MdmModel, MfModel, TsLrModel, distance_features, lda_fit,
-    mdm_fit, mdm_score, mdmf_fit, mdmf_score, mf_fit, mf_score, tangent_map,
+    FieldModel, LdaModel, TsLrModel, distance_features, lda_fit, mdm_fit,
+    mdm_score, mdmf_fit, mdmf_score, mf_fit, mf_score, tangent_map,
     ts_lr_fit, ts_lr_score,
 )
 from .evaluation import (

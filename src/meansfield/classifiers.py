@@ -1,17 +1,14 @@
 """Classifiers for SPD covariance trials.
 
-Four pipelines over the same geometric substrate:
-
-* nearest class geometric mean (``mdm_*``),
-* nearest mean across a per-class power-mean field (``mdmf_*``),
-* linear discriminant analysis on the squared distances to every mean
-  of the field (``mf_*``),
-* logistic regression on tangent-space coordinates at the global
-  geometric mean (``ts_lr_*``).
-
-The first three share one distance kernel (batched eigendecompositions
-of the whitened trials, in bounded blocks) and differ in its head:
-argmin over class means, minimum over each class field, discriminant.
+MDM, MDMF and MF fit one model type, :class:`FieldModel`: a per-class
+field of power means, the whiteners of its means and a head. MDM is the
+field of the single exponent ``h = 0`` (one geometric mean per class),
+MDMF the full field; both take the nearest-mean head, the minimum
+distance over each class's means. MF puts a linear discriminant head on
+the squared distances to every mean of the field. All three share one
+distance kernel (batched eigendecompositions of the whitened trials, in
+bounded blocks). TS+LR (``ts_lr_*``) is logistic regression on
+tangent-space coordinates at the global geometric mean.
 
 Every ``*_score`` takes one ``(d, d)`` trial and returns ``(label,
 score)``, or an ``(n, d, d)`` stack and returns ``(labels, scores)``
@@ -24,21 +21,22 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 import scipy.special
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .exceptions import (
     ConvergenceFailure, InvalidInput, NumericalFailure,
 )
 from .geometry import SolverConfig, _eigh_stack, check_spd, invsqrtm, logm
 from .means import (
-    DEFAULT_H_GRID, MeanField, build_mean_field, geometric_mean, rpme_clean,
+    DEFAULT_H_GRID, MeanField, MeanFieldEntry, build_mean_field,
+    geometric_mean,
 )
 
 __all__ = [
-    "MdmModel", "mdm_fit", "mdm_score",
+    "FieldModel", "mdm_fit", "mdm_score",
     "mdmf_fit", "mdmf_score",
     "LdaModel", "lda_fit", "lda_discriminants",
-    "MfModel", "mf_fit", "mf_score", "distance_features",
+    "mf_fit", "mf_score", "distance_features",
     "tangent_map", "TsLrModel", "ts_lr_fit", "ts_lr_score",
 ]
 
@@ -83,13 +81,6 @@ def _trials(covs, dim):
     return covs.reshape(-1, dim, dim), covs.ndim == 2
 
 
-def _whiten_field(field):
-    """``M^{-1/2}`` of every mean of a field by one stacked ``invsqrtm``,
-    class ascending, then ``h`` ascending within each class."""
-    means = [field.matrices(c) for c in field.classes]
-    return invsqrtm(np.concatenate(means))
-
-
 def _sq_distances(whiteners, covs):
     """Squared affine-invariant distances, shape ``(n, K)``, from ``n``
     trials to the ``K`` means whose whiteners ``M^{-1/2}`` are stacked:
@@ -119,41 +110,62 @@ def _decide(classes, evidence, single):
 
 
 # ---------------------------------------------------------------------------
-# Nearest class mean
+# One fitted model; the nearest-mean head of MDM and MDMF
 
 
 @dataclass(frozen=True)
-class MdmModel:
-    """Per-class geometric means plus their whiteners, in class order."""
+class FieldModel:
+    """A per-class mean field, the read-only whiteners ``M^{-1/2}`` of
+    its means in :func:`distance_features` order, and the discriminant
+    head ``lda`` of :func:`mf_fit` (``None``: the nearest-mean head)."""
 
-    classes: tuple
-    means: np.ndarray
-    _whiteners: np.ndarray
+    field: MeanField
+    whiteners: np.ndarray
+    lda: "LdaModel" = None
+
+    @property
+    def classes(self):
+        return self.field.classes
 
     @property
     def dim(self):
-        return self.means.shape[-1]
+        return self.whiteners.shape[-1]
+
+    @property
+    def n_features(self):
+        return len(self.whiteners)
 
 
-def mdm_fit(train_covs, labels, config=None, robust=None):
-    """Learn one geometric mean per class.
+def _field_model(field):
+    """The nearest-mean model of a field: one stacked ``invsqrtm``."""
+    whiteners = invsqrtm(
+        np.concatenate([field.matrices(c) for c in field.classes]))
+    whiteners.flags.writeable = False
+    return FieldModel(field, whiteners)
 
-    With ``robust`` given, each class is cleaned by robust mean
-    estimation and the returned mean is that of the survivors.
-    """
+
+def _nearest_mean(model, covs):
+    """Per class, minus the smallest distance from each trial to the
+    class's means, decided by :func:`_decide`."""
+    covs, single = _trials(covs, model.dim)
+    classes = model.classes
+    dists = np.sqrt(_sq_distances(model.whiteners, covs))
+    per_class = dists.reshape(len(covs), len(classes), -1)
+    return _decide(classes, -per_class.min(axis=2), single)
+
+
+def mdm_fit(train_covs, labels, config=None):
+    """Learn one geometric mean per class: the field of the single
+    exponent ``h = 0``, equal to ``mdmf_fit(..., h_grid=(0.0,))``."""
     config = config or SolverConfig()
-    groups = _group_by_class(train_covs, labels)
-    means = []
-    for c, mats in groups.items():
-        if robust is not None:
-            means.append(rpme_clean(mats, robust=robust, config=config).mean)
-        else:
-            means.append(geometric_mean(mats, config=config).matrix)
-    means = np.stack(means)
-    whiteners = invsqrtm(means)
-    for a in (means, whiteners):
-        a.flags.writeable = False
-    return MdmModel(tuple(groups), means, whiteners)
+    entries, kept = {}, {}
+    for c, mats in _group_by_class(train_covs, labels).items():
+        res = geometric_mean(mats, config=config)
+        res.matrix.flags.writeable = False
+        entries[c] = (MeanFieldEntry(0.0, res.matrix, res.iterations,
+                                     res.residual),)
+        kept[c] = np.arange(len(mats))
+    return _field_model(MeanField((0.0,), entries, kept))
 
 
 def mdm_score(model, covs):
@@ -166,24 +178,18 @@ def mdm_score(model, covs):
         the second class); multiclass score is the vector of negated
         distances. Ties go to the lower class index.
     """
-    covs, single = _trials(covs, model.dim)
-    return _decide(model.classes,
-                   -np.sqrt(_sq_distances(model._whiteners, covs)), single)
-
-
-# ---------------------------------------------------------------------------
-# Nearest mean of the field
+    return _nearest_mean(model, covs)
 
 
 def mdmf_fit(train_covs, labels, h_grid=DEFAULT_H_GRID, config=None,
              robust=None):
     """Learn the full power-mean field per class."""
     groups = _group_by_class(train_covs, labels)
-    return build_mean_field(groups, h_grid=h_grid, config=config,
-                            robust=robust)
+    return _field_model(build_mean_field(groups, h_grid=h_grid,
+                                         config=config, robust=robust))
 
 
-def mdmf_score(field, covs):
+def mdmf_score(model, covs):
     """Classify trials by their nearest mean across each class field.
 
     Per class the score is the minimum distance over the class's
@@ -192,9 +198,7 @@ def mdmf_score(field, covs):
     ``min_d(class_0) - min_d(class_1)``. Returns ``(label, score)``,
     or ``(labels, scores)`` arrays for a stack.
     """
-    feats = np.atleast_2d(distance_features(field, covs))
-    dists = np.sqrt(feats).reshape(len(feats), len(field.classes), -1)
-    return _decide(field.classes, -dists.min(axis=2), np.ndim(covs) == 2)
+    return _nearest_mean(model, covs)
 
 
 # ---------------------------------------------------------------------------
@@ -254,36 +258,15 @@ def lda_discriminants(model, features):
     return x @ model._coef.T + model._intercept
 
 
-@dataclass(frozen=True)
-class MfModel:
-    """A mean field, the discriminant on its distances, and the field's
-    whiteners in feature order."""
-
-    field: MeanField
-    lda: LdaModel
-    _whiteners: np.ndarray
-
-    @property
-    def classes(self):
-        return self.field.classes
-
-    @property
-    def n_features(self):
-        return sum(len(self.field.entries[c]) for c in self.classes)
-
-
-def distance_features(field, covs, _whiteners=None):
-    """Squared distances from trials to every mean of the field.
+def distance_features(model, covs):
+    """Squared distances from trials to every mean of a model's field.
 
     Feature order: class labels ascending, then ``h`` ascending within
     each class; length ``n_classes * len(h_grid)``, one row per trial
-    of a stack. ``_whiteners`` are the field's whiteners in that order,
-    when the caller holds them.
+    of a stack.
     """
-    if _whiteners is None:
-        _whiteners = _whiten_field(field)
-    covs, single = _trials(covs, _whiteners.shape[-1])
-    feats = _sq_distances(_whiteners, covs)
+    covs, single = _trials(covs, model.dim)
+    feats = _sq_distances(model.whiteners, covs)
     return feats[0] if single else feats
 
 
@@ -294,12 +277,9 @@ def mf_fit(train_covs, labels, h_grid=DEFAULT_H_GRID, config=None,
     The field and the discriminant are trained on the same trials.
     """
     covs = np.asarray(train_covs, dtype=np.float64)
-    y = np.asarray(labels)
-    field = mdmf_fit(covs, y, h_grid=h_grid, config=config, robust=robust)
-    whiteners = _whiten_field(field)
-    feats = distance_features(field, covs, _whiteners=whiteners)
-    lda = lda_fit(feats, y)
-    return MfModel(field, lda, whiteners)
+    model = mdmf_fit(covs, labels, h_grid=h_grid, config=config,
+                     robust=robust)
+    return replace(model, lda=lda_fit(distance_features(model, covs), labels))
 
 
 def mf_score(model, covs):
@@ -310,7 +290,7 @@ def mf_score(model, covs):
     Ties go to the lower class index. Returns ``(label, score)``, or
     ``(labels, scores)`` arrays for a stack.
     """
-    feats = distance_features(model.field, covs, _whiteners=model._whiteners)
+    feats = distance_features(model, covs)
     return _decide(model.lda.classes, lda_discriminants(model.lda, feats),
                    np.ndim(covs) == 2)
 

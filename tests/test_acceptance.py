@@ -311,17 +311,17 @@ def test_09_reduction_identities():
             spd_cloud(np.diag([2.0, 1.0, 0.7]), 0.3, 12, rng),
         ])
         labels = np.repeat([0, 1], 12)
-        field = mdmf_fit(trials, labels, h_grid=(0.0,))
+        mdmf = mdmf_fit(trials, labels, h_grid=(0.0,))
         mdm = mdm_fit(trials, labels)
         for t in trials:
-            assert mdmf_score(field, t) == mdm_score(mdm, t)
+            assert mdmf_score(mdmf, t) == mdm_score(mdm, t)
     rng = np.random.default_rng(42)
     trials = np.concatenate([spd_cloud(np.eye(3), 0.2, 8, rng),
                              spd_cloud(2 * np.eye(3), 0.2, 8, rng)])
     labels = np.repeat([0, 1], 8)
     model = mf_fit(trials, labels)
     assert model.n_features == 2 * 11
-    assert distance_features(model.field, trials).shape == (16, 22)
+    assert distance_features(model, trials).shape == (16, 22)
     _report(9, "single-exponent field reproduces nearest-mean decisions "
                "on 20 datasets; feature length 2 x 11")
 

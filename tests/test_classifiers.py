@@ -7,14 +7,14 @@ import pytest
 
 from meansfield import classifiers
 from meansfield.classifiers import (
-    distance_features, lda_discriminants, lda_fit, mdm_fit, mdm_score,
-    mdmf_fit, mdmf_score, mf_fit, mf_score, tangent_map, ts_lr_fit,
-    ts_lr_score,
+    FieldModel, distance_features, lda_discriminants, lda_fit, mdm_fit,
+    mdm_score, mdmf_fit, mdmf_score, mf_fit, mf_score, tangent_map,
+    ts_lr_fit, ts_lr_score,
 )
 from meansfield.evaluation import auc_roc
 from meansfield.exceptions import InvalidInput
 from meansfield.geometry import SolverConfig, airm_distance, geodesic
-from meansfield.means import DEFAULT_H_GRID, RobustConfig
+from meansfield.means import DEFAULT_H_GRID
 
 from oracles import (
     irls_logistic, lda_reference_binary, random_gl, random_spd, spd_cloud,
@@ -40,8 +40,10 @@ class TestMdm:
         rng = np.random.default_rng(0)
         ca, cb = random_spd(4, rng), random_spd(4, rng)
         model = mdm_fit(np.stack([ca, ca, cb, cb]), np.array([0, 0, 1, 1]))
-        np.testing.assert_allclose(model.means[0], ca, atol=1e-10)
-        np.testing.assert_allclose(model.means[1], cb, atol=1e-10)
+        np.testing.assert_allclose(model.field.matrices(0)[0], ca,
+                                   atol=1e-10)
+        np.testing.assert_allclose(model.field.matrices(1)[0], cb,
+                                   atol=1e-10)
 
     def test_commuting_scalar_oracle(self):
         # commuting trials: the class mean is the eigenvalue-wise
@@ -50,10 +52,10 @@ class TestMdm:
         rows_b = np.array([[9.0, 16.0], [16.0, 9.0]])
         trials = np.stack([np.diag(r) for r in np.vstack([rows_a, rows_b])])
         model = mdm_fit(trials, np.array([0, 0, 1, 1]))
-        np.testing.assert_allclose(model.means[0], np.diag([2.0, 2.0]),
-                                   atol=1e-7)
-        np.testing.assert_allclose(model.means[1], np.diag([12.0, 12.0]),
-                                   atol=1e-6)
+        np.testing.assert_allclose(model.field.matrices(0)[0],
+                                   np.diag([2.0, 2.0]), atol=1e-7)
+        np.testing.assert_allclose(model.field.matrices(1)[0],
+                                   np.diag([12.0, 12.0]), atol=1e-6)
 
     def test_score_at_means(self):
         rng = np.random.default_rng(1)
@@ -78,13 +80,6 @@ class TestMdm:
         label, score = mdm_score(model, geodesic(ca, cb, 0.9))
         assert label == 1 and score > 0
 
-    def test_robust_noop_on_clean_data(self):
-        rng = np.random.default_rng(3)
-        trials, labels = dispersion_classes(rng, n=10, sigmas=(0.05, 0.05))
-        plain = mdm_fit(trials, labels)
-        robust = mdm_fit(trials, labels, robust=RobustConfig())
-        np.testing.assert_array_equal(plain.means, robust.means)
-
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(4)
         trials, labels = dispersion_classes(rng, n=3)
@@ -97,18 +92,18 @@ class TestMdmf:
     def test_exact_mean_match_wins(self):
         rng = np.random.default_rng(5)
         trials, labels = dispersion_classes(rng, n=10)
-        field = mdmf_fit(trials, labels)
-        some_mean = field.entries[1][3].matrix
-        label, score = mdmf_score(field, some_mean)
+        model = mdmf_fit(trials, labels)
+        some_mean = model.field.entries[1][3].matrix
+        label, score = mdmf_score(model, some_mean)
         assert label == 1 and score > 0
 
     def test_identical_fields_tie_to_lower(self):
         rng = np.random.default_rng(6)
         c = random_spd(3, rng)
         trials = np.stack([c] * 4)
-        field = mdmf_fit(np.concatenate([trials, trials]),
+        model = mdmf_fit(np.concatenate([trials, trials]),
                          np.array([0, 0, 0, 0, 1, 1, 1, 1]))
-        label, score = mdmf_score(field, 2.0 * c)
+        label, score = mdmf_score(model, 2.0 * c)
         assert score == 0.0 and label == 0
 
     def test_outlying_mean_attracts_trial(self):
@@ -126,25 +121,41 @@ class TestMdmf:
         mdm_label, _ = mdm_score(mdm, probe)
         assert mdm_label == 1  # nearest geometric mean is green's
 
-        field = mdmf_fit(trials, labels)
-        field_label, _ = mdmf_score(field, probe)
+        mdmf = mdmf_fit(trials, labels)
+        field_label, _ = mdmf_score(mdmf, probe)
         assert field_label == 0  # a red power mean sits next to it
 
     def test_grid_zero_reduces_to_mdm(self):
         rng = np.random.default_rng(7)
         trials, labels = dispersion_classes(rng, n=12)
         probes = spd_cloud(np.eye(3), 0.4, 30, rng)
-        field = mdmf_fit(trials, labels, h_grid=(0.0,))
+        mdmf = mdmf_fit(trials, labels, h_grid=(0.0,))
         mdm = mdm_fit(trials, labels)
         for probe in probes:
-            lf, sf = mdmf_score(field, probe)
+            lf, sf = mdmf_score(mdmf, probe)
             lm, sm = mdm_score(mdm, probe)
             assert lf == lm
             assert sf == sm  # bit-identical: same solver, same init
-        lf, sf = mdmf_score(field, probes)
+        lf, sf = mdmf_score(mdmf, probes)
         lm, sm = mdm_score(mdm, probes)
         np.testing.assert_array_equal(lf, lm)
         np.testing.assert_array_equal(sf, sm)
+        # MDM is the h = 0 field itself, bit for bit
+        for dim in (3, 7, 12):
+            trials, labels = dispersion_classes(rng, n=8 + dim, dim=dim)
+            mdmf = mdmf_fit(trials, labels, h_grid=(0.0,))
+            mdm = mdm_fit(trials, labels)
+            assert mdm.field.h_grid == mdmf.field.h_grid == (0.0,)
+            assert mdm.classes == mdmf.classes
+            for c in mdm.classes:
+                (em,), (ef,) = mdm.field.entries[c], mdmf.field.entries[c]
+                assert em.h == ef.h
+                np.testing.assert_array_equal(em.matrix, ef.matrix)
+                np.testing.assert_array_equal(em.iterations, ef.iterations)
+                np.testing.assert_array_equal(em.residual, ef.residual)
+                np.testing.assert_array_equal(mdm.field.kept[c],
+                                              mdmf.field.kept[c])
+            np.testing.assert_array_equal(mdm.whiteners, mdmf.whiteners)
 
 
 class TestLda:
@@ -180,19 +191,19 @@ class TestMf:
         trials, labels = dispersion_classes(rng, n=10)
         model = mf_fit(trials, labels)
         assert model.n_features == 2 * 11
-        feats = distance_features(model.field, trials)
+        feats = distance_features(model, trials)
         assert feats.shape == (trials.shape[0], 22)
         assert (feats >= 0).all()
 
     def test_feature_order_class_then_exponent(self):
         rng = np.random.default_rng(9)
         trials, labels = dispersion_classes(rng, n=10)
-        field = mdmf_fit(trials, labels)
+        model = mdmf_fit(trials, labels)
         probe = trials[0]
-        feats = distance_features(field, probe)
+        feats = distance_features(model, probe)
         k = 0
-        for c in field.classes:
-            for entry in field.entries[c]:
+        for c in model.classes:
+            for entry in model.field.entries[c]:
                 d = airm_distance(entry.matrix, probe)
                 assert abs(feats[k] - d**2) <= 1e-9 * max(d**2, 1.0)
                 k += 1
@@ -200,9 +211,9 @@ class TestMf:
     def test_trial_matching_mean_has_zero_feature(self):
         rng = np.random.default_rng(10)
         trials, labels = dispersion_classes(rng, n=10)
-        field = mdmf_fit(trials, labels)
-        probe = field.entries[0][5].matrix  # the geometric mean entry
-        feats = distance_features(field, probe)
+        model = mdmf_fit(trials, labels)
+        probe = model.field.entries[0][5].matrix  # the geometric mean entry
+        feats = distance_features(model, probe)
         assert feats[5] <= 1e-12
 
     @pytest.mark.parametrize("seed", [0, 4, 9])
@@ -233,8 +244,7 @@ class TestMf:
         trials, labels = dispersion_classes(rng, n=10)
         model = mf_fit(trials, labels)
         probe = trials[3]
-        feats = distance_features(model.field, probe,
-                                  _whiteners=model._whiteners)
+        feats = distance_features(model, probe)
         g = lda_discriminants(model.lda, feats)[0]
         _, score = mf_score(model, probe)
         assert score == float(g[1] - g[0])
@@ -354,7 +364,7 @@ class TestStackScoring:
             scale = 0.0
             if name == "MF":
                 scale = np.abs(lda_discriminants(
-                    model.lda, distance_features(model.field, probes))).max()
+                    model.lda, distance_features(model, probes))).max()
             np.testing.assert_allclose(scores, expected, rtol=1e-9,
                                        atol=1e-9 * scale)
 
@@ -406,6 +416,46 @@ class TestStackScoring:
             score(model, indefinite)
 
 
+FIELD_PIPELINES = ["MDM", "MDMF", "MF"]
+
+
+class TestFieldModel:
+    @pytest.mark.parametrize("name", FIELD_PIPELINES)
+    def test_one_model_type(self, name):
+        model, _, _ = fitted_scorer(name, 2, np.random.default_rng(27))
+        assert isinstance(model, FieldModel)
+        assert (model.lda is None) == (name != "MF")
+        assert model.n_features == len(model.whiteners) == sum(
+            len(model.field.entries[c]) for c in model.classes)
+        assert model.dim == 3
+
+    @pytest.mark.parametrize("name", FIELD_PIPELINES)
+    def test_arrays_read_only(self, name):
+        model, _, _ = fitted_scorer(name, 2, np.random.default_rng(28))
+        with pytest.raises(ValueError):
+            model.whiteners[0, 0, 0] = 1.0
+        for c in model.classes:
+            for entry in model.field.entries[c]:
+                with pytest.raises(ValueError):
+                    entry.matrix[0, 0] = 1.0
+
+    @pytest.mark.parametrize("name", FIELD_PIPELINES)
+    def test_scoring_reuses_fitted_whiteners(self, name, monkeypatch):
+        # the whiteners are solved once at fit time; scoring a trial or
+        # a stack takes no further inverse square root
+        model, score, probes = fitted_scorer(name, 2,
+                                             np.random.default_rng(29))
+        expected = score(model, probes)
+
+        def no_invsqrtm(*args, **kwargs):
+            raise AssertionError("invsqrtm called while scoring")
+        monkeypatch.setattr(classifiers, "invsqrtm", no_invsqrtm)
+        labels, scores = score(model, probes)
+        score(model, probes[0])
+        np.testing.assert_array_equal(labels, expected[0])
+        np.testing.assert_array_equal(scores, expected[1])
+
+
 class TestInvariances:
     def test_prediction_invariance_under_congruence(self):
         rng = np.random.default_rng(20)
@@ -420,16 +470,16 @@ class TestInvariances:
         cfg = SolverConfig(tolerance=1e-12, max_iterations=2000)
         mdm_a = mdm_fit(trials, labels, config=cfg)
         mdm_b = mdm_fit(t_trials, labels, config=cfg)
-        field_a = mdmf_fit(trials, labels, config=cfg)
-        field_b = mdmf_fit(t_trials, labels, config=cfg)
+        mdmf_a = mdmf_fit(trials, labels, config=cfg)
+        mdmf_b = mdmf_fit(t_trials, labels, config=cfg)
         mf_a = mf_fit(trials, labels, config=cfg)
         mf_b = mf_fit(t_trials, labels, config=cfg)
         for p, tp in zip(probes, t_probes):
             assert mdm_score(mdm_a, p)[0] == mdm_score(mdm_b, tp)[0]
-            assert mdmf_score(field_a, p)[0] == mdmf_score(field_b, tp)[0]
+            assert mdmf_score(mdmf_a, p)[0] == mdmf_score(mdmf_b, tp)[0]
             assert mf_score(mf_a, p)[0] == mf_score(mf_b, tp)[0]
-            fa = distance_features(field_a, p)
-            fb = distance_features(field_b, tp)
+            fa = distance_features(mdmf_a, p)
+            fb = distance_features(mdmf_b, tp)
             assert np.abs(fa - fb).max() <= 1e-8 * max(fa.max(), 1.0)
 
     def test_mf_with_argmin_on_single_mean_equals_mdm(self):
@@ -439,11 +489,11 @@ class TestInvariances:
         rng = np.random.default_rng(21)
         trials, labels = dispersion_classes(rng, n=12)
         probes = spd_cloud(np.eye(3), 0.4, 20, rng)
-        field = mdmf_fit(trials, labels, h_grid=(0.0,))
+        mdmf = mdmf_fit(trials, labels, h_grid=(0.0,))
         mdm = mdm_fit(trials, labels)
         for p in probes:
-            feats = distance_features(field, p)
-            argmin_label = field.classes[int(np.argmin(feats))]
+            feats = distance_features(mdmf, p)
+            argmin_label = mdmf.classes[int(np.argmin(feats))]
             assert argmin_label == mdm_score(mdm, p)[0]
 
     def test_scores_deterministic(self):
