@@ -18,9 +18,6 @@ the lower class index.
 """
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
-import scipy.special
 from dataclasses import dataclass, replace
 
 from .exceptions import (
@@ -237,13 +234,15 @@ def lda_fit(features, labels):
     pooled /= n - len(classes)
     ridge = LDA_RIDGE * np.trace(pooled) / k
     pooled_r = pooled + ridge * np.eye(k)
+    if not np.all(np.isfinite(pooled_r)):
+        raise NumericalFailure("pooled feature covariance is not finite")
     try:
-        chol = scipy.linalg.cho_factor(pooled_r)
-        coef = scipy.linalg.cho_solve(chol, means.T).T
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        chol = np.linalg.cholesky(pooled_r)
+    except np.linalg.LinAlgError as exc:
         raise NumericalFailure(
             f"pooled feature covariance is singular after ridge: {exc}"
         ) from exc
+    coef = np.linalg.solve(chol.T, np.linalg.solve(chol, means.T)).T
     priors = np.array([(y == c).mean() for c in classes])
     intercept = -0.5 * np.sum(coef * means, axis=1) + np.log(priors)
     for a in (means, pooled_r, priors, coef, intercept):
@@ -319,6 +318,12 @@ def tangent_map(cov, reference):
     return s[..., iu[0], iu[1]] * scale
 
 
+def _expit(z):
+    """Logistic sigmoid ``1 / (1 + exp(-z))`` without overflow."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
+
+
 def _logistic_objective(params, x, y01, penalty):
     """Value and gradient of the penalized negative log-likelihood;
     the intercept (last parameter) is unpenalized."""
@@ -328,34 +333,40 @@ def _logistic_objective(params, x, y01, penalty):
     t = 2.0 * y01 - 1.0
     m = -t * z
     loss = np.logaddexp(0.0, m).sum() + 0.5 * penalty * (w @ w)
-    p = scipy.special.expit(z)
-    resid = p - y01
+    resid = _expit(z) - y01
     grad = np.concatenate([x.T @ resid + penalty * w, [resid.sum()]])
     return loss, grad
 
 
 def _fit_binary_lr(x, y01):
-    n, k = x.shape
-    res = scipy.optimize.minimize(
-        _logistic_objective, np.zeros(k + 1), args=(x, y01, LR_PENALTY),
-        method="L-BFGS-B", jac=True,
-        options={"maxiter": 5000, "ftol": 0.0, "gtol": 1e-12},
-    )
-    beta = res.x
-    gnorm = np.inf
-    # polish to the gradient bar with damped Newton steps
+    """Newton's method from zero with Armijo backtracking, to gradient
+    norm ``LR_GRAD_TOL``. Where the loss no longer resolves the
+    decrease (within rounding of the optimum), a step is also accepted
+    if it shrinks the gradient."""
+    beta = np.zeros(x.shape[1] + 1)
+    loss, grad = _logistic_objective(beta, x, y01, LR_PENALTY)
+    gnorm = float(np.linalg.norm(grad))
     for _ in range(100):
-        _, grad = _logistic_objective(beta, x, y01, LR_PENALTY)
-        gnorm = float(np.linalg.norm(grad))
         if gnorm <= LR_GRAD_TOL:
             return beta
-        hess = _logistic_hessian(beta, x, LR_PENALTY)
-        hess[np.diag_indices_from(hess)] += 1e-10
         try:
-            step = np.linalg.solve(hess, grad)
+            step = np.linalg.solve(_logistic_hessian(beta, x, LR_PENALTY),
+                                   grad)
         except np.linalg.LinAlgError:
             break
-        beta = beta - step
+        decrease = float(grad @ step)
+        for halvings in range(50):
+            t = 0.5 ** halvings
+            trial = beta - t * step
+            t_loss, t_grad = _logistic_objective(trial, x, y01, LR_PENALTY)
+            t_gnorm = float(np.linalg.norm(t_grad))
+            if (t_loss <= loss - 1e-4 * t * decrease
+                    or (abs(t_loss - loss) <= 16 * np.finfo(float).eps
+                        * abs(loss) and t_gnorm < gnorm)):
+                break
+        else:
+            break
+        beta, loss, grad, gnorm = trial, t_loss, t_grad, t_gnorm
     raise ConvergenceFailure(
         f"logistic regression gradient norm {gnorm:.3e} exceeds "
         f"{LR_GRAD_TOL}",
@@ -365,8 +376,7 @@ def _fit_binary_lr(x, y01):
 
 def _logistic_hessian(params, x, penalty):
     w, b = params[:-1], params[-1]
-    z = x @ w + b
-    p = scipy.special.expit(z)
+    p = _expit(x @ w + b)
     s = p * (1.0 - p)
     k = x.shape[1]
     h = np.empty((k + 1, k + 1))
@@ -403,8 +413,10 @@ def ts_lr_fit(train_covs, labels, config=None):
     The reference point is the geometric mean of all training trials.
     Features are standardized per coordinate (population statistics of
     the training fold; zero-spread coordinates are neutralized). The
-    L2 penalty weight is fixed at 1 with an unpenalized intercept, and
-    the optimizer must reach gradient norm ``1e-8``.
+    L2 penalty weight is fixed at 1 with an unpenalized intercept. Each
+    weight vector is found by damped Newton steps from zero (Armijo
+    backtracking on the strictly convex objective) to gradient norm
+    ``1e-8``; failing that raises :class:`ConvergenceFailure`.
     """
     covs = np.asarray(train_covs, dtype=np.float64)
     y = np.asarray(labels)

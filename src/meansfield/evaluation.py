@@ -12,7 +12,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 from .classifiers import (
     mdm_fit, mdm_score, mdmf_fit, mdmf_score, mf_fit, mf_score,
@@ -25,6 +24,7 @@ from .exceptions import (
 from .geometry import SolverConfig
 from .means import RobustConfig
 from .spatial import adcsp_fit, apply_filter, csp_fit, identity_filter
+from .stats import _tied_ranks
 
 __all__ = [
     "EvalConfig", "ScoreRow", "PipelineScoreTable", "TrialSet",
@@ -200,18 +200,21 @@ def auc_roc(scores, labels):
 
     Equals the pair-counting statistic: the fraction of
     positive/negative pairs the positive trial outscores, ties worth
-    one half. Labels must be 0/1 with both classes present.
+    one half. Labels must be 0/1 with both classes present, and scores
+    finite.
     """
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels).ravel()
     if scores.shape != labels.shape:
         raise InvalidInput("need one score per label")
+    if not np.all(np.isfinite(scores)):
+        raise InvalidInput("scores contain non-finite values")
     uniq = set(np.unique(labels).tolist())
     if not uniq <= {0, 1}:
         raise InvalidInput(f"labels must be binary 0/1, got {sorted(uniq)}")
     if uniq != {0, 1}:
         raise UndefinedMetric("AUC undefined with a single class present")
-    ranks = scipy.stats.rankdata(scores, method="average")
+    ranks = _tied_ranks(scores)[0]
     n_pos = int(np.sum(labels == 1))
     n_neg = labels.size - n_pos
     rank_sum = float(ranks[labels == 1].sum())

@@ -86,16 +86,17 @@ class MeanField:
     """Per class, the means over the exponent grid, ascending in ``h``.
 
     ``kept`` maps each class to the trial indices that survived robust
-    cleaning (all indices when cleaning was disabled).
+    cleaning (all indices when cleaning was disabled); ``classes`` is
+    the sorted tuple of class labels.
     """
 
     h_grid: tuple
     entries: dict
     kept: dict = field(default_factory=dict)
+    classes: tuple = field(init=False, repr=False, compare=False)
 
-    @property
-    def classes(self):
-        return tuple(sorted(self.entries))
+    def __post_init__(self):
+        object.__setattr__(self, "classes", tuple(sorted(self.entries)))
 
     def matrices(self, label):
         """Stack of the means of one class, ``h`` ascending."""

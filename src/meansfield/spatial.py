@@ -9,11 +9,10 @@ on the geometric class means caps it at 10.
 """
 
 import numpy as np
-import scipy.linalg
 from dataclasses import dataclass
 
 from .exceptions import ConvergenceFailure, InvalidInput
-from .geometry import SolverConfig, check_spd
+from .geometry import SolverConfig, _eigh_stack, check_spd
 from .means import arithmetic_mean, geometric_mean
 
 __all__ = [
@@ -120,7 +119,9 @@ def _alternate_extremes(ratios, k):
 def csp_gevd(mean_a, mean_b, n_filters):
     """Two-class spatial filter from a generalized eigendecomposition.
 
-    Solves ``mean_a v = lambda (mean_a + mean_b) v``; the eigenvalues
+    Solves ``mean_a v = lambda (mean_a + mean_b) v`` by the Cholesky
+    factor ``L`` of ``mean_a + mean_b``: one symmetric eigendecomposition
+    of ``L^{-1} mean_a L^{-T}``, back-substituted. The eigenvalues
     lie in (0, 1) and measure how much of the composite variance each
     direction assigns to the first class. The ``n_filters`` most
     discriminative eigenvectors (largest ``|lambda - 0.5|``) become the
@@ -144,9 +145,13 @@ def csp_gevd(mean_a, mean_b, n_filters):
         raise InvalidInput(f"cannot retain {n_filters} filters in dimension {d}")
     if n_filters < 1 or n_filters % 2 != 0:
         raise InvalidInput("n_filters must be a positive even integer")
-    composite = mean_a + mean_b
-    # scipy returns v with v.T @ composite @ v = I, eigenvalues ascending
-    lam, v = scipy.linalg.eigh(mean_a, composite)
+    # Cholesky reduction to a standard problem: with L L^T = mean_a +
+    # mean_b and L^{-1} mean_a L^{-T} = U diag(lam) U^T (ascending),
+    # the columns of V = L^{-T} U satisfy V^T (mean_a + mean_b) V = I
+    chol = np.linalg.cholesky(mean_a + mean_b)
+    reduced = np.linalg.solve(chol, np.linalg.solve(chol, mean_a).T)
+    lam, u = _eigh_stack(reduced)
+    v = np.linalg.solve(chol.T, u)
     lam, v = lam[::-1], v[:, ::-1]
     rows = _alternate_extremes(lam, n_filters)
     return SpatialFilter(v[:, rows].T, input_dim=d, output_dim=n_filters)

@@ -9,9 +9,11 @@ function and effect sizes through a weighted arithmetic mean, both
 with weights equal to the square root of the number of subjects.
 """
 
-import numpy as np
-import scipy.special
+import math
+import statistics
 from dataclasses import dataclass
+
+import numpy as np
 
 from .exceptions import InvalidInput, RoutedElsewhere
 
@@ -29,14 +31,57 @@ EXACT_TEST_MAX_N = 20
 _P_CLAMP = 1e-15
 
 
+_SQRT1_2 = math.sqrt(0.5)
+_STANDARD_NORMAL = statistics.NormalDist()
+
+
+def _ndtr(z):
+    x = z * _SQRT1_2
+    if abs(x) < _SQRT1_2:
+        return 0.5 + 0.5 * math.erf(x)
+    tail = 0.5 * math.erfc(abs(x))
+    return 1.0 - tail if x > 0.0 else tail
+
+
+def _ndtri(p):
+    if 0.0 < p < 1.0:
+        return _STANDARD_NORMAL.inv_cdf(p)
+    if p == 0.0:
+        return -math.inf
+    return math.inf if p == 1.0 else math.nan
+
+
+def _elementwise(fn, x):
+    """``fn`` over a scalar (returned as ``np.float64``) or an array;
+    NaN passes through without a floating-point warning."""
+    with np.errstate(invalid="ignore"):
+        return np.vectorize(fn, otypes=[np.float64])(x)[()]
+
+
 def normal_cdf(z):
-    """Standard normal CDF (absolute error well below 1e-9)."""
-    return scipy.special.ndtr(z)
+    """Standard normal CDF of a scalar or array (absolute error well
+    below 1e-9); NaN maps to NaN."""
+    return _elementwise(_ndtr, z)
 
 
 def normal_quantile(p):
-    """Standard normal quantile (absolute error well below 1e-9)."""
-    return scipy.special.ndtri(p)
+    """Standard normal quantile of a scalar or array (absolute error
+    well below 1e-9): -inf at 0, +inf at 1, NaN outside [0, 1]."""
+    return _elementwise(_ndtri, p)
+
+
+def _tied_ranks(x):
+    """Ranks ``1..n`` of the values of ``x`` in ascending order, tied
+    values sharing the mean of their ranks; also the size of each tie
+    group, in ascending value order."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    order = np.argsort(x, kind="stable")
+    sorted_x = x[order]
+    starts = np.flatnonzero(np.r_[True, sorted_x[1:] != sorted_x[:-1]])
+    sizes = np.diff(np.r_[starts, x.size])
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(starts + 0.5 * (sizes + 1), sizes)
+    return ranks, sizes
 
 
 def _check_diffs(diffs):
@@ -91,23 +136,11 @@ def wilcoxon_signed_rank(diffs):
     n = d.size
     if n == 0:
         return 1.0, True
-    magnitudes = np.abs(d)
-    order = np.argsort(magnitudes, kind="stable")
-    ranks = np.empty(n)
-    sorted_m = magnitudes[order]
-    i = 0
-    tie_sizes = []
-    while i < n:
-        j = i
-        while j < n and sorted_m[j] == sorted_m[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + 1 + j)
-        tie_sizes.append(j - i)
-        i = j
+    ranks, ties = _tied_ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     mu = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0
-    var -= sum(t**3 - t for t in tie_sizes) / 48.0
+    var -= int(np.sum(ties**3 - ties)) / 48.0
     if var <= 0.0:
         return 1.0, True
     z = (w_plus - 0.5 - mu) / np.sqrt(var)

@@ -12,12 +12,14 @@ from meansfield.classifiers import (
     ts_lr_fit, ts_lr_score,
 )
 from meansfield.evaluation import auc_roc
-from meansfield.exceptions import InvalidInput
+from meansfield.exceptions import InvalidInput, NumericalFailure
 from meansfield.geometry import SolverConfig, airm_distance, geodesic
 from meansfield.means import DEFAULT_H_GRID
+from meansfield.synth import RiemannianGaussianSpec, synth_riemannian_gaussian
 
 from oracles import (
-    irls_logistic, lda_reference_binary, random_gl, random_spd, spd_cloud,
+    irls_logistic, lbfgs_newton_logistic, lda_reference_binary, random_gl,
+    random_spd, spd_cloud,
 )
 
 
@@ -177,6 +179,13 @@ class TestLda:
         model = lda_fit(x, y)
         np.testing.assert_allclose(model.priors, [0.4, 0.6])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_features_numerical_failure(self, bad):
+        x = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, bad],
+                      [6.0, 5.0], [7.0, 8.0], [8.0, 6.0]])
+        with pytest.raises(NumericalFailure):
+            lda_fit(x, np.array([0, 0, 0, 1, 1, 1]))
+
     def test_equal_class_means_score_zero(self):
         x = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         y = np.array([0, 0, 1, 1])
@@ -312,6 +321,35 @@ class TestTsLr:
             xx = (tangent_map(t, model.reference) - model.feature_mean)
             xx /= model.feature_scale
             assert abs(logit - (w_ref @ xx + b_ref)) <= 1e-6
+
+    @pytest.mark.parametrize("sigmas, n, seed", [
+        ((0.5870542770648245, 0.4766301534560055), 22, 488849),
+        ((0.428645701814017, 0.2639067831885071, 0.12430307776232616), 57,
+         650459),
+    ])
+    def test_converges_where_loss_change_is_below_rounding(self, sigmas, n,
+                                                            seed):
+        # the last Newton steps change the loss by less than its rounding
+        # error; on these sets a sufficient-decrease test alone stalls at
+        # gradient norm 2e-8 to 6e-8
+        spec = RiemannianGaussianSpec(dim=5, sigmas=sigmas,
+                                      trials_per_class=n, seed=seed)
+        trials = synth_riemannian_gaussian(spec)
+        model = ts_lr_fit(trials.trials, trials.labels)
+        assert np.all(np.isfinite(model.weights))
+
+    @pytest.mark.parametrize("sigmas", [(0.2, 0.5), (0.2, 0.35, 0.5)])
+    def test_matches_lbfgs_newton_oracle(self, sigmas):
+        rng = np.random.default_rng(20)
+        trials, labels = dispersion_classes(rng, n=20, dim=4, sigmas=sigmas)
+        model = ts_lr_fit(trials, labels)
+        feats = tangent_map(trials, model.reference)
+        x = (feats - model.feature_mean) / model.feature_scale
+        positives = model.classes[1:] if len(sigmas) == 2 else model.classes
+        for w, b, c in zip(model.weights, model.intercepts, positives):
+            w_ref, b_ref = lbfgs_newton_logistic(x, (labels == c) * 1.0)
+            np.testing.assert_allclose(w, w_ref, rtol=0.0, atol=1e-9)
+            assert abs(b - b_ref) <= 1e-9
 
     def test_multiclass_one_vs_rest(self):
         rng = np.random.default_rng(19)

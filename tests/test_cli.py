@@ -2,10 +2,15 @@
 CLI/API equivalence."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import meansfield
 from meansfield.archive import TrialArchive, read_archive, write_archive
 from meansfield.cli import main
 from meansfield.means import geometric_mean, power_mean
@@ -290,3 +295,47 @@ class TestExitCodes:
         assert "FAIL" not in out
         assert out.count("PASS") >= 8
         assert "PASS geometric mean of commuting matrices" in out
+
+
+NO_SCIPY_RUN = """
+import json, sys
+sys.modules["scipy"] = None  # any import of scipy now fails
+from meansfield.cli import main
+out = sys.argv[1]
+rg = [out + "/s01.spdt", out + "/s02.spdt"]
+calls = [
+    ["selftest"],
+    ["gen", "--config", out + "/s01.cfg", "--out", rg[0]],
+    ["gen", "--config", out + "/s02.cfg", "--out", rg[1]],
+    ["gen", "--config", out + "/mix.cfg", "--out", out + "/mix.spdt"],
+    ["eval", "--pipeline", "TS+LR", "--seed", "7", "--out",
+     out + "/lr.json", *rg],
+    ["eval", "--pipeline", "MF", "--seed", "7", "--out",
+     out + "/mf.json", *rg],
+    ["eval", "--pipeline", "CSP+MF", "--seed", "7", "--out",
+     out + "/csp.json", out + "/mix.spdt"],
+    ["compare", out + "/lr.json", out + "/mf.json"],
+]
+codes = {" ".join(argv[:3]): main(argv) for argv in calls}
+loaded = sorted(m for m, mod in sys.modules.items()
+                if m.split(".")[0] == "scipy" and mod is not None)
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+class TestNumpyOnlyRuntime:
+    def test_cli_runs_with_scipy_unimportable(self, tmp_path):
+        (tmp_path / "s01.cfg").write_text(RG_CONFIG)
+        (tmp_path / "s02.cfg").write_text(
+            RG_CONFIG.replace("seed = 11", "seed = 12"))
+        (tmp_path / "mix.cfg").write_text(MIX_CONFIG)
+        src = str(Path(meansfield.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["scipy"] == []
+        assert len(result["codes"]) == 8
+        assert set(result["codes"].values()) == {0}, result["codes"]

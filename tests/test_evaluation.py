@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from meansfield import evaluation
 from meansfield.evaluation import (
     EvalConfig, TrialSet, auc_roc, parse_pipeline, run_pipeline,
     stratified_kfold,
@@ -140,6 +141,11 @@ class TestAucRoc:
         with pytest.raises(InvalidInput):
             auc_roc([0.1, 0.2, 0.3], [0, 1, 2])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(InvalidInput, match="non-finite"):
+            auc_roc([bad, 1.0, 0.5], [0, 1, 1])
+
 
 class TestRunPipeline:
     def test_separable_mdm_is_perfect(self):
@@ -217,6 +223,28 @@ class TestRunPipeline:
                    for r in table.rows)
         with pytest.raises(InvalidInput):
             table.mean_auc()
+
+    def test_non_finite_scores_recorded_as_fold_error(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        ts = make_trialset(rng, SEPARABLE_CENTERS, n=10)
+        fit_and_score = evaluation._fit_and_score
+        calls = []
+
+        def first_fold_nan(*args):
+            scores, dim = fit_and_score(*args)
+            calls.append(dim)
+            if len(calls) == 1:
+                scores = np.where(np.arange(scores.size) == 0, np.nan, scores)
+            return scores, dim
+
+        monkeypatch.setattr(evaluation, "_fit_and_score", first_fold_nan)
+        table = run_pipeline(ts, EvalConfig(pipeline="MDM", seed=3))
+        assert len(calls) == len(table.rows) == 5
+        assert table.rows[0].auc is None
+        assert table.rows[0].error == (
+            "InvalidInput: scores contain non-finite values")
+        assert all(r.auc is not None and r.error is None
+                   for r in table.rows[1:])
 
     def test_multiclass_rejected(self):
         rng = np.random.default_rng(8)

@@ -9,8 +9,9 @@ from meansfield.geometry import (
     SolverConfig, airm_distance, frobenius, geodesic, invm,
 )
 from meansfield.means import (
-    DEFAULT_H_GRID, RobustConfig, arithmetic_mean, build_mean_field,
-    geometric_mean, harmonic_mean, power_mean, rpme_clean,
+    DEFAULT_H_GRID, MeanField, MeanFieldEntry, RobustConfig,
+    arithmetic_mean, build_mean_field, geometric_mean, harmonic_mean,
+    power_mean, rpme_clean,
 )
 
 from meansfield.synth import RiemannianGaussianSpec, synth_riemannian_gaussian
@@ -427,6 +428,12 @@ class TestRpme:
 
 
 class TestMeanField:
+    def test_classes_sorted_once(self):
+        entry = MeanFieldEntry(0.0, np.eye(2), 1, 0.0)
+        field = MeanField((0.0,), {2: (entry,), 0: (entry,), 1: (entry,)})
+        assert field.classes == tuple(sorted(field.entries)) == (0, 1, 2)
+        assert field.classes is field.classes
+
     def test_default_grid_shape(self):
         rng = np.random.default_rng(19)
         trials = {

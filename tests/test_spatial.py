@@ -63,6 +63,18 @@ class TestCspGevd:
         np.testing.assert_allclose(lam_a + lam_b, np.ones(5), atol=1e-10)
         assert np.all((lam_a > 0) & (lam_a < 1))
 
+    def test_eigenvalues_match_scipy_pencil(self):
+        rng = np.random.default_rng(3)
+        for dim in (2, 7, 28):
+            a, b = random_spd(dim, rng), random_spd(dim, rng)
+            f = csp_gevd(a, b, dim - dim % 2)
+            # each row v has v^T (a + b) v = 1, so v^T a v is its eigenvalue
+            lam = np.sort(np.einsum("ij,jk,ik->i", f.matrix, a, f.matrix))
+            lam_ref = scipy.linalg.eigh(a, a + b, eigvals_only=True)
+            if dim % 2:  # the least discriminative eigenvalue is dropped
+                lam_ref = np.delete(lam_ref, np.argmin(np.abs(lam_ref - 0.5)))
+            np.testing.assert_allclose(lam, lam_ref, rtol=0.0, atol=1e-12)
+
     def test_too_many_filters_rejected(self):
         with pytest.raises(InvalidInput):
             csp_gevd(np.eye(3), np.eye(3), 4)

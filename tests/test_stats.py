@@ -5,12 +5,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
+import scipy.stats
 
 from meansfield.evaluation import PipelineScoreTable, ScoreRow
 from meansfield.exceptions import InvalidInput, RoutedElsewhere
 from meansfield.stats import (
-    exact_permutation_test, liptak_combine, meta_compare, normal_cdf,
-    normal_quantile, smd, wilcoxon_signed_rank,
+    _tied_ranks, exact_permutation_test, liptak_combine, meta_compare,
+    normal_cdf, normal_quantile, smd, wilcoxon_signed_rank,
 )
 
 from oracles import (
@@ -154,6 +156,41 @@ class TestNormalFunctions:
     def test_quantile_roundtrip(self):
         for p in (1e-10, 0.001, 0.3, 0.5, 0.9, 0.999999):
             assert abs(normal_cdf(normal_quantile(p)) - p) <= 1e-9 * max(p, 1e-3)
+
+    def test_cdf_matches_scipy_ndtr(self):
+        z = np.r_[np.linspace(-38.0, 9.0, 4701), -np.inf, np.inf, np.nan]
+        np.testing.assert_allclose(normal_cdf(z), scipy.special.ndtr(z),
+                                   rtol=1e-13, atol=1e-15, equal_nan=True)
+        for x in (-37.5, -1.2, 0.0, 0.5, 8.0, -np.inf, np.inf, np.nan):
+            got = normal_cdf(x)
+            assert type(got) is np.float64
+            np.testing.assert_allclose(got, scipy.special.ndtr(x),
+                                       rtol=1e-13, atol=1e-15)
+
+    def test_quantile_matches_scipy_ndtri(self):
+        p = np.r_[np.logspace(-300, -1, 600), np.linspace(0.1, 0.9, 801),
+                  1.0 - np.logspace(-16, -1, 300),
+                  0.0, 1.0, -0.1, 1.1, np.nan]
+        np.testing.assert_allclose(normal_quantile(p),
+                                   scipy.special.ndtri(p),
+                                   rtol=1e-13, atol=1e-15, equal_nan=True)
+        for x in (1e-200, 0.025, 0.5, 0.975, 0.0, 1.0, -0.5, 2.0, np.nan):
+            got = normal_quantile(x)
+            assert type(got) is np.float64
+            np.testing.assert_allclose(got, scipy.special.ndtri(x),
+                                       rtol=1e-13, atol=1e-15)
+
+
+class TestTiedRanks:
+    def test_matches_scipy_average_ranks(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 7, 50, 400):
+            x = rng.integers(0, 6, n) * 0.5  # a small value set: many ties
+            ranks, sizes = _tied_ranks(x)
+            np.testing.assert_array_equal(
+                ranks, scipy.stats.rankdata(x, method="average"))
+            np.testing.assert_array_equal(sizes,
+                                          np.unique(x, return_counts=True)[1])
 
 
 class TestSmd:
