@@ -1,10 +1,11 @@
-"""The power-mean family and the warm-started mean field.
+"""The power-mean family and the mean field.
 
 One exponent knob interpolates from the harmonic mean (h = -1) through
 the geometric mean (h = 0) to the arithmetic mean (h = +1). The whole
-family is computed as a field, each solve seeded by its neighbour; the
-MPM solver needs four to six steps per exponent either way, so on this
-set the warm-started field takes 41 iterations against 45 from scratch.
+family is computed as a field, each solve started at the interpolant in
+h of the means already solved. P_h is smooth in h, so on this set the
+field takes 19 iterations against 45 with each exponent from scratch,
+and its solves at h = -0.1 and h = 0 start within tolerance.
 A robust cleaning pass protects all of them from outlying trials at once.
 """
 
@@ -45,7 +46,7 @@ for entry in field.entries[0]:
           f"{entry.iterations:4d}")
     prev = entry.matrix
 
-# --- warm starting the chain saves iterations ---------------------------
+# --- interpolated starts save iterations ---------------------------------
 warm = sum(e.iterations for e in field.entries[0])
 cold = 0
 for h in DEFAULT_H_GRID:
@@ -53,7 +54,7 @@ for h in DEFAULT_H_GRID:
         cold += geometric_mean(mats).iterations
     else:
         cold += power_mean(mats, h).iterations
-print(f"\ntotal iterations, warm-started field: {warm}")
+print(f"\ntotal iterations, field with interpolated starts: {warm}")
 print(f"total iterations, each exponent from scratch: {cold}")
 
 # --- robust cleaning -----------------------------------------------------

@@ -1,8 +1,9 @@
 """Power means of SPD matrices and mean-field classification pipelines.
 
 The package spans the full stack: geometry of symmetric
-positive-definite matrices, the power-mean family with warm-started
-fixed-point solving and robust estimation, shrinkage covariance
+positive-definite matrices, the power-mean family with fixed-point
+solving (each mean of a field started at the interpolant in ``h`` of
+those already solved) and robust estimation, shrinkage covariance
 estimation, spatial filtering, four covariance classifiers,
 cross-validated evaluation, and meta-analytic comparison of pipeline
 score tables.

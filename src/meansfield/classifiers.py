@@ -219,6 +219,8 @@ def lda_fit(features, labels):
 
     The pooled within-class covariance (normalized by ``N - n_classes``)
     receives ``LDA_RIDGE * tr(S)/k`` on its diagonal before inversion.
+    Raises :class:`NumericalFailure` when a feature is not finite, or
+    the ridged covariance is not finite or not positive definite.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
@@ -226,6 +228,8 @@ def lda_fit(features, labels):
     n, k = x.shape
     if len(classes) < 2 or n <= len(classes):
         raise InvalidInput("discriminant needs 2+ classes and n > n_classes")
+    if not np.all(np.isfinite(x)):
+        raise NumericalFailure("features contain non-finite entries")
     means = np.stack([x[y == c].mean(axis=0) for c in classes])
     pooled = np.zeros((k, k))
     for c, mu in zip(classes, means):

@@ -9,9 +9,9 @@ the duality ``P_{-h}(C) = P_h(C^{-1})^{-1}`` for negative exponents;
 ``h = 1`` and ``h = -1`` are the closed-form arithmetic and harmonic
 means.
 
-A mean field collects the means over a grid of exponents per class,
-solving them in two warm-started chains (down from ``h = 1`` and up
-from ``h = -1``) so each solve starts at the neighbouring solution.
+A mean field collects the means over a grid of exponents per class.
+``P_h`` is smooth in ``h``, so each solve starts at the polynomial in
+``h`` through the nearest means of the class already solved.
 """
 
 import numpy as np
@@ -34,6 +34,11 @@ __all__ = [
 # around the geometric mean at 0, denser near 0 where the family
 # changes fastest.
 DEFAULT_H_GRID = (-1.0, -0.75, -0.5, -0.25, -0.1, 0.0, 0.1, 0.25, 0.5, 0.75, 1.0)
+
+# Solved means through which a field solve's start is interpolated:
+# enough for the smooth field, few enough that dense grids stay clear of
+# Runge oscillation.
+_START_NODES = 8
 
 
 class MeanResult(NamedTuple):
@@ -341,27 +346,35 @@ def rpme_clean(mats, robust=None, config=None):
     return RpmeResult(kept, mean, rounds)
 
 
-def _chain(mats, hs, config):
-    """Solve a warm-start chain of power means, nearest-to-closed-form
-    first; each solve is initialized at the previous solution."""
-    results = {}
-    init = None
-    for h in hs:
-        res = power_mean(mats, h, init=init, config=config)
-        results[h] = res
-        init = res.matrix
-    return results
+def _field_start(h, solved):
+    """Start of the field solve at ``h`` (see :func:`build_mean_field`),
+    ``None`` for the solver's default init while nothing is solved."""
+    if not solved:
+        return None
+    nodes = sorted(solved, key=lambda g: (abs(g - h), g))[:_START_NODES]
+    weights = [np.prod([(h - b) / (a - b) for b in nodes if b != a])
+               for a in nodes]
+    start = np.einsum("j,jkl->kl", weights,
+                      np.stack([solved[g].matrix for g in nodes]))
+    try:
+        np.linalg.cholesky(start)
+    except np.linalg.LinAlgError:
+        return solved[nodes[0]].matrix
+    return start
 
 
 def build_mean_field(trials_per_class, h_grid=DEFAULT_H_GRID, config=None,
                      robust=None):
     """Solve the full mean field: one mean per grid exponent per class.
 
-    Positive exponents are solved descending from the closed form at
-    ``h = 1`` and negative exponents ascending from ``h = -1``, each
-    solve warm-started at its predecessor; the ``h = 0`` mean is the
-    geometric mean initialized at the smallest positive exponent's
-    solution when one exists. When ``robust`` is given, each class is
+    The exponents are solved in the order ``|h|`` descending, the
+    positive one first on ties: on the default grid ``1, -1, 0.75,
+    -0.75, ..., 0.1, -0.1, 0``. The first solve of a class starts at the
+    solver's default init; every later one at the Lagrange interpolant
+    in ``h`` through the (at most) 8 nearest means of that class already
+    solved, or at the nearest of them when the interpolant is not
+    positive definite. An entry whose start already meets the tolerance
+    reports 0 iterations. When ``robust`` is given, each class is
     cleaned once with :func:`rpme_clean` and all means of that class
     are computed on the surviving trials.
 
@@ -404,15 +417,14 @@ def build_mean_field(trials_per_class, h_grid=DEFAULT_H_GRID, config=None,
             mats = mats[kept]
         kept_map[label] = kept
 
-        pos = sorted((h for h in grid if h > 0), reverse=True)
-        neg = sorted(h for h in grid if h < 0)
+        solved = {}
         try:
-            solved = _chain(mats, pos, config)
-            solved.update(_chain(mats, neg, config))
-            if 0.0 in grid:
-                smallest_pos = pos[-1] if pos else None
-                init = solved[smallest_pos].matrix if smallest_pos else None
-                solved[0.0] = geometric_mean(mats, init=init, config=config)
+            for h in sorted(grid, key=lambda g: (-abs(g), -g)):
+                init = _field_start(h, solved)
+                if h == 0.0:
+                    solved[h] = geometric_mean(mats, init=init, config=config)
+                else:
+                    solved[h] = power_mean(mats, h, init=init, config=config)
         except ConvergenceFailure as exc:
             raise ConvergenceFailure(
                 f"mean field for class {label} failed: {exc}",

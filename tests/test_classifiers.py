@@ -2,6 +2,8 @@
 discriminant on distance features, and tangent-space logistic
 regression."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -183,7 +185,9 @@ class TestLda:
     def test_non_finite_features_numerical_failure(self, bad):
         x = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, bad],
                       [6.0, 5.0], [7.0, 8.0], [8.0, 6.0]])
-        with pytest.raises(NumericalFailure):
+        # refused before any arithmetic on them: no RuntimeWarning
+        with warnings.catch_warnings(), pytest.raises(NumericalFailure):
+            warnings.simplefilter("error")
             lda_fit(x, np.array([0, 0, 0, 1, 1, 1]))
 
     def test_equal_class_means_score_zero(self):

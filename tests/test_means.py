@@ -1,8 +1,10 @@
 """Means of SPD sets: closed forms, the power-mean family, the
-geometric mean, robust cleaning, and the warm-started field."""
+geometric mean, robust cleaning, and the mean field with its
+interpolated starts."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meansfield.exceptions import ConvergenceFailure, InvalidInput
 from meansfield.geometry import (
@@ -41,6 +43,26 @@ def log_uniform_case(seed):
         lam = np.exp(rng.uniform(-np.log(100.0), np.log(100.0), dim))
         mats.append((q * lam) @ q.T)
     return np.stack(mats)
+
+
+@st.composite
+def field_cases(draw):
+    """A seeded SPD set (d 1-12, n 2-30, log spread <= 3) and a grid of
+    1-15 distinct exponents in hundredths, with or without +-1 and 0."""
+    dim = draw(st.integers(1, 12))
+    n = draw(st.integers(2, 30))
+    log_spread = draw(st.floats(0.0, 3.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    exps = draw(st.lists(st.integers(-99, 99).filter(bool), max_size=12,
+                         unique=True))
+    if draw(st.booleans()):
+        exps += [-100, 100]
+    if draw(st.booleans()) or not exps:
+        exps.append(0)
+    rng = np.random.default_rng(seed)
+    mats = np.stack([random_spd(dim, rng, log_spread=log_spread)
+                     for _ in range(n)])
+    return mats, tuple(k / 100 for k in exps)
 
 
 class TestClosedForms:
@@ -528,6 +550,57 @@ class TestMeanField:
         assert "class 7" in str(err.value)
         assert "0.75" in str(err.value)
 
+    def test_non_pd_interpolant_falls_back_to_nearest_mean(self, monkeypatch):
+        # seed 29: on this widely spread set (condition e^8) at least one
+        # interpolated start is not positive definite
+        rng = np.random.default_rng(29)
+        mats = np.stack([random_spd(4, rng, log_spread=8.0)
+                         for _ in range(8)])
+        cholesky = np.linalg.cholesky
+        rejected = 0
+
+        def counting(a):
+            nonlocal rejected
+            try:
+                return cholesky(a)
+            except np.linalg.LinAlgError:
+                rejected += 1
+                raise
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        field = build_mean_field({0: mats})
+        assert rejected >= 1
+        tol = SolverConfig().tolerance
+        for e in field.entries[0]:
+            assert e.residual <= tol * (4 if e.h == 0.0 else 1), e.h
+
+    def test_interpolated_starts_save_iterations(self):
+        # the class of test_concentrated_class_takes_full_steps: two
+        # warm-start chains took 48 steps over the default grid, starts
+        # interpolated through the solved means take 23
+        spec = RiemannianGaussianSpec(dim=12, sigmas=(0.15, 0.35),
+                                      trials_per_class=48, seed=1000)
+        archive = synth_riemannian_gaussian(spec)
+        field = build_mean_field({1: archive.trials[archive.labels == 1]})
+        assert sum(e.iterations for e in field.entries[1]) <= 30
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(field_cases())
+    def test_entries_match_cold_solves(self, case):
+        # however the grid is spaced, an interpolated start changes no
+        # entry beyond the residual contract of a cold solve
+        mats, grid = case
+        dim = mats.shape[-1]
+        tol = SolverConfig().tolerance
+        tight = SolverConfig(tolerance=1e-12)
+        field = build_mean_field({0: mats}, h_grid=grid)
+        for e in field.entries[0]:
+            if e.h == 0.0:
+                assert e.residual <= tol * dim
+                continue
+            ref = power_mean(mats, e.h, config=tight).matrix
+            assert frobenius(e.matrix - ref) / frobenius(ref) <= 2 * tol, e.h
+
     def test_warm_start_saves_iterations(self):
         rng = np.random.default_rng(25)
         wins = 0
@@ -544,6 +617,6 @@ class TestMeanField:
                 else:
                     cold += power_mean(mats, h).iterations
             wins += warm < cold
-        # reported benchmark: warm chains should usually win
+        # reported benchmark: interpolated starts should usually win
         print(f"warm-start wins: {wins}/{cases}")
         assert wins >= 1
