@@ -12,8 +12,8 @@ A robust cleaning pass protects all of them from outlying trials at once.
 import numpy as np
 
 from meansfield import (
-    DEFAULT_H_GRID, RobustConfig, airm_distance, build_mean_field,
-    geometric_mean, power_mean, rpme_clean,
+    DEFAULT_H_GRID, airm_distance, build_mean_field, geometric_mean,
+    power_mean, rpme_clean,
 )
 
 rng = np.random.default_rng(7)
@@ -60,7 +60,7 @@ print(f"total iterations, each exponent from scratch: {cold}")
 # --- robust cleaning -----------------------------------------------------
 outliers = spd_cloud(np.exp(4.0) * np.eye(3), 0.1, 2)
 contaminated = np.concatenate([mats, outliers])
-res = rpme_clean(contaminated, robust=RobustConfig())
+res = rpme_clean(contaminated)
 print(f"\nplanted 2 far outliers into {len(mats)} trials;"
       f" survivors: {len(res.kept_indices)}"
       f" (outliers kept: {sum(i >= 30 for i in res.kept_indices)})")

@@ -12,8 +12,8 @@ tests; rerun this script to re-derive them. Seeds match the tests.
 import numpy as np
 
 from meansfield import (
-    EvalConfig, RobustConfig, TrialSet, airm_distance, geometric_mean,
-    rpme_clean, run_pipeline,
+    EvalConfig, TrialSet, airm_distance, geometric_mean, rpme_clean,
+    run_pipeline,
     MixedSourcesSpec, RiemannianGaussianSpec, synth_mixed_sources,
     synth_riemannian_gaussian,
 )
@@ -79,7 +79,7 @@ for seed in range(900, 930):
             out.append(root @ (ev * np.exp(ew)) @ ev.T @ root)
         return np.stack(out)
     mats = np.concatenate([cloud(center, 40), cloud(out_center, 3)])
-    res = rpme_clean(mats, robust=RobustConfig())
+    res = rpme_clean(mats)
     kept = set(res.kept_indices.tolist())
     counts[min(40 - len(set(range(40)) & kept), 3)] += 1
 print("\nrobust cleaning, seeds 900..929 (dim 16):")

@@ -20,9 +20,9 @@ from .geometry import (
     is_symmetric, logm, powm, sqrtm, sym_eig,
 )
 from .means import (
-    DEFAULT_H_GRID, MeanField, MeanFieldEntry, MeanResult, RobustConfig,
-    RpmeResult, arithmetic_mean, build_mean_field, geometric_mean,
-    harmonic_mean, power_mean, rpme_clean,
+    DEFAULT_H_GRID, MeanField, MeanFieldEntry, MeanResult, RpmeResult,
+    arithmetic_mean, build_mean_field, geometric_mean, harmonic_mean,
+    power_mean, rpme_clean,
 )
 from .covariance import oas_covariance, oas_shrinkage
 from .spatial import (

@@ -23,7 +23,9 @@ from dataclasses import dataclass, replace
 from .exceptions import (
     ConvergenceFailure, InvalidInput, NumericalFailure,
 )
-from .geometry import SolverConfig, _eigh_stack, check_spd, invsqrtm, logm
+from .geometry import (
+    SolverConfig, _sq_distances, check_spd, invsqrtm, logm,
+)
 from .means import (
     DEFAULT_H_GRID, MeanField, MeanFieldEntry, build_mean_field,
     geometric_mean,
@@ -44,9 +46,6 @@ LDA_RIDGE = 1e-9
 # Fixed L2 penalty weight of the tangent-space logistic regression.
 LR_PENALTY = 1.0
 LR_GRAD_TOL = 1e-8
-
-# Entries per eigh call of the distance kernel, bounding its memory.
-KERNEL_BLOCK = 1 << 21
 
 
 def _group_by_class(covs, labels):
@@ -76,20 +75,6 @@ def _trials(covs, dim):
             f"expected a ({dim}, {dim}) trial or a non-empty "
             f"(n, {dim}, {dim}) stack, got shape {covs.shape}")
     return covs.reshape(-1, dim, dim), covs.ndim == 2
-
-
-def _sq_distances(whiteners, covs):
-    """Squared affine-invariant distances, shape ``(n, K)``, from ``n``
-    trials to the ``K`` means whose whiteners ``M^{-1/2}`` are stacked:
-    summed squared log-eigenvalues of ``M^{-1/2} C M^{-1/2}``, from one
-    batched ``eigh`` per ``KERNEL_BLOCK`` whitened entries."""
-    step = max(1, KERNEL_BLOCK // whiteners.size)
-    lam = np.concatenate([
-        _eigh_stack(whiteners @ covs[i:i + step, None] @ whiteners)[0]
-        for i in range(0, len(covs), step)])
-    if np.min(lam) <= 0.0:
-        raise InvalidInput("distance requires positive-definite trials")
-    return np.sum(np.log(lam) ** 2, axis=-1)
 
 
 def _decide(classes, evidence, single):
@@ -179,7 +164,7 @@ def mdm_score(model, covs):
 
 
 def mdmf_fit(train_covs, labels, h_grid=DEFAULT_H_GRID, config=None,
-             robust=None):
+             robust=False):
     """Learn the full power-mean field per class."""
     groups = _group_by_class(train_covs, labels)
     return _field_model(build_mean_field(groups, h_grid=h_grid,
@@ -274,7 +259,7 @@ def distance_features(model, covs):
 
 
 def mf_fit(train_covs, labels, h_grid=DEFAULT_H_GRID, config=None,
-           robust=None):
+           robust=False):
     """Learn the mean field and a discriminant on its squared distances.
 
     The field and the discriminant are trained on the same trials.

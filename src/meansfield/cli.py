@@ -20,12 +20,9 @@ import numpy as np
 from . import __version__
 from .archive import TrialArchive, read_archive, write_archive
 from .evaluation import EvalConfig, TrialSet, run_pipeline
-from .exceptions import (
-    ConvergenceFailure, CorruptArchive, InvalidInput, NumericalFailure,
-    UnsupportedFormat,
-)
+from .exceptions import InvalidInput, NumericalFailure
 from .geometry import SolverConfig
-from .means import RobustConfig, geometric_mean, power_mean, rpme_clean
+from .means import geometric_mean, power_mean, rpme_clean
 from .reports import (
     dumps_canonical, format_meta_table, load_score_table, save_meta_report,
     save_score_table,
@@ -43,10 +40,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
-_DATA_ERRORS = (InvalidInput, UnsupportedFormat, CorruptArchive,
-                FileNotFoundError, IsADirectoryError, PermissionError,
-                json.JSONDecodeError)
-_NUMERICAL_ERRORS = (NumericalFailure, ConvergenceFailure)
+# Checked in this order: ``LinAlgError`` is a ``ValueError`` too.
+_NUMERICAL_ERRORS = (NumericalFailure, np.linalg.LinAlgError)
+_DATA_ERRORS = (ValueError, OSError)
 
 
 class UsageError(Exception):
@@ -160,10 +156,6 @@ def _cmd_gen(args):
     return EXIT_OK
 
 
-def _matrix_to_lists(m):
-    return [[float(v) for v in row] for row in m]
-
-
 def _cmd_mean(args):
     archive = read_archive(args.archive)
     if archive.kind != "covariance":
@@ -177,7 +169,7 @@ def _cmd_mean(args):
                           max_iterations=args.max_iterations)
     kept = list(range(trials.shape[0]))
     if args.robust:
-        cleaned = rpme_clean(trials, robust=RobustConfig(), config=config)
+        cleaned = rpme_clean(trials, config=config)
         kept = [int(i) for i in cleaned.kept_indices]
         trials = trials[cleaned.kept_indices]
     if args.h == 0.0:
@@ -190,7 +182,7 @@ def _cmd_mean(args):
         "kept_indices": kept,
         "iterations": res.iterations,
         "residual": res.residual,
-        "matrix": _matrix_to_lists(res.matrix),
+        "matrix": res.matrix.tolist(),
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

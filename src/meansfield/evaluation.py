@@ -21,8 +21,6 @@ from .covariance import oas_covariance
 from .exceptions import (
     ConvergenceFailure, InvalidInput, NumericalFailure, UndefinedMetric,
 )
-from .geometry import SolverConfig
-from .means import RobustConfig
 from .spatial import adcsp_fit, apply_filter, csp_fit, identity_filter
 from .stats import _tied_ranks
 
@@ -222,34 +220,32 @@ def auc_roc(scores, labels):
 
 
 def _fit_and_score(filter_kind, clf_kind, train_covs, train_labels,
-                   test_covs, config):
+                   test_covs):
     if filter_kind == "CSP":
         filt = csp_fit(train_covs, train_labels)
     elif filter_kind == "ADCSP":
-        filt = adcsp_fit(train_covs, train_labels, config=config)
+        filt = adcsp_fit(train_covs, train_labels)
     else:
         filt = identity_filter(train_covs.shape[-1])
     train_f = apply_filter(filt, train_covs)
     test_f = apply_filter(filt, test_covs)
 
     if clf_kind == "MDM":
-        model = mdm_fit(train_f, train_labels, config=config)
+        model = mdm_fit(train_f, train_labels)
         score = mdm_score
     elif clf_kind == "MDMF":
-        model = mdmf_fit(train_f, train_labels, config=config)
+        model = mdmf_fit(train_f, train_labels)
         score = mdmf_score
     elif clf_kind in ("MF", "MF_RPME"):
-        robust = RobustConfig() if clf_kind == "MF_RPME" else None
-        model = mf_fit(train_f, train_labels, config=config, robust=robust)
+        model = mf_fit(train_f, train_labels, robust=clf_kind == "MF_RPME")
         score = mf_score
     else:  # TS+LR
-        model = ts_lr_fit(train_f, train_labels, config=config)
+        model = ts_lr_fit(train_f, train_labels)
         score = ts_lr_score
     return score(model, test_f)[1], filt.output_dim
 
 
-def run_pipeline(trialset, config, solver=None, workers=1,
-                 fit_observer=None):
+def run_pipeline(trialset, config, workers=1, fit_observer=None):
     """Evaluate one pipeline on a dataset.
 
     Per (subject, session) group the trials are split by
@@ -264,8 +260,6 @@ def run_pipeline(trialset, config, solver=None, workers=1,
     trialset : TrialSet
         Binary-labeled trials (AUC is only defined for two classes).
     config : EvalConfig
-    solver : SolverConfig, optional
-        Convergence budget passed to filters and classifiers.
     workers : int, default 1
         Thread pool width over (subject, session, fold) tasks, at least
         1; the result is identical for any width.
@@ -284,7 +278,6 @@ def run_pipeline(trialset, config, solver=None, workers=1,
         raise InvalidInput("config must be an EvalConfig")
     if workers < 1:
         raise InvalidInput(f"workers must be at least 1, got {workers}")
-    solver = solver or SolverConfig()
     filter_kind, clf_kind = parse_pipeline(config.pipeline)
     classes = trialset.classes
     if len(classes) != 2:
@@ -321,7 +314,7 @@ def run_pipeline(trialset, config, solver=None, workers=1,
                 fit_observer("fit", subject, session, f, train_idx, None)
             scores, out_dim = _fit_and_score(
                 filter_kind, clf_kind, covs[train_idx], y[train_idx],
-                covs[test_idx], solver,
+                covs[test_idx],
             )
             if fit_observer is not None:
                 fit_observer("score", subject, session, f, test_idx, out_dim)

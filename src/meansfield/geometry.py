@@ -23,6 +23,9 @@ __all__ = [
 # Relative tolerance for the symmetry test of SPD inputs.
 SYMMETRY_RTOL = 1e-10
 
+# Entries per eigh call of the distance kernel, bounding its memory.
+KERNEL_BLOCK = 1 << 21
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -57,17 +60,18 @@ def _as_square(a, name="matrix"):
     return a
 
 
-def is_symmetric(a, rtol=SYMMETRY_RTOL):
+def is_symmetric(a):
     """True when every matrix of ``a`` (one matrix or a stack) has
-    ``max |a - a.T|`` at most ``rtol`` times its own ``max |a|``."""
-    return bool(_symmetric_each(a, rtol).all())
+    ``max |a - a.T|`` at most ``SYMMETRY_RTOL`` times its own
+    ``max |a|``."""
+    return bool(_symmetric_each(a).all())
 
 
-def _symmetric_each(a, rtol=SYMMETRY_RTOL):
+def _symmetric_each(a):
     a = np.asarray(a, dtype=np.float64)
     scale = np.abs(a).max(axis=(-2, -1))
     gap = np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1))
-    return gap <= rtol * scale
+    return gap <= SYMMETRY_RTOL * scale
 
 
 def _sym(a):
@@ -221,12 +225,22 @@ def airm_distance(a, b):
     a = _as_square(a, "a")
     b = _as_square(b, "b")
     _check_same_dim(a, b)
-    r = invsqrtm(a)
-    w, _ = _eigh_stack(r @ b @ r)
-    if np.min(w) <= 0.0:
-        raise InvalidInput("airm_distance requires positive-definite inputs")
-    d = np.sqrt(np.sum(np.log(w) ** 2, axis=-1))
-    return float(d) if d.ndim == 0 else d
+    d = np.sqrt(_sq_distances(invsqrtm(a)[None], b.reshape((-1,) + a.shape)))
+    return float(d[0, 0]) if b.ndim == 2 else d.reshape(b.shape[:-2])
+
+
+def _sq_distances(whiteners, covs):
+    """Squared affine-invariant distances, shape ``(n, K)``, from ``n``
+    trials to the ``K`` means whose whiteners ``M^{-1/2}`` are stacked:
+    summed squared log-eigenvalues of ``M^{-1/2} C M^{-1/2}``, from one
+    batched ``eigh`` per ``KERNEL_BLOCK`` whitened entries."""
+    step = max(1, KERNEL_BLOCK // whiteners.size)
+    lam = np.concatenate([
+        _eigh_stack(whiteners @ covs[i:i + step, None] @ whiteners)[0]
+        for i in range(0, len(covs), step)])
+    if np.min(lam) <= 0.0:
+        raise InvalidInput("distance requires positive-definite trials")
+    return np.sum(np.log(lam) ** 2, axis=-1)
 
 
 def geodesic(a, b, t):

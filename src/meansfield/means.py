@@ -25,15 +25,21 @@ from .geometry import (
 )
 
 __all__ = [
-    "DEFAULT_H_GRID", "MeanResult", "RobustConfig", "RpmeResult",
-    "MeanFieldEntry", "MeanField", "arithmetic_mean", "harmonic_mean",
-    "power_mean", "geometric_mean", "rpme_clean", "build_mean_field",
+    "DEFAULT_H_GRID", "RPME_Z_THRESHOLD", "RPME_MAX_ROUNDS", "MeanResult",
+    "RpmeResult", "MeanFieldEntry", "MeanField", "arithmetic_mean",
+    "harmonic_mean", "power_mean", "geometric_mean", "rpme_clean",
+    "build_mean_field",
 ]
 
 # Exponent grid of the default mean field: eleven values, symmetric
 # around the geometric mean at 0, denser near 0 where the family
 # changes fastest.
 DEFAULT_H_GRID = (-1.0, -0.75, -0.5, -0.25, -0.1, 0.0, 0.1, 0.25, 0.5, 0.75, 1.0)
+
+# Robust mean estimation drops trials whose standardized distance to
+# the running geometric mean exceeds this, for at most this many rounds.
+RPME_Z_THRESHOLD = 2.5
+RPME_MAX_ROUNDS = 4
 
 # Solved means through which a field solve's start is interpolated:
 # enough for the smooth field, few enough that dense grids stay clear of
@@ -55,25 +61,6 @@ class RpmeResult(NamedTuple):
     kept_indices: np.ndarray
     mean: np.ndarray
     rounds: int
-
-
-@dataclass(frozen=True)
-class RobustConfig:
-    """Outlier-rejection settings for robust mean estimation.
-
-    Trials whose standardized distance to the running geometric mean
-    exceeds ``z_threshold`` are dropped, for at most ``max_rounds``
-    rounds.
-    """
-
-    z_threshold: float = 2.5
-    max_rounds: int = 4
-
-    def __post_init__(self):
-        if not self.z_threshold > 0:
-            raise InvalidInput("z_threshold must be positive")
-        if self.max_rounds < 1:
-            raise InvalidInput("max_rounds must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -299,16 +286,17 @@ def geometric_mean(mats, weights=None, init=None, config=None):
     return _mpm(mats, 0.0, weights, init, config)
 
 
-def rpme_clean(mats, robust=None, config=None):
+def rpme_clean(mats, config=None):
     """Iteratively drop outlying trials before mean estimation.
 
     Each round computes the geometric mean of the surviving trials,
     standardizes the distances to it (sample standard deviation), and
-    removes every trial with a z-score above ``robust.z_threshold``.
-    Rounds stop when nothing is removed or ``robust.max_rounds`` mean
-    computations have been spent; a removal that would leave fewer
-    than 2 survivors is skipped and iteration halts. Sets of fewer
-    than 3 trials are returned unmodified (z-scores are undefined).
+    removes every trial with a z-score above ``RPME_Z_THRESHOLD``
+    (2.5). Rounds stop when nothing is removed or ``RPME_MAX_ROUNDS``
+    (4) mean computations have been spent; a removal that would leave
+    fewer than 2 survivors is skipped and iteration halts. Sets of
+    fewer than 3 trials are returned unmodified (z-scores are
+    undefined).
 
     Returns
     -------
@@ -319,7 +307,6 @@ def rpme_clean(mats, robust=None, config=None):
         the number of rounds used.
     """
     mats, _ = _check_set(mats, None)
-    robust = robust or RobustConfig()
     config = config or SolverConfig()
     n = mats.shape[0]
     kept = np.arange(n)
@@ -328,7 +315,7 @@ def rpme_clean(mats, robust=None, config=None):
         return RpmeResult(kept, mean, 0)
     rounds = 0
     mean = None
-    while rounds < robust.max_rounds:
+    while rounds < RPME_MAX_ROUNDS:
         current = mats[kept]
         mean = geometric_mean(current, config=config).matrix
         rounds += 1
@@ -337,7 +324,7 @@ def rpme_clean(mats, robust=None, config=None):
         if spread == 0.0:
             break
         z = (dist - dist.mean()) / spread
-        outliers = z > robust.z_threshold
+        outliers = z > RPME_Z_THRESHOLD
         if not outliers.any():
             break
         if (~outliers).sum() < 2:
@@ -364,7 +351,7 @@ def _field_start(h, solved):
 
 
 def build_mean_field(trials_per_class, h_grid=DEFAULT_H_GRID, config=None,
-                     robust=None):
+                     robust=False):
     """Solve the full mean field: one mean per grid exponent per class.
 
     The exponents are solved in the order ``|h|`` descending, the
@@ -374,9 +361,7 @@ def build_mean_field(trials_per_class, h_grid=DEFAULT_H_GRID, config=None,
     in ``h`` through the (at most) 8 nearest means of that class already
     solved, or at the nearest of them when the interpolant is not
     positive definite. An entry whose start already meets the tolerance
-    reports 0 iterations. When ``robust`` is given, each class is
-    cleaned once with :func:`rpme_clean` and all means of that class
-    are computed on the surviving trials.
+    reports 0 iterations.
 
     Parameters
     ----------
@@ -386,7 +371,10 @@ def build_mean_field(trials_per_class, h_grid=DEFAULT_H_GRID, config=None,
         Exponents in [-1, 1], distinct; default is the eleven-point
         grid ``DEFAULT_H_GRID``.
     config : SolverConfig, optional
-    robust : RobustConfig, optional
+    robust : bool, default False
+        When true, each class is cleaned once with :func:`rpme_clean`
+        and all means of that class are computed on the surviving
+        trials.
 
     Returns
     -------
@@ -411,8 +399,8 @@ def build_mean_field(trials_per_class, h_grid=DEFAULT_H_GRID, config=None,
         if mats.shape[0] < 2:
             raise InvalidInput(f"class {label} needs at least 2 trials")
         kept = np.arange(mats.shape[0])
-        if robust is not None:
-            cleaned = rpme_clean(mats, robust=robust, config=config)
+        if robust:
+            cleaned = rpme_clean(mats, config=config)
             kept = cleaned.kept_indices
             mats = mats[kept]
         kept_map[label] = kept

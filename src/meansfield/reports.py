@@ -8,6 +8,7 @@ of machine load or worker count. Schemas live under ``docs/``.
 """
 
 import json
+from dataclasses import asdict
 
 from .evaluation import PipelineScoreTable, ScoreRow
 from .exceptions import UnsupportedFormat
@@ -28,19 +29,10 @@ def dumps_canonical(obj):
 
 
 def score_table_to_dict(table, include_timing=False):
-    rows = []
-    for r in table.rows:
-        row = {
-            "dataset": r.dataset,
-            "subject": r.subject,
-            "session": r.session,
-            "fold": r.fold,
-            "auc": r.auc,
-            "error": r.error,
-        }
-        if include_timing:
-            row["fold_time_seconds"] = r.fold_time_seconds
-        rows.append(row)
+    rows = [asdict(r) for r in table.rows]
+    if not include_timing:
+        for row in rows:
+            del row["fold_time_seconds"]
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "score-table",
@@ -51,6 +43,16 @@ def score_table_to_dict(table, include_timing=False):
     }
 
 
+def _score_row(row):
+    """A :class:`ScoreRow` from one row object; a missing or unknown key
+    raises ``TypeError`` or ``KeyError``."""
+    row = {"fold_time_seconds": 0.0, **row}
+    row.update(fold=int(row["fold"]),
+               auc=None if row["auc"] is None else float(row["auc"]),
+               fold_time_seconds=float(row["fold_time_seconds"]))
+    return ScoreRow(**row)
+
+
 def score_table_from_dict(obj):
     if not isinstance(obj, dict) or obj.get("kind") != "score-table":
         raise UnsupportedFormat("not a score-table document")
@@ -59,20 +61,15 @@ def score_table_from_dict(obj):
             f"unsupported score-table schema version "
             f"{obj.get('schema_version')}"
         )
-    rows = tuple(
-        ScoreRow(
-            dataset=r["dataset"], subject=r["subject"],
-            session=r["session"], fold=int(r["fold"]),
-            auc=None if r["auc"] is None else float(r["auc"]),
-            fold_time_seconds=float(r.get("fold_time_seconds", 0.0)),
-            error=r.get("error"),
+    try:
+        return PipelineScoreTable(
+            pipeline=obj["pipeline"], k=int(obj["k"]), seed=int(obj["seed"]),
+            rows=tuple(_score_row(r) for r in obj["rows"]),
         )
-        for r in obj["rows"]
-    )
-    return PipelineScoreTable(
-        pipeline=obj["pipeline"], k=int(obj["k"]), seed=int(obj["seed"]),
-        rows=rows,
-    )
+    except (KeyError, TypeError) as exc:
+        raise UnsupportedFormat(
+            f"malformed score-table document: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def meta_report_to_dict(report):
@@ -81,20 +78,7 @@ def meta_report_to_dict(report):
         "kind": "meta-report",
         "pipeline_a": report.pipeline_a,
         "pipeline_b": report.pipeline_b,
-        "datasets": [
-            {
-                "dataset": d.dataset,
-                "n_subjects": d.n_subjects,
-                "weight": d.weight,
-                "smd": d.smd,
-                "ci_low": d.ci_low,
-                "ci_high": d.ci_high,
-                "p_value": d.p_value,
-                "test": d.test,
-                "degenerate": d.degenerate,
-            }
-            for d in report.datasets
-        ],
+        "datasets": [asdict(d) for d in report.datasets],
         "combined": {
             "smd": report.combined_smd,
             "p_value": report.combined_p,

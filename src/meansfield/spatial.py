@@ -171,13 +171,13 @@ def _split_two_classes(covs, labels):
     return covs[labels == classes[0]], covs[labels == classes[1]]
 
 
-def csp_fit(trial_covs, labels, n_filters_per_class=CSP_FILTERS_PER_CLASS):
+def csp_fit(trial_covs, labels):
     """Plain two-class filter: arithmetic class means, one
-    eigendecomposition, ``2 * n_filters_per_class`` rows."""
+    eigendecomposition, ``2 * CSP_FILTERS_PER_CLASS`` rows."""
     covs_a, covs_b = _split_two_classes(trial_covs, labels)
     mean_a = arithmetic_mean(covs_a)
     mean_b = arithmetic_mean(covs_b)
-    return csp_gevd(mean_a, mean_b, 2 * n_filters_per_class)
+    return csp_gevd(mean_a, mean_b, 2 * CSP_FILTERS_PER_CLASS)
 
 
 def ajd_criterion(b, mats, weights=None):

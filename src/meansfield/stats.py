@@ -168,22 +168,15 @@ def liptak_combine(p_values, weights):
     return float(1.0 - normal_cdf(t))
 
 
+@dataclass(frozen=True)
 class SmdResult:
     """Paired standardized mean difference with its large-sample CI."""
 
-    __slots__ = ("value", "ci_low", "ci_high", "degenerate", "n")
-
-    def __init__(self, value, ci_low, ci_high, degenerate, n):
-        self.value = value
-        self.ci_low = ci_low
-        self.ci_high = ci_high
-        self.degenerate = degenerate
-        self.n = n
-
-    def __repr__(self):
-        flag = ", degenerate" if self.degenerate else ""
-        return (f"SmdResult({self.value:.4f} "
-                f"[{self.ci_low:.4f}, {self.ci_high:.4f}], n={self.n}{flag})")
+    value: float
+    ci_low: float
+    ci_high: float
+    degenerate: bool
+    n: int
 
 
 def smd(scores_a, scores_b):

@@ -18,7 +18,7 @@ from meansfield.geometry import (
     SolverConfig, airm_distance, frobenius, geodesic, invm,
 )
 from meansfield.means import (
-    DEFAULT_H_GRID, RobustConfig, arithmetic_mean, build_mean_field,
+    DEFAULT_H_GRID, arithmetic_mean, build_mean_field,
     geometric_mean, harmonic_mean, power_mean, rpme_clean,
 )
 from meansfield.spatial import adcsp_fit
@@ -224,7 +224,7 @@ def test_06_robust_mean_estimation():
         inliers = spd_cloud(center, 0.1, 40, rng)
         outliers = spd_cloud(outlier_center, 0.1, 3, rng)
         mats = np.concatenate([inliers, outliers])
-        res = rpme_clean(mats, robust=RobustConfig())
+        res = rpme_clean(mats)
         kept = set(res.kept_indices.tolist())
         assert not kept & {40, 41, 42}  # every planted outlier removed
         assert len(set(range(40)) - kept) <= 2  # at most 2 inliers lost

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from meansfield import classifiers
+from meansfield import classifiers, geometry
 from meansfield.classifiers import (
     FieldModel, distance_features, lda_discriminants, lda_fit, mdm_fit,
     mdm_score, mdmf_fit, mdmf_score, mf_fit, mf_score, tangent_map,
@@ -411,16 +411,23 @@ class TestStackScoring:
                                        atol=1e-9 * scale)
 
     @pytest.mark.parametrize("block", [1, 1000])
-    @pytest.mark.parametrize("name", ["MDM", "MDMF", "MF"])
+    @pytest.mark.parametrize("name", ["MDM", "MDMF", "MF", "AIRM"])
     def test_blocked_kernel_matches_one_call(self, name, block,
                                              monkeypatch):
         # 1 entry: one trial per eigh call; 1000 entries: one call for
-        # MDM (18 entries a trial), blocks of 5, 5 and 2 trials for the
-        # 22 means of MDMF and MF
+        # MDM (18 entries a trial) and airm_distance (9), blocks of 5, 5
+        # and 2 trials for the 22 means of MDMF and MF
         rng = np.random.default_rng(26)
-        model, score, probes = fitted_scorer(name, 2, rng)
+        if name == "AIRM":
+            model, probes = random_spd(3, rng), spd_cloud(np.eye(3), 0.4, 12,
+                                                          rng)
+
+            def score(reference, covs):
+                return None, airm_distance(reference, covs)
+        else:
+            model, score, probes = fitted_scorer(name, 2, rng)
         labels, scores = score(model, probes)
-        monkeypatch.setattr(classifiers, "KERNEL_BLOCK", block)
+        monkeypatch.setattr(geometry, "KERNEL_BLOCK", block)
         blocked_labels, blocked_scores = score(model, probes)
         np.testing.assert_array_equal(blocked_labels, labels)
         np.testing.assert_array_equal(blocked_scores, scores)

@@ -92,11 +92,19 @@ class TestGen:
         assert "sigma" in json.loads(capsys.readouterr().err)["error"][
             "message"]
 
-    def test_malformed_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", [
+        "generator riemannian-gaussian\n",
+        RG_CONFIG.replace("dim = 5", "dim = x"),
+        RG_CONFIG.replace("seed = 11", "seed = -1"),
+        MIX_CONFIG.replace("profile_0 = 1,1,1", "profile_0 = 1,a"),
+    ], ids=["no-equals", "dim-x", "seed-negative", "profile-a"])
+    def test_malformed_line(self, tmp_path, capsys, text):
         cfg = tmp_path / "syntax.cfg"
-        cfg.write_text("generator riemannian-gaussian\n")
+        cfg.write_text(text)
         assert main(["gen", "--config", str(cfg),
                      "--out", str(tmp_path / "x.spdt")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "error" in json.loads(err[0])
 
 
 class TestMean:
@@ -237,11 +245,32 @@ class TestEval:
         assert "--workers" in err["error"]["message"]
         assert not (tmp_path / "t.json").exists()
 
-    def test_corrupt_archive_is_data_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("damage", [
+        "archive", "row-missing-key", "row-unknown-key", "no-rows"])
+    def test_corrupt_archive_is_data_error(self, tmp_path, capsys, damage):
         bad = tmp_path / "bad.spdt"
         bad.write_bytes(b"SPDTxxxxgarbage")
-        assert main(["eval", "--pipeline", "MDM", "--seed", "1",
-                     "--out", str(tmp_path / "t.json"), str(bad)]) == 2
+        argv = ["eval", "--pipeline", "MDM", "--seed", "1",
+                "--out", str(tmp_path / "t.json"), str(bad)]
+        if damage != "archive":  # a damaged score table given to compare
+            doc = {"schema_version": 1, "kind": "score-table",
+                   "pipeline": "MDM", "k": 2, "seed": 1, "rows": [
+                       {"dataset": "d", "subject": "s", "session": "0",
+                        "fold": f, "auc": 0.5, "error": None}
+                       for f in (0, 1)]}
+            if damage == "row-missing-key":
+                del doc["rows"][0]["dataset"]
+            elif damage == "row-unknown-key":
+                doc["rows"][1]["extra"] = 1
+            else:
+                del doc["rows"]
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            argv = ["compare", str(bad), str(bad)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"]["type"] == "UnsupportedFormat"
 
     def test_unknown_pipeline_is_data_error(self, tmp_path, rg_config):
         paths = self.make_archives(tmp_path, rg_config)
