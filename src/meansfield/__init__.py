@@ -39,9 +39,9 @@ from .evaluation import (
     parse_pipeline, run_pipeline, stratified_kfold,
 )
 from .stats import (
-    DatasetComparison, MetaReport, PairedComparison, SmdResult,
-    exact_permutation_test, liptak_combine, meta_compare, normal_cdf,
-    normal_quantile, smd, wilcoxon_signed_rank,
+    DatasetComparison, MetaReport, SmdResult, exact_permutation_test,
+    liptak_combine, meta_compare, normal_cdf, normal_quantile, smd,
+    wilcoxon_signed_rank,
 )
 from .archive import TrialArchive, read_archive, write_archive
 from .synth import (

@@ -45,18 +45,15 @@ class TrialArchive:
 
     ``trials`` is ``(n, channels, samples)`` float64 for time-series
     archives and ``(n, dim, dim)`` SPD matrices for covariance
-    archives. Dataset/subject/session identifiers live outside the
-    file format and are attached when the archive enters an
-    evaluation.
+    archives. Dataset, subject and session identifiers live outside
+    the file format: ``meansfield eval`` takes the subject and session
+    from each archive's file name.
     """
 
     kind: str
     trials: np.ndarray
     labels: np.ndarray
     n_classes: int
-    dataset_id: str = "dataset"
-    subject_id: str = "s01"
-    session_id: str = "0"
 
     def __post_init__(self):
         if self.kind not in _KIND_CODES:
@@ -134,16 +131,14 @@ class _Reader:
         return struct.unpack("<B", self.take(1, what))[0]
 
 
-def read_archive(path, dataset_id="dataset", subject_id=None,
-                 session_id="0"):
+def read_archive(path):
     """Read and validate a trial archive.
 
     Every structural field is checked (magic, version, kind, counts,
     label range, finiteness, checksum) and covariance payloads must
     pass the SPD check; violations raise :class:`CorruptArchive` with
-    the offending byte offset. Identifier arguments attach evaluation
-    metadata that the file format itself does not carry; the subject
-    id defaults to the file's stem.
+    the offending byte offset. The result carries only what the file
+    holds: no dataset, subject or session identifier.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -228,11 +223,5 @@ def read_archive(path, dataset_id="dataset", subject_id=None,
         raise CorruptArchive(f"covariance trial {i} {problem}",
                              offset=payload_offset + 8 * i * dim * dim)
 
-    if subject_id is None:
-        import os
-        subject_id = os.path.splitext(os.path.basename(str(path)))[0]
-    return TrialArchive(
-        kind=kind, trials=payload.copy(), labels=labels.copy(),
-        n_classes=n_classes, dataset_id=dataset_id,
-        subject_id=subject_id, session_id=session_id,
-    )
+    return TrialArchive(kind=kind, trials=payload.copy(),
+                        labels=labels.copy(), n_classes=n_classes)

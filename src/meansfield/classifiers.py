@@ -192,8 +192,6 @@ class LdaModel:
     """Linear discriminant with a shared ridge-stabilized covariance."""
 
     classes: tuple
-    class_means: np.ndarray
-    pooled_covariance: np.ndarray
     priors: np.ndarray
     _coef: np.ndarray
     _intercept: np.ndarray
@@ -234,9 +232,9 @@ def lda_fit(features, labels):
     coef = np.linalg.solve(chol.T, np.linalg.solve(chol, means.T)).T
     priors = np.array([(y == c).mean() for c in classes])
     intercept = -0.5 * np.sum(coef * means, axis=1) + np.log(priors)
-    for a in (means, pooled_r, priors, coef, intercept):
+    for a in (priors, coef, intercept):
         a.flags.writeable = False
-    return LdaModel(tuple(classes), means, pooled_r, priors, coef, intercept)
+    return LdaModel(tuple(classes), priors, coef, intercept)
 
 
 def lda_discriminants(model, features):

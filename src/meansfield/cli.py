@@ -202,12 +202,7 @@ def _split_stem(path):
 
 
 def _load_trialset(dataset_id, paths):
-    archives = []
-    for p in paths:
-        subject, session = _split_stem(p)
-        archives.append(read_archive(p, dataset_id=dataset_id,
-                                     subject_id=subject,
-                                     session_id=session))
+    archives = [read_archive(p) for p in paths]
     kinds = {a.kind for a in archives}
     if len(kinds) != 1:
         raise InvalidInput("archives mix time-series and covariance kinds")
@@ -216,15 +211,13 @@ def _load_trialset(dataset_id, paths):
         raise InvalidInput("archives have mismatched trial shapes")
     trials = np.concatenate([a.trials for a in archives])
     labels = np.concatenate([a.labels for a in archives])
-    subjects = np.concatenate([
-        np.full(a.n_trials, a.subject_id, dtype=object) for a in archives
-    ])
-    sessions = np.concatenate([
-        np.full(a.n_trials, a.session_id, dtype=object) for a in archives
-    ])
+    counts = [a.n_trials for a in archives]
+    subjects, sessions = zip(*map(_split_stem, paths))
     return TrialSet(
         dataset_id=dataset_id, kind=archives[0].kind, trials=trials,
-        labels=labels.astype(np.int64), subjects=subjects, sessions=sessions,
+        labels=labels.astype(np.int64),
+        subjects=np.repeat(np.array(subjects, dtype=object), counts),
+        sessions=np.repeat(np.array(sessions, dtype=object), counts),
     )
 
 

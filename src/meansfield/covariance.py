@@ -59,7 +59,7 @@ def oas_shrinkage(sample_cov, n_samples):
     return float(min(1.0, max(0.0, num / den)))
 
 
-def oas_covariance(data, return_shrinkage=False):
+def oas_covariance(data):
     """Shrunk covariance of one multichannel trial or a stack of them.
 
     Parameters
@@ -68,17 +68,13 @@ def oas_covariance(data, return_shrinkage=False):
         One trial or a stack of trials; rows are channels. Channels are
         mean-centered per trial and the sample covariance uses the
         1/samples normalization.
-    return_shrinkage : bool, default False
-        Also return the shrinkage intensity.
 
     Returns
     -------
     cov : ndarray, shape (channels, channels) or (n, channels, channels)
         ``(1 - rho) S + rho (tr(S)/p) I`` per trial, validated positive
-        definite by one check over the stack.
-    rho : float or ndarray, shape (n,)
-        Only when ``return_shrinkage`` is true; one intensity per trial
-        of a stack.
+        definite by one check over the stack. The intensity ``rho`` of
+        a trial is :func:`oas_shrinkage` of its sample covariance ``S``.
 
     Raises
     ------
@@ -90,7 +86,6 @@ def oas_covariance(data, return_shrinkage=False):
     trials = data if data.ndim == 3 else data[None]
     count, p, n = trials.shape
     covs = np.empty((count, p, p))
-    rhos = np.empty(count)
     for i, trial in enumerate(trials):
         centered = trial - trial.mean(axis=1, keepdims=True)
         s = (centered @ centered.T) / n
@@ -99,12 +94,8 @@ def oas_covariance(data, return_shrinkage=False):
             where = f"trial {i}: all" if data.ndim == 3 else "all"
             raise DegenerateInput(
                 f"{where} channels are constant; covariance is zero")
-        rhos[i] = oas_shrinkage(s, n)
-        covs[i] = (1.0 - rhos[i]) * s
-        covs[i][np.diag_indices(p)] += rhos[i] * mu
-    if data.ndim == 2:
-        covs, rhos = covs[0], float(rhos[0])
-    covs = check_spd(covs, name="shrunk covariance")
-    if return_shrinkage:
-        return covs, rhos
-    return covs
+        rho = oas_shrinkage(s, n)
+        covs[i] = (1.0 - rho) * s
+        covs[i][np.diag_indices(p)] += rho * mu
+    return check_spd(covs if data.ndim == 3 else covs[0],
+                     name="shrunk covariance")

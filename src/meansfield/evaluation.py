@@ -18,9 +18,7 @@ from .classifiers import (
     ts_lr_fit, ts_lr_score,
 )
 from .covariance import oas_covariance
-from .exceptions import (
-    ConvergenceFailure, InvalidInput, NumericalFailure, UndefinedMetric,
-)
+from .exceptions import InvalidInput, NumericalFailure, UndefinedMetric
 from .spatial import adcsp_fit, apply_filter, csp_fit, identity_filter
 from .stats import _tied_ranks
 
@@ -242,10 +240,10 @@ def _fit_and_score(filter_kind, clf_kind, train_covs, train_labels,
     else:  # TS+LR
         model = ts_lr_fit(train_f, train_labels)
         score = ts_lr_score
-    return score(model, test_f)[1], filt.output_dim
+    return score(model, test_f)[1]
 
 
-def run_pipeline(trialset, config, workers=1, fit_observer=None):
+def run_pipeline(trialset, config, workers=1):
     """Evaluate one pipeline on a dataset.
 
     Per (subject, session) group the trials are split by
@@ -263,12 +261,6 @@ def run_pipeline(trialset, config, workers=1, fit_observer=None):
     workers : int, default 1
         Thread pool width over (subject, session, fold) tasks, at least
         1; the result is identical for any width.
-    fit_observer : callable, optional
-        Called as ``fit_observer(stage, subject, session, fold,
-        trial_indices, detail)`` with the global trial indices each
-        stage observed; stages are ``"fit"`` (filter and classifier
-        training data) and ``"score"`` (held-out data, detail carries
-        the filtered dimension).
 
     Returns
     -------
@@ -310,17 +302,13 @@ def run_pipeline(trialset, config, workers=1, fit_observer=None):
         test_idx = idx[test_local]
         t0 = time.perf_counter()
         try:
-            if fit_observer is not None:
-                fit_observer("fit", subject, session, f, train_idx, None)
-            scores, out_dim = _fit_and_score(
+            scores = _fit_and_score(
                 filter_kind, clf_kind, covs[train_idx], y[train_idx],
                 covs[test_idx],
             )
-            if fit_observer is not None:
-                fit_observer("score", subject, session, f, test_idx, out_dim)
             auc = auc_roc(scores, y[test_idx])
             error = None
-        except (InvalidInput, NumericalFailure, ConvergenceFailure) as exc:
+        except (InvalidInput, NumericalFailure) as exc:
             auc = None
             error = f"{type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - t0

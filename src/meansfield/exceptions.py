@@ -1,5 +1,11 @@
 """Exception hierarchy shared by all modules."""
 
+__all__ = [
+    "InvalidInput", "DegenerateInput", "NumericalFailure",
+    "ConvergenceFailure", "UndefinedMetric", "RoutedElsewhere",
+    "UnsupportedFormat", "CorruptArchive",
+]
+
 
 class InvalidInput(ValueError):
     """An argument violates a documented precondition."""

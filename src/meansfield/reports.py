@@ -17,9 +17,12 @@ __all__ = [
     "score_table_to_dict", "score_table_from_dict",
     "meta_report_to_dict", "dumps_canonical",
     "load_score_table", "save_score_table", "save_meta_report",
+    "format_meta_table",
 ]
 
 SCHEMA_VERSION = 1
+_SCORE_TABLE_KEYS = {"schema_version", "kind", "pipeline", "k", "seed",
+                     "rows"}
 
 
 def dumps_canonical(obj):
@@ -45,10 +48,12 @@ def score_table_to_dict(table, include_timing=False):
 
 def _score_row(row):
     """A :class:`ScoreRow` from one row object; a missing or unknown key
-    raises ``TypeError`` or ``KeyError``."""
+    raises ``TypeError`` or ``KeyError``. Only ``fold_time_seconds`` is
+    optional."""
     row = {"fold_time_seconds": 0.0, **row}
     row.update(fold=int(row["fold"]),
                auc=None if row["auc"] is None else float(row["auc"]),
+               error=row["error"],
                fold_time_seconds=float(row["fold_time_seconds"]))
     return ScoreRow(**row)
 
@@ -61,6 +66,9 @@ def score_table_from_dict(obj):
             f"unsupported score-table schema version "
             f"{obj.get('schema_version')}"
         )
+    unknown = obj.keys() - _SCORE_TABLE_KEYS
+    if unknown:
+        raise UnsupportedFormat(f"unknown score-table keys {sorted(unknown)}")
     try:
         return PipelineScoreTable(
             pipeline=obj["pipeline"], k=int(obj["k"]), seed=int(obj["seed"]),

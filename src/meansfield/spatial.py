@@ -17,7 +17,7 @@ from .means import arithmetic_mean, geometric_mean
 
 __all__ = [
     "SpatialFilter", "csp_gevd", "csp_fit", "pham_ajd", "ajd_criterion",
-    "adcsp_fit", "apply_filter",
+    "adcsp_fit", "apply_filter", "identity_filter",
     "STAGE1_DIM", "STAGE2_DIM", "CSP_FILTERS_PER_CLASS",
 ]
 
@@ -34,37 +34,34 @@ _TIE_RESOLUTION = 1e-10
 
 @dataclass(frozen=True)
 class SpatialFilter:
-    """A linear spatial filter: ``k`` rows applied as ``W C W^T``."""
+    """A linear spatial filter: the ``k x d`` rows ``W`` of ``matrix``,
+    ``k <= d`` and linearly independent, applied as ``W C W^T``."""
 
     matrix: np.ndarray
-    input_dim: int
-    output_dim: int
 
     def __post_init__(self):
         w = np.asarray(self.matrix, dtype=np.float64)
-        if w.shape != (self.output_dim, self.input_dim):
+        if w.ndim != 2 or w.shape[0] > w.shape[1]:
             raise InvalidInput(
-                f"filter matrix shape {w.shape} does not match "
-                f"({self.output_dim}, {self.input_dim})"
-            )
-        if self.output_dim > self.input_dim:
-            raise InvalidInput("filter cannot increase the dimension")
-        if np.linalg.matrix_rank(w) != self.output_dim:
+                f"filter matrix must be k x d with k <= d, got {w.shape}")
+        if np.linalg.matrix_rank(w) != w.shape[0]:
             raise InvalidInput("filter rows are linearly dependent")
         w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "matrix", w)
 
     @property
-    def is_identity(self):
-        return self.input_dim == self.output_dim and np.array_equal(
-            self.matrix, np.eye(self.input_dim)
-        )
+    def input_dim(self):
+        return self.matrix.shape[1]
+
+    @property
+    def output_dim(self):
+        return self.matrix.shape[0]
 
 
 def identity_filter(dim):
     """The no-op filter of a given dimension."""
-    return SpatialFilter(np.eye(dim), dim, dim)
+    return SpatialFilter(np.eye(dim))
 
 
 def apply_filter(f, cov):
@@ -154,7 +151,7 @@ def csp_gevd(mean_a, mean_b, n_filters):
     v = np.linalg.solve(chol.T, u)
     lam, v = lam[::-1], v[:, ::-1]
     rows = _alternate_extremes(lam, n_filters)
-    return SpatialFilter(v[:, rows].T, input_dim=d, output_dim=n_filters)
+    return SpatialFilter(v[:, rows].T)
 
 
 def _split_two_classes(covs, labels):
@@ -317,6 +314,4 @@ def adcsp_fit(trial_covs, labels, config=None):
     diag_b = np.diag(b @ geo_b @ b.T)
     ratios = diag_a / (diag_a + diag_b)
     rows = _alternate_extremes(ratios, STAGE2_DIM)
-    return SpatialFilter(
-        b[rows, :] @ w, input_dim=w.shape[1], output_dim=STAGE2_DIM
-    )
+    return SpatialFilter(b[rows, :] @ w)

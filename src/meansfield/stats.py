@@ -20,8 +20,7 @@ from .exceptions import InvalidInput, RoutedElsewhere
 __all__ = [
     "normal_cdf", "normal_quantile", "exact_permutation_test",
     "wilcoxon_signed_rank", "liptak_combine", "smd", "SmdResult",
-    "PairedComparison", "DatasetComparison", "MetaReport", "meta_compare",
-    "paired_comparisons_from_tables",
+    "DatasetComparison", "MetaReport", "meta_compare",
 ]
 
 # Exact-test routing threshold on the number of subjects.
@@ -176,7 +175,6 @@ class SmdResult:
     ci_low: float
     ci_high: float
     degenerate: bool
-    n: int
 
 
 def smd(scores_a, scores_b):
@@ -196,33 +194,9 @@ def smd(scores_a, scores_b):
     n = d.size
     half = 1.96 / np.sqrt(n)
     if spread == 0.0:
-        return SmdResult(0.0, -half, half, True, n)
+        return SmdResult(0.0, -half, half, True)
     value = float(d.mean() / spread)
-    return SmdResult(value, value - half, value + half, False, n)
-
-
-@dataclass(frozen=True)
-class PairedComparison:
-    """Per-subject paired mean scores of two pipelines on one dataset."""
-
-    dataset: str
-    subjects: tuple
-    scores_a: np.ndarray
-    scores_b: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.scores_a, dtype=np.float64)
-        b = np.asarray(self.scores_b, dtype=np.float64)
-        if a.shape != b.shape or a.ndim != 1:
-            raise InvalidInput("paired scores must be equal-length vectors")
-        if a.size < 2:
-            raise InvalidInput("paired comparison needs at least 2 subjects")
-        object.__setattr__(self, "scores_a", a)
-        object.__setattr__(self, "scores_b", b)
-
-    @property
-    def n_subjects(self):
-        return self.scores_a.size
+    return SmdResult(value, value - half, value + half, False)
 
 
 @dataclass(frozen=True)
@@ -264,13 +238,14 @@ def _subject_means(table):
     return means
 
 
-def paired_comparisons_from_tables(table_a, table_b):
-    """Align two score tables into per-dataset paired comparisons.
+def _paired_scores(table_a, table_b):
+    """Align two score tables into per-dataset paired subject scores.
 
     Both tables must cover identical (dataset, subject, session, fold)
     cells. Per subject the score is the mean AUC over all of that
     subject's sessions and folds; subjects without a valid score on
-    both sides are dropped.
+    both sides are dropped. Returns ``(dataset, scores_a, scores_b)``
+    per dataset, datasets and subjects in sorted order.
     """
     cells_a = sorted((r.dataset, r.subject, r.session, r.fold)
                      for r in table_a.rows)
@@ -293,17 +268,14 @@ def paired_comparisons_from_tables(table_a, table_b):
         b = means_b[(dataset, subject)]
         if a is None or b is None:
             continue
-        by_dataset.setdefault(dataset, []).append((subject, a, b))
-    comparisons = []
+        by_dataset.setdefault(dataset, []).append((a, b))
+    paired = []
     for dataset in sorted(by_dataset):
-        entries = by_dataset[dataset]
-        comparisons.append(PairedComparison(
-            dataset=dataset,
-            subjects=tuple(s for s, _, _ in entries),
-            scores_a=np.array([a for _, a, _ in entries]),
-            scores_b=np.array([b for _, _, b in entries]),
-        ))
-    return comparisons
+        if len(by_dataset[dataset]) < 2:
+            raise InvalidInput("paired comparison needs at least 2 subjects")
+        scores_a, scores_b = map(np.array, zip(*by_dataset[dataset]))
+        paired.append((dataset, scores_a, scores_b))
+    return paired
 
 
 def meta_compare(table_a, table_b):
@@ -316,23 +288,24 @@ def meta_compare(table_a, table_b):
     inverse-normal combination of the p-values, weights
     ``sqrt(n_subjects)``.
     """
-    comparisons = paired_comparisons_from_tables(table_a, table_b)
-    if not comparisons:
+    paired = _paired_scores(table_a, table_b)
+    if not paired:
         raise InvalidInput("no complete (dataset, subject) pairs to compare")
     rows = []
-    for comp in comparisons:
-        diffs = comp.scores_b - comp.scores_a
-        if comp.n_subjects < EXACT_TEST_MAX_N:
+    for dataset, scores_a, scores_b in paired:
+        n = scores_a.size
+        diffs = scores_b - scores_a
+        if n < EXACT_TEST_MAX_N:
             p = exact_permutation_test(diffs)
             test = "exact-permutation"
         else:
             p, _ = wilcoxon_signed_rank(diffs)
             test = "signed-rank"
-        effect = smd(comp.scores_a, comp.scores_b)
+        effect = smd(scores_a, scores_b)
         rows.append(DatasetComparison(
-            dataset=comp.dataset,
-            n_subjects=comp.n_subjects,
-            weight=float(np.sqrt(comp.n_subjects)),
+            dataset=dataset,
+            n_subjects=n,
+            weight=float(np.sqrt(n)),
             smd=effect.value,
             ci_low=effect.ci_low,
             ci_high=effect.ci_high,

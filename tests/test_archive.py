@@ -69,12 +69,6 @@ class TestRoundTrip:
         write_archive(read_archive(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_subject_defaults_to_stem(self, cov_archive, tmp_path):
-        path = tmp_path / "s07@2.spdt"
-        write_archive(cov_archive, path)
-        back = read_archive(path)
-        assert back.subject_id == "s07@2"
-
 
 class TestByteOracle:
     def test_hand_built_single_trial(self, tmp_path):

@@ -1,8 +1,11 @@
 """Command-line interface: subcommands, determinism, exit codes, and
 CLI/API equivalence."""
 
+import ast
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -188,6 +191,15 @@ class TestEval:
         assert len(table.rows) == 10  # 2 subjects x 5 folds
         assert {r.subject for r in table.rows} == {"s01", "s02"}
         assert {r.session for r in table.rows} == {"0"}
+        # without "@" the whole file stem is the subject, in session "0"
+        plain = [tmp_path / "alice.spdt", tmp_path / "bob.spdt"]
+        for src, dst in zip(paths, plain):
+            dst.write_bytes(Path(src).read_bytes())
+        assert main(["eval", "--pipeline", "MDM", "--seed", "7",
+                     "--out", str(out), *map(str, plain)]) == 0
+        rows = load_score_table(out).rows
+        assert sorted({(r.subject, r.session) for r in rows}) == [
+            ("alice", "0"), ("bob", "0")]
 
     def test_byte_identical_across_runs_and_workers(self, tmp_path,
                                                     rg_config):
@@ -246,7 +258,8 @@ class TestEval:
         assert not (tmp_path / "t.json").exists()
 
     @pytest.mark.parametrize("damage", [
-        "archive", "row-missing-key", "row-unknown-key", "no-rows"])
+        "archive", "row-missing-key", "row-unknown-key", "no-rows",
+        "top-unknown-key", "row-missing-error"])
     def test_corrupt_archive_is_data_error(self, tmp_path, capsys, damage):
         bad = tmp_path / "bad.spdt"
         bad.write_bytes(b"SPDTxxxxgarbage")
@@ -262,6 +275,11 @@ class TestEval:
                 del doc["rows"][0]["dataset"]
             elif damage == "row-unknown-key":
                 doc["rows"][1]["extra"] = 1
+            elif damage == "top-unknown-key":
+                doc["extra_top"] = 1
+            elif damage == "row-missing-error":
+                for row in doc["rows"]:
+                    del row["error"]
             else:
                 del doc["rows"]
             bad = tmp_path / "bad.json"
@@ -368,3 +386,23 @@ class TestNumpyOnlyRuntime:
         assert result["scipy"] == []
         assert len(result["codes"]) == 8
         assert set(result["codes"].values()) == {0}, result["codes"]
+
+
+class TestExports:
+    def test_all_names_resolve_and_cover_reexports(self):
+        modules = {
+            info.name: importlib.import_module(f"meansfield.{info.name}")
+            for info in pkgutil.iter_modules(meansfield.__path__)
+            if info.name != "__main__"
+        }
+        for name, module in modules.items():
+            unresolved = [n for n in module.__all__ if not hasattr(module, n)]
+            assert unresolved == [], name
+        tree = ast.parse(Path(meansfield.__file__).read_text())
+        reexports = [(node.module, alias.name) for node in tree.body
+                     if isinstance(node, ast.ImportFrom) and node.level == 1
+                     for alias in node.names]
+        assert len(reexports) > 50
+        undeclared = [f"{m}.{n}" for m, n in reexports
+                      if n not in modules[m].__all__]
+        assert undeclared == []

@@ -19,6 +19,13 @@ HAND_DATA = np.array([
 HAND_RHO = 0.11641774006894158
 
 
+def shrinkage_of(trial):
+    """``oas_shrinkage`` of a trial's 1/n sample covariance."""
+    centered = trial - trial.mean(axis=1, keepdims=True)
+    n = trial.shape[1]
+    return oas_shrinkage(centered @ centered.T / n, n)
+
+
 class TestOasCovariance:
     def test_shrinkage_target_fixed_point(self):
         # orthogonal centered rows of equal power: S is exactly the
@@ -33,13 +40,14 @@ class TestOasCovariance:
         mixing = rng.standard_normal((6, 6))
         def draw(n):
             return mixing @ rng.standard_normal((6, n))
-        _, rho_small = oas_covariance(draw(50), return_shrinkage=True)
-        _, rho_large = oas_covariance(draw(10_000), return_shrinkage=True)
+        rho_small = shrinkage_of(draw(50))
+        rho_large = shrinkage_of(draw(10_000))
         assert rho_large < rho_small
 
     def test_hand_case_matches_reference(self):
         expected, rho_expected = oas_reference(HAND_DATA)
-        cov, rho = oas_covariance(HAND_DATA, return_shrinkage=True)
+        cov = oas_covariance(HAND_DATA)
+        rho = shrinkage_of(HAND_DATA)
         np.testing.assert_allclose(cov, expected, rtol=1e-12)
         assert abs(rho - rho_expected) <= 1e-12
         assert abs(rho - HAND_RHO) <= 1e-12
@@ -56,7 +64,7 @@ class TestOasCovariance:
         rng = np.random.default_rng(2)
         for n in (3, 10, 100, 5000):
             data = rng.standard_normal((4, n))
-            _, rho = oas_covariance(data, return_shrinkage=True)
+            rho = shrinkage_of(data)
             assert 0.0 <= rho <= 1.0
 
     def test_full_shrink_reproduces_scaled_identity(self):
@@ -65,7 +73,8 @@ class TestOasCovariance:
         # rho = 1 means the output is exactly tr(S)/p * I
         data = np.array([[1.0, -1.0, 1.0, -1.0],
                          [2.0, 2.0, -2.0, -2.0]])
-        cov, rho = oas_covariance(data, return_shrinkage=True)
+        cov = oas_covariance(data)
+        rho = shrinkage_of(data)
         if rho == 1.0:
             mu = np.trace(s) / 2
             np.testing.assert_allclose(cov, np.eye(2) * cov[0, 0])
@@ -95,12 +104,10 @@ class TestOasStack:
     def test_stack_matches_per_trial_calls(self):
         rng = np.random.default_rng(4)
         stack = rng.standard_normal((7, 5, 40)) * rng.uniform(0.5, 3.0, (7, 5, 1))
-        covs, rhos = oas_covariance(stack, return_shrinkage=True)
-        assert covs.shape == (7, 5, 5) and rhos.shape == (7,)
+        covs = oas_covariance(stack)
+        assert covs.shape == (7, 5, 5)
         for i, trial in enumerate(stack):
-            cov, rho = oas_covariance(trial, return_shrinkage=True)
-            np.testing.assert_array_equal(covs[i], cov)
-            assert rhos[i] == rho
+            np.testing.assert_array_equal(covs[i], oas_covariance(trial))
 
     def test_constant_trial_named(self):
         rng = np.random.default_rng(5)

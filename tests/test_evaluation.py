@@ -32,6 +32,24 @@ def make_trialset(rng, centers, sigma=0.05, n=20, subjects=("s01",),
     )
 
 
+def record_folds(monkeypatch, trialset):
+    """Wrap ``evaluation._fit_and_score`` so that each fold appends its
+    (training, held-out) sets of global trial indices, found by the
+    bytes of each trial it was given."""
+    index = {t.tobytes(): i for i, t in enumerate(trialset.trials)}
+    assert len(index) == trialset.n_trials
+    folds = []
+    fit_and_score = evaluation._fit_and_score
+
+    def recording(filter_kind, clf_kind, train, labels, test):
+        folds.append(({index[t.tobytes()] for t in train},
+                      {index[t.tobytes()] for t in test}))
+        return fit_and_score(filter_kind, clf_kind, train, labels, test)
+
+    monkeypatch.setattr(evaluation, "_fit_and_score", recording)
+    return folds
+
+
 SEPARABLE_CENTERS = (np.diag([10.0, 1.0, 1.0]), np.diag([1.0, 10.0, 1.0]))
 
 
@@ -158,24 +176,17 @@ class TestRunPipeline:
             assert row.error is None
             assert row.fold_time_seconds >= 0.0
 
-    def test_folds_identical_across_pipelines(self):
+    def test_folds_identical_across_pipelines(self, monkeypatch):
         rng = np.random.default_rng(4)
         ts = make_trialset(rng, SEPARABLE_CENTERS, n=10)
-        seen = {}
+        folds = record_folds(monkeypatch, ts)
         for pipeline in ("MDM", "MDMF"):
-            events = []
+            run_pipeline(ts, EvalConfig(pipeline=pipeline, seed=11))
+        held_out = [sorted(test) for _, test in folds]
+        assert len(held_out) == 10
+        assert held_out[:5] == held_out[5:]
 
-            def observer(stage, subject, session, fold, idx, detail,
-                         _events=events):
-                if stage == "score":
-                    _events.append((subject, session, fold,
-                                    tuple(idx.tolist())))
-            run_pipeline(ts, EvalConfig(pipeline=pipeline, seed=11),
-                         fit_observer=observer)
-            seen[pipeline] = sorted(events)
-        assert seen["MDM"] == seen["MDMF"]
-
-    def test_adcsp_reduces_dimension_seen_by_classifier(self):
+    def test_adcsp_reduces_dimension_seen_by_classifier(self, monkeypatch):
         rng = np.random.default_rng(5)
         centers = (
             np.diag(np.linspace(1.0, 4.0, 16)),
@@ -183,33 +194,26 @@ class TestRunPipeline:
         )
         ts = make_trialset(rng, centers, n=10)
         dims = []
+        mf_fit = evaluation.mf_fit
 
-        def observer(stage, subject, session, fold, idx, detail):
-            if stage == "score":
-                dims.append(detail)
+        def recording_fit(train, labels, **kwargs):
+            dims.append(train.shape[-1])
+            return mf_fit(train, labels, **kwargs)
 
-        table = run_pipeline(ts, EvalConfig(pipeline="ADCSP+MF", seed=3),
-                             fit_observer=observer)
-        assert all(d == 10 for d in dims)
+        monkeypatch.setattr(evaluation, "mf_fit", recording_fit)
+        table = run_pipeline(ts, EvalConfig(pipeline="ADCSP+MF", seed=3))
+        assert dims == [10] * 5
         assert all(r.error is None for r in table.rows)
 
-    def test_no_information_leak(self):
+    def test_no_information_leak(self, monkeypatch):
         rng = np.random.default_rng(6)
         ts = make_trialset(rng, SEPARABLE_CENTERS, n=10,
                            subjects=("s01", "s02"))
-        fit_sets, score_sets = [], []
-
-        def observer(stage, subject, session, fold, idx, detail):
-            (fit_sets if stage == "fit" else score_sets).append(
-                (subject, session, fold, set(idx.tolist()))
-            )
-
-        run_pipeline(ts, EvalConfig(pipeline="ADCSP+MDM", seed=1),
-                     fit_observer=observer)
-        assert fit_sets and score_sets
-        score_by_key = {k[:3]: k[3] for k in score_sets}
-        for subject, session, fold, trained_on in fit_sets:
-            held_out = score_by_key[(subject, session, fold)]
+        folds = record_folds(monkeypatch, ts)
+        run_pipeline(ts, EvalConfig(pipeline="ADCSP+MDM", seed=1))
+        assert len(folds) == 10
+        for trained_on, held_out in folds:
+            assert trained_on and held_out
             assert not (trained_on & held_out)
 
     def test_errors_recorded_run_continues(self):
@@ -231,11 +235,11 @@ class TestRunPipeline:
         calls = []
 
         def first_fold_nan(*args):
-            scores, dim = fit_and_score(*args)
-            calls.append(dim)
+            scores = fit_and_score(*args)
+            calls.append(args)
             if len(calls) == 1:
                 scores = np.where(np.arange(scores.size) == 0, np.nan, scores)
-            return scores, dim
+            return scores
 
         monkeypatch.setattr(evaluation, "_fit_and_score", first_fold_nan)
         table = run_pipeline(ts, EvalConfig(pipeline="MDM", seed=3))

@@ -170,7 +170,7 @@ class TestAdcsp:
         rng = np.random.default_rng(7)
         covs, labels = two_class_covs(6, 4, rng)
         f = adcsp_fit(covs, labels)
-        assert f.is_identity
+        np.testing.assert_array_equal(f.matrix, np.eye(6))
         np.testing.assert_array_equal(apply_filter(f, covs[0]), covs[0])
 
     def test_single_class_rejected(self):
@@ -207,7 +207,7 @@ class TestApplyFilter:
         rng = np.random.default_rng(12)
         c = random_spd(6, rng)
         w = rng.standard_normal((3, 6))
-        f = SpatialFilter(w, input_dim=6, output_dim=3)
+        f = SpatialFilter(w)
         out = apply_filter(f, c)
         assert out.shape == (3, 3)
         assert np.linalg.eigvalsh(out).min() > 0
@@ -216,7 +216,7 @@ class TestApplyFilter:
         rng = np.random.default_rng(13)
         a, b = random_spd(4, rng), random_spd(4, rng)
         w = random_gl(4, rng, max_cond=50.0)
-        f = SpatialFilter(w, input_dim=4, output_dim=4)
+        f = SpatialFilter(w)
         d0 = airm_distance(a, b)
         d1 = airm_distance(apply_filter(f, a), apply_filter(f, b))
         assert abs(d1 - d0) <= 1e-8 * d0
@@ -226,6 +226,8 @@ class TestApplyFilter:
             apply_filter(identity_filter(4), np.eye(5))
 
     def test_rank_deficient_rows_rejected(self):
-        w = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        with pytest.raises(InvalidInput):
-            SpatialFilter(w, input_dim=3, output_dim=2)
+        # dependent rows, more rows than columns, and a 1-d array
+        for w in (np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
+                  np.eye(4)[:, :3], np.ones(3)):
+            with pytest.raises(InvalidInput):
+                SpatialFilter(w)
