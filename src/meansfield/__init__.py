@@ -31,7 +31,7 @@ from .spatial import (
 )
 from .classifiers import (
     FieldModel, LdaModel, TsLrModel, distance_features, lda_fit, mdm_fit,
-    mdm_score, mdmf_fit, mdmf_score, mf_fit, mf_score, tangent_map,
+    mdm_score, mdmf_fit, mf_fit, mf_score, tangent_map,
     ts_lr_fit, ts_lr_score,
 )
 from .evaluation import (

@@ -1,14 +1,15 @@
 """Classifiers for SPD covariance trials.
 
 MDM, MDMF and MF fit one model type, :class:`FieldModel`: a per-class
-field of power means, the whiteners of its means and a head. MDM is the
-field of the single exponent ``h = 0`` (one geometric mean per class),
-MDMF the full field; both take the nearest-mean head, the minimum
-distance over each class's means. MF puts a linear discriminant head on
-the squared distances to every mean of the field. All three share one
-distance kernel (batched eigendecompositions of the whitened trials, in
-bounded blocks). TS+LR (``ts_lr_*``) is logistic regression on
-tangent-space coordinates at the global geometric mean.
+field of power means, the whiteners of its means and a head. Every field
+comes from the one field solver of :mod:`.means`: MDM's is the field of
+the single exponent ``h = 0`` (one geometric mean per class), MDMF's the
+full field. Both take the nearest-mean head of :func:`mdm_score`, the
+minimum distance over each class's means. MF puts a linear discriminant
+head on the squared distances to every mean of the field. All three
+share one distance kernel (batched eigendecompositions of the whitened
+trials, in bounded blocks). TS+LR (``ts_lr_*``) is logistic regression
+on tangent-space coordinates at the global geometric mean.
 
 Every ``*_score`` takes one ``(d, d)`` trial and returns ``(label,
 score)``, or an ``(n, d, d)`` stack and returns ``(labels, scores)``
@@ -23,17 +24,14 @@ from dataclasses import dataclass, replace
 from .exceptions import (
     ConvergenceFailure, InvalidInput, NumericalFailure,
 )
-from .geometry import (
-    SolverConfig, _sq_distances, check_spd, invsqrtm, logm,
-)
+from .geometry import _sq_distances, check_spd, invsqrtm, logm
 from .means import (
-    DEFAULT_H_GRID, MeanField, MeanFieldEntry, build_mean_field,
+    DEFAULT_H_GRID, MeanField, _solve_field, build_mean_field,
     geometric_mean,
 )
 
 __all__ = [
-    "FieldModel", "mdm_fit", "mdm_score",
-    "mdmf_fit", "mdmf_score",
+    "FieldModel", "mdm_fit", "mdm_score", "mdmf_fit",
     "LdaModel", "lda_fit", "lda_discriminants",
     "mf_fit", "mf_score", "distance_features",
     "tangent_map", "TsLrModel", "ts_lr_fit", "ts_lr_score",
@@ -92,7 +90,7 @@ def _decide(classes, evidence, single):
 
 
 # ---------------------------------------------------------------------------
-# One fitted model; the nearest-mean head of MDM and MDMF
+# One fitted model; MDM and MDMF, and their nearest-mean head
 
 
 @dataclass(frozen=True)
@@ -126,41 +124,11 @@ def _field_model(field):
     return FieldModel(field, whiteners)
 
 
-def _nearest_mean(model, covs):
-    """Per class, minus the smallest distance from each trial to the
-    class's means, decided by :func:`_decide`."""
-    covs, single = _trials(covs, model.dim)
-    classes = model.classes
-    dists = np.sqrt(_sq_distances(model.whiteners, covs))
-    per_class = dists.reshape(len(covs), len(classes), -1)
-    return _decide(classes, -per_class.min(axis=2), single)
-
-
 def mdm_fit(train_covs, labels, config=None):
     """Learn one geometric mean per class: the field of the single
     exponent ``h = 0``, equal to ``mdmf_fit(..., h_grid=(0.0,))``."""
-    config = config or SolverConfig()
-    entries, kept = {}, {}
-    for c, mats in _group_by_class(train_covs, labels).items():
-        res = geometric_mean(mats, config=config)
-        res.matrix.flags.writeable = False
-        entries[c] = (MeanFieldEntry(0.0, res.matrix, res.iterations,
-                                     res.residual),)
-        kept[c] = np.arange(len(mats))
-    return _field_model(MeanField((0.0,), entries, kept))
-
-
-def mdm_score(model, covs):
-    """Classify trials by their nearest class mean.
-
-    Returns
-    -------
-    (label, score), or (labels, scores) arrays for a stack
-        Binary score is ``d(C, mean_0) - d(C, mean_1)`` (higher means
-        the second class); multiclass score is the vector of negated
-        distances. Ties go to the lower class index.
-    """
-    return _nearest_mean(model, covs)
+    groups = _group_by_class(train_covs, labels)
+    return _field_model(_solve_field(groups, (0.0,), config, robust=False))
 
 
 def mdmf_fit(train_covs, labels, h_grid=DEFAULT_H_GRID, config=None,
@@ -171,16 +139,26 @@ def mdmf_fit(train_covs, labels, h_grid=DEFAULT_H_GRID, config=None,
                                          config=config, robust=robust))
 
 
-def mdmf_score(model, covs):
-    """Classify trials by their nearest mean across each class field.
+def mdm_score(model, covs):
+    """Classify trials by their nearest mean: the scorer of MDM and
+    MDMF models alike.
 
-    Per class the score is the minimum distance over the class's
-    means; the trial goes to the class with the smallest minimum,
-    ties to the lower index. Binary decision score is
-    ``min_d(class_0) - min_d(class_1)``. Returns ``(label, score)``,
-    or ``(labels, scores)`` arrays for a stack.
+    Per class the evidence is the smallest distance from the trial to
+    the class's means (MDM has one per class); the trial goes to the
+    class with the smallest, ties to the lower class index.
+
+    Returns
+    -------
+    (label, score), or (labels, scores) arrays for a stack
+        Binary score is ``min_d(class_0) - min_d(class_1)`` (higher
+        means the second class); multiclass score is the vector of
+        negated per-class minima.
     """
-    return _nearest_mean(model, covs)
+    covs, single = _trials(covs, model.dim)
+    classes = model.classes
+    dists = np.sqrt(_sq_distances(model.whiteners, covs))
+    per_class = dists.reshape(len(covs), len(classes), -1)
+    return _decide(classes, -per_class.min(axis=2), single)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +372,7 @@ class TsLrModel:
         return self.reference.shape[0]
 
 
-def ts_lr_fit(train_covs, labels, config=None):
+def ts_lr_fit(train_covs, labels):
     """Fit logistic regression on tangent coordinates.
 
     The reference point is the geometric mean of all training trials.
@@ -410,8 +388,7 @@ def ts_lr_fit(train_covs, labels, config=None):
     classes = np.unique(y)
     if len(classes) < 2:
         raise InvalidInput("training needs at least 2 classes")
-    config = config or SolverConfig()
-    reference = geometric_mean(covs, config=config).matrix
+    reference = geometric_mean(covs).matrix
     feats = tangent_map(covs, reference)
     mean = feats.mean(axis=0)
     scale = feats.std(axis=0)

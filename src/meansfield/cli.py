@@ -393,7 +393,8 @@ def _build_parser():
     p = sub.add_parser("mean", help="estimate one mean of an archive")
     p.add_argument("--archive", required=True)
     p.add_argument("--h", type=float, required=True,
-                   help="power exponent in [-1, 1]; 0 is the geometric mean")
+                   help="power exponent in [-1, 1]; 0 is the geometric "
+                        "mean, any other |h| is at least 2.2e-308")
     p.add_argument("--label", type=int, default=None,
                    help="restrict to one class label")
     p.add_argument("--robust", action="store_true",

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import (
-    mdm_fit, mdm_score, mdmf_fit, mdmf_score, mf_fit, mf_score,
-    ts_lr_fit, ts_lr_score,
+    mdm_fit, mdm_score, mdmf_fit, mf_fit, mf_score, ts_lr_fit, ts_lr_score,
 )
 from .covariance import oas_covariance
 from .exceptions import InvalidInput, NumericalFailure, UndefinedMetric
@@ -233,7 +232,7 @@ def _fit_and_score(filter_kind, clf_kind, train_covs, train_labels,
         score = mdm_score
     elif clf_kind == "MDMF":
         model = mdmf_fit(train_f, train_labels)
-        score = mdmf_score
+        score = mdm_score
     elif clf_kind in ("MF", "MF_RPME"):
         model = mf_fit(train_f, train_labels, robust=clf_kind == "MF_RPME")
         score = mf_score

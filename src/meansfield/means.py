@@ -1,15 +1,17 @@
 """Means of SPD matrix sets: arithmetic, harmonic, geometric, and the
 one-parameter power-mean family, plus the per-class mean field.
 
-The power mean with exponent ``h`` in (0, 1] is the unique fixed point
-of ``P -> sum_i w_i (P #_h C_i)`` where ``#_h`` is the geodesic, with
+Every mean weighs the trials of its set equally. The power mean with
+exponent ``h`` in (0, 1] is the unique fixed point of
+``P -> (1/n) sum_i (P #_h C_i)`` where ``#_h`` is the geodesic, with
 the duality ``P_{-h}(C) = P_h(C^{-1})^{-1}`` for negative exponents;
 ``h = 0`` denotes the geometric mean. One MPM factor loop solves every
 ``h`` in (-1, 1), in three to seven steps on concentrated sets.
 ``h = 1`` and ``h = -1`` are the closed-form arithmetic and harmonic
 means.
 
-A mean field collects the means over a grid of exponents per class.
+A mean field collects the means over a grid of exponents per class;
+one solver builds every field, the one-exponent field of MDM included.
 ``P_h`` is smooth in ``h``, so each solve starts at the polynomial in
 ``h`` through the nearest means of the class already solved.
 """
@@ -40,6 +42,11 @@ DEFAULT_H_GRID = (-1.0, -0.75, -0.5, -0.25, -0.1, 0.0, 0.1, 0.25, 0.5, 0.75, 1.0
 # the running geometric mean exceeds this, for at most this many rounds.
 RPME_Z_THRESHOLD = 2.5
 RPME_MAX_ROUNDS = 4
+
+# Smallest nonzero |h| a power mean takes: the smallest normal float.
+# Below it ``h log(l)`` is subnormal, keeps few significant bits, and
+# the iteration cannot reach its tolerance.
+_MIN_ABS_H = np.finfo(float).tiny
 
 # Solved means through which a field solve's start is interpolated:
 # enough for the smooth field, few enough that dense grids stay clear of
@@ -101,7 +108,8 @@ class MeanField:
         raise KeyError(f"no mean with h={h} for class {label}")
 
 
-def _check_set(mats, weights, name="matrix set"):
+def _check_set(mats, name="matrix set"):
+    """The set as a float stack and its uniform weights ``1/n``."""
     mats = np.asarray(mats, dtype=np.float64)
     if mats.ndim != 3 or mats.shape[-1] != mats.shape[-2]:
         raise InvalidInput(
@@ -112,28 +120,18 @@ def _check_set(mats, weights, name="matrix set"):
     if not np.all(np.isfinite(mats)):
         raise InvalidInput(f"{name} contains non-finite entries")
     n = mats.shape[0]
-    if weights is None:
-        weights = np.full(n, 1.0 / n)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (n,):
-            raise InvalidInput(f"expected {n} weights, got shape {weights.shape}")
-        if np.any(weights <= 0):
-            raise InvalidInput("weights must all be positive")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise InvalidInput("weights must sum to 1 within 1e-12")
-    return mats, weights
+    return mats, np.full(n, 1.0 / n)
 
 
-def arithmetic_mean(mats, weights=None):
-    """Weighted arithmetic mean ``sum_i w_i C_i`` (exact, no iteration)."""
-    mats, weights = _check_set(mats, weights)
+def arithmetic_mean(mats):
+    """Arithmetic mean ``(1/n) sum_i C_i`` (exact, no iteration)."""
+    mats, weights = _check_set(mats)
     return np.einsum("i,ijk->jk", weights, mats)
 
 
-def harmonic_mean(mats, weights=None):
-    """Weighted harmonic mean ``(sum_i w_i C_i^{-1})^{-1}``."""
-    mats, weights = _check_set(mats, weights)
+def harmonic_mean(mats):
+    """Harmonic mean ``((1/n) sum_i C_i^{-1})^{-1}``."""
+    mats, weights = _check_set(mats)
     return invm(np.einsum("i,ijk->jk", weights, invm(mats)))
 
 
@@ -210,18 +208,18 @@ def _mpm(mats, h, weights, init, config):
     return MeanResult(p, it, residual)
 
 
-def power_mean(mats, h, weights=None, init=None, config=None):
-    """Power mean of an SPD set for an exponent ``h`` in [-1, 1] \\ {0}.
+def power_mean(mats, h, init=None, config=None):
+    """Power mean of an SPD set for an exponent ``h`` with
+    ``tiny <= |h| <= 1``, where ``tiny = np.finfo(float).tiny`` (about
+    2.2e-308) is the smallest normal float.
 
     Parameters
     ----------
     mats : ndarray, shape (n, d, d)
-        SPD matrices.
+        SPD matrices, weighted equally.
     h : float
         Exponent; ``1`` and ``-1`` return the closed-form arithmetic
         and harmonic means without iteration.
-    weights : ndarray, shape (n,), optional
-        Positive weights summing to 1; uniform when omitted.
     init : ndarray, shape (d, d), optional
         Warm start. Defaults to the arithmetic mean for ``h > 0`` and
         the harmonic mean for ``h < 0``.
@@ -237,28 +235,29 @@ def power_mean(mats, h, weights=None, init=None, config=None):
     Raises
     ------
     InvalidInput
-        When ``h`` is out of range, or a trial or ``init`` is not
-        positive definite.
+        When ``|h|`` is above 1 or below ``tiny``, or a trial or
+        ``init`` is not positive definite.
     ConvergenceFailure
         When the budget runs out or an iterate loses positive
         definiteness.
     """
-    mats, weights = _check_set(mats, weights)
-    if not (0.0 < abs(h) <= 1.0):
+    mats, weights = _check_set(mats)
+    if not (_MIN_ABS_H <= abs(h) <= 1.0):
         raise InvalidInput(
-            f"power-mean exponent must satisfy 0 < |h| <= 1, got {h}"
+            f"power-mean exponent must satisfy {_MIN_ABS_H:.4g} <= |h| <= 1, "
+            f"got {h}"
         )
     config = config or SolverConfig()
     if h == 1.0:
-        return MeanResult(arithmetic_mean(mats, weights), 0, 0.0)
+        return MeanResult(arithmetic_mean(mats), 0, 0.0)
     if h == -1.0:
-        return MeanResult(harmonic_mean(mats, weights), 0, 0.0)
+        return MeanResult(harmonic_mean(mats), 0, 0.0)
     if init is None:
-        init = (arithmetic_mean if h > 0 else harmonic_mean)(mats, weights)
+        init = (arithmetic_mean if h > 0 else harmonic_mean)(mats)
     return _mpm(mats, h, weights, init, config)
 
 
-def geometric_mean(mats, weights=None, init=None, config=None):
+def geometric_mean(mats, init=None, config=None):
     """Geometric (Karcher) mean of an SPD set: the ``h = 0`` member of
     the MPM iteration (see :func:`_mpm`), started at ``init``, which
     defaults to the arithmetic mean.
@@ -279,10 +278,10 @@ def geometric_mean(mats, weights=None, init=None, config=None):
         When the budget runs out or an iterate loses positive
         definiteness.
     """
-    mats, weights = _check_set(mats, weights)
+    mats, weights = _check_set(mats)
     config = config or SolverConfig()
     if init is None:
-        init = arithmetic_mean(mats, weights)
+        init = arithmetic_mean(mats)
     return _mpm(mats, 0.0, weights, init, config)
 
 
@@ -306,7 +305,7 @@ def rpme_clean(mats, config=None):
         whenever iteration stopped because nothing was removed), and
         the number of rounds used.
     """
-    mats, _ = _check_set(mats, None)
+    mats, _ = _check_set(mats)
     config = config or SolverConfig()
     n = mats.shape[0]
     kept = np.arange(n)
@@ -368,8 +367,10 @@ def build_mean_field(trials_per_class, h_grid=DEFAULT_H_GRID, config=None,
     trials_per_class : mapping
         Class label -> stack of SPD matrices, at least 2 per class.
     h_grid : sequence of float
-        Exponents in [-1, 1], distinct; default is the eleven-point
-        grid ``DEFAULT_H_GRID``.
+        Distinct exponents, each 0 or with ``tiny <= |h| <= 1``, where
+        ``tiny = np.finfo(float).tiny`` is the smallest normal float
+        (see :func:`power_mean`); checked before any solve starts.
+        Default is the eleven-point grid ``DEFAULT_H_GRID``.
     config : SolverConfig, optional
     robust : bool, default False
         When true, each class is cleaned once with :func:`rpme_clean`
@@ -380,22 +381,29 @@ def build_mean_field(trials_per_class, h_grid=DEFAULT_H_GRID, config=None,
     -------
     MeanField
     """
-    config = config or SolverConfig()
     grid = tuple(sorted(float(h) for h in h_grid))
     if len(grid) == 0:
         raise InvalidInput("h_grid is empty")
     if len(set(grid)) != len(grid):
         raise InvalidInput("h_grid contains duplicate exponents")
-    if any(abs(h) > 1.0 for h in grid):
-        raise InvalidInput("h_grid exponents must lie in [-1, 1]")
+    if not all(h == 0.0 or _MIN_ABS_H <= abs(h) <= 1.0 for h in grid):
+        raise InvalidInput(
+            f"h_grid exponents must be 0 or satisfy "
+            f"{_MIN_ABS_H:.4g} <= |h| <= 1")
     if not trials_per_class:
         raise InvalidInput("no classes given")
+    return _solve_field(trials_per_class, grid, config, robust)
 
+
+def _solve_field(trials_per_class, grid, config, robust):
+    """The field of :func:`build_mean_field` on an ascending, checked
+    ``grid``; ``h = 0`` is solved by :func:`geometric_mean`."""
+    config = config or SolverConfig()
     entries = {}
     kept_map = {}
     for label in sorted(trials_per_class):
         mats, _ = _check_set(trials_per_class[label],
-                             None, name=f"class {label} trials")
+                             name=f"class {label} trials")
         if mats.shape[0] < 2:
             raise InvalidInput(f"class {label} needs at least 2 trials")
         kept = np.arange(mats.shape[0])

@@ -8,6 +8,7 @@ of machine load or worker count. Schemas live under ``docs/``.
 """
 
 import json
+import math
 from dataclasses import asdict
 
 from .evaluation import PipelineScoreTable, ScoreRow
@@ -23,6 +24,16 @@ __all__ = [
 SCHEMA_VERSION = 1
 _SCORE_TABLE_KEYS = {"schema_version", "kind", "pipeline", "k", "seed",
                      "rows"}
+# The types and bounds of a row's values in docs/score_table.schema.json:
+# (key, Python types, low, high). A JSON integer is an ``int``.
+_NUMBER = (int, float)
+_ROW_SCHEMA = (
+    ("dataset", str, None, None), ("subject", str, None, None),
+    ("session", str, None, None), ("fold", int, 0, None),
+    ("auc", (*_NUMBER, type(None)), 0.0, 1.0),
+    ("error", (str, type(None)), None, None),
+    ("fold_time_seconds", _NUMBER, 0.0, None),
+)
 
 
 def dumps_canonical(obj):
@@ -46,19 +57,38 @@ def score_table_to_dict(table, include_timing=False):
     }
 
 
+def _typed(value, types, where, low=None, high=None):
+    """``value`` when it is one of ``types`` (a bool is no number) and a
+    number in it is finite and within ``[low, high]``; else
+    :class:`UnsupportedFormat`."""
+    ok = isinstance(value, types) and not isinstance(value, bool)
+    if ok and isinstance(value, _NUMBER):
+        ok = (math.isfinite(value) and (low is None or value >= low)
+              and (high is None or value <= high))
+    if not ok:
+        raise UnsupportedFormat(
+            f"score-table {where} has a type or value the schema does not "
+            f"allow: {value!r}")
+    return value
+
+
 def _score_row(row):
-    """A :class:`ScoreRow` from one row object; a missing or unknown key
-    raises ``TypeError`` or ``KeyError``. Only ``fold_time_seconds`` is
-    optional."""
+    """A :class:`ScoreRow` from one row object, typed and bounded as
+    :data:`_ROW_SCHEMA` says; a row that is no object, or has a missing
+    or unknown key, raises ``TypeError`` or ``KeyError``. Only
+    ``fold_time_seconds`` is optional."""
     row = {"fold_time_seconds": 0.0, **row}
-    row.update(fold=int(row["fold"]),
-               auc=None if row["auc"] is None else float(row["auc"]),
-               error=row["error"],
+    for key, types, low, high in _ROW_SCHEMA:
+        _typed(row[key], types, key, low, high)
+    row.update(auc=None if row["auc"] is None else float(row["auc"]),
                fold_time_seconds=float(row["fold_time_seconds"]))
     return ScoreRow(**row)
 
 
 def score_table_from_dict(obj):
+    """A :class:`PipelineScoreTable` from a score-table document checked
+    against the keys, types and bounds of ``docs/score_table.schema.json``;
+    a mismatch raises :class:`UnsupportedFormat`."""
     if not isinstance(obj, dict) or obj.get("kind") != "score-table":
         raise UnsupportedFormat("not a score-table document")
     if obj.get("schema_version") != SCHEMA_VERSION:
@@ -70,11 +100,15 @@ def score_table_from_dict(obj):
     if unknown:
         raise UnsupportedFormat(f"unknown score-table keys {sorted(unknown)}")
     try:
+        if not isinstance(obj["rows"], list):
+            raise UnsupportedFormat("score-table rows must be an array")
         return PipelineScoreTable(
-            pipeline=obj["pipeline"], k=int(obj["k"]), seed=int(obj["seed"]),
+            pipeline=_typed(obj["pipeline"], str, "pipeline"),
+            k=_typed(obj["k"], int, "k", low=2),
+            seed=_typed(obj["seed"], int, "seed", low=0),
             rows=tuple(_score_row(r) for r in obj["rows"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise UnsupportedFormat(
             f"malformed score-table document: {type(exc).__name__}: {exc}"
         ) from exc

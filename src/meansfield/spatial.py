@@ -5,7 +5,9 @@ eigendecomposition of the class means, and approximate joint
 diagonalization (AJD) of a matrix set by iterative pairwise
 transformations. The adaptive two-stage filter chains them: a fast
 eigendecomposition stage caps the dimension at 28, then an AJD stage
-on the geometric class means caps it at 10.
+on the geometric class means caps it at 10. The class means and the AJD
+weigh their matrices equally and run on the default
+:class:`SolverConfig` budget.
 """
 
 import numpy as np
@@ -177,17 +179,16 @@ def csp_fit(trial_covs, labels):
     return csp_gevd(mean_a, mean_b, 2 * CSP_FILTERS_PER_CLASS)
 
 
-def ajd_criterion(b, mats, weights=None):
+def ajd_criterion(b, mats):
     """Pham's joint-diagonalization criterion of a demixing matrix:
-    ``sum_i w_i [log det diag(B C_i B^T) - log det (B C_i B^T)]``.
+    ``(1/n) sum_i [log det diag(B C_i B^T) - log det (B C_i B^T)]``.
 
     Zero exactly when every transformed matrix is diagonal.
     """
     mats = np.asarray(mats, dtype=np.float64)
-    n = mats.shape[0]
-    weights = np.full(n, 1.0 / n) if weights is None else np.asarray(weights)
+    w = 1.0 / mats.shape[0]
     total = 0.0
-    for w, c in zip(weights, mats):
+    for c in mats:
         t = b @ c @ b.T
         sign, logdet = np.linalg.slogdet(t)
         if sign <= 0:
@@ -196,24 +197,24 @@ def ajd_criterion(b, mats, weights=None):
     return float(total)
 
 
-def pham_ajd(mats, config=None, weights=None, return_info=False):
-    """Approximate joint diagonalization of SPD matrices.
+def pham_ajd(mats, return_info=False):
+    """Approximate joint diagonalization of SPD matrices, weighted
+    equally.
 
     Minimizes Pham's criterion by sweeps of pairwise (2x2) invertible
     transformations; each sweep can only decrease the criterion, and
-    iteration stops when a sweep's decrement falls to
-    ``config.tolerance``.
+    iteration stops when a sweep's decrement falls to the default
+    :class:`SolverConfig` tolerance (1e-7), within its budget of 150
+    sweeps.
 
     Parameters
     ----------
     mats : ndarray, shape (n, d, d)
         At least two SPD matrices.
-    config : SolverConfig, optional
-    weights : ndarray, shape (n,), optional
-        Positive weights, uniform by default.
     return_info : bool, default False
         Also return a dict with ``sweeps`` and the per-sweep
-        ``criterion`` history (criterion value after each sweep).
+        ``criterion`` history (criterion value after each sweep), which
+        is computed only then.
 
     Returns
     -------
@@ -225,15 +226,9 @@ def pham_ajd(mats, config=None, weights=None, return_info=False):
     if mats.ndim != 3 or mats.shape[0] < 2:
         raise InvalidInput("joint diagonalization needs at least 2 matrices")
     check_spd(mats, "ajd input")
-    config = config or SolverConfig()
+    config = SolverConfig()
     n, d, _ = mats.shape
-    if weights is None:
-        weights = np.full(n, 1.0 / n)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (n,) or np.any(weights <= 0):
-            raise InvalidInput("weights must be positive, one per matrix")
-        weights = weights / weights.sum()
+    weights = np.full(n, 1.0 / n)
 
     c = mats.copy()
     b = np.eye(d)
@@ -262,7 +257,8 @@ def pham_ajd(mats, config=None, weights=None, return_info=False):
                 c[:, pair, :] = np.einsum("xy,kyl->kxl", t, c[:, pair, :])
                 c[:, :, pair] = np.einsum("kly,xy->klx", c[:, :, pair], t)
                 b[pair, :] = t @ b[pair, :]
-        history.append(ajd_criterion(b, mats, weights))
+        if return_info:
+            history.append(ajd_criterion(b, mats))
         if abs(decrement) <= config.tolerance:
             if return_info:
                 return b, {"sweeps": sweep + 1, "criterion": history}
@@ -274,7 +270,7 @@ def pham_ajd(mats, config=None, weights=None, return_info=False):
     )
 
 
-def adcsp_fit(trial_covs, labels, config=None):
+def adcsp_fit(trial_covs, labels):
     """Two-stage adaptive spatial filter for two-class covariance sets.
 
     Stage 1 (entered iff the dimension is >= 28): arithmetic class
@@ -290,7 +286,6 @@ def adcsp_fit(trial_covs, labels, config=None):
     SpatialFilter
         With ``output_dim = min(input_dim, 10)``.
     """
-    config = config or SolverConfig()
     covs_a, covs_b = _split_two_classes(trial_covs, labels)
     d = covs_a.shape[-1]
     if d < STAGE2_DIM:
@@ -307,9 +302,9 @@ def adcsp_fit(trial_covs, labels, config=None):
     else:
         w = np.eye(d)
 
-    geo_a = geometric_mean(covs_a, config=config).matrix
-    geo_b = geometric_mean(covs_b, config=config).matrix
-    b = pham_ajd(np.stack([geo_a, geo_b]), config=config)
+    geo_a = geometric_mean(covs_a).matrix
+    geo_b = geometric_mean(covs_b).matrix
+    b = pham_ajd(np.stack([geo_a, geo_b]))
     diag_a = np.diag(b @ geo_a @ b.T)
     diag_b = np.diag(b @ geo_b @ b.T)
     ratios = diag_a / (diag_a + diag_b)

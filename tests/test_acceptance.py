@@ -10,7 +10,7 @@ import numpy as np
 from meansfield.cli import main
 from meansfield.classifiers import (
     distance_features, lda_discriminants, lda_fit, mdm_fit, mdm_score,
-    mdmf_fit, mdmf_score, mf_fit, tangent_map, ts_lr_fit,
+    mdmf_fit, mf_fit, tangent_map, ts_lr_fit,
 )
 from meansfield.evaluation import EvalConfig, TrialSet, auc_roc, run_pipeline
 from meansfield.exceptions import ConvergenceFailure
@@ -314,7 +314,7 @@ def test_09_reduction_identities():
         mdmf = mdmf_fit(trials, labels, h_grid=(0.0,))
         mdm = mdm_fit(trials, labels)
         for t in trials:
-            assert mdmf_score(mdmf, t) == mdm_score(mdm, t)
+            assert mdm_score(mdmf, t) == mdm_score(mdm, t)
     rng = np.random.default_rng(42)
     trials = np.concatenate([spd_cloud(np.eye(3), 0.2, 8, rng),
                              spd_cloud(2 * np.eye(3), 0.2, 8, rng)])

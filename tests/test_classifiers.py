@@ -10,7 +10,7 @@ import pytest
 from meansfield import classifiers, geometry
 from meansfield.classifiers import (
     FieldModel, distance_features, lda_discriminants, lda_fit, mdm_fit,
-    mdm_score, mdmf_fit, mdmf_score, mf_fit, mf_score, tangent_map,
+    mdm_score, mdmf_fit, mf_fit, mf_score, tangent_map,
     ts_lr_fit, ts_lr_score,
 )
 from meansfield.evaluation import auc_roc
@@ -98,7 +98,7 @@ class TestMdmf:
         trials, labels = dispersion_classes(rng, n=10)
         model = mdmf_fit(trials, labels)
         some_mean = model.field.entries[1][3].matrix
-        label, score = mdmf_score(model, some_mean)
+        label, score = mdm_score(model, some_mean)
         assert label == 1 and score > 0
 
     def test_identical_fields_tie_to_lower(self):
@@ -107,7 +107,7 @@ class TestMdmf:
         trials = np.stack([c] * 4)
         model = mdmf_fit(np.concatenate([trials, trials]),
                          np.array([0, 0, 0, 0, 1, 1, 1, 1]))
-        label, score = mdmf_score(model, 2.0 * c)
+        label, score = mdm_score(model, 2.0 * c)
         assert score == 0.0 and label == 0
 
     def test_outlying_mean_attracts_trial(self):
@@ -126,7 +126,7 @@ class TestMdmf:
         assert mdm_label == 1  # nearest geometric mean is green's
 
         mdmf = mdmf_fit(trials, labels)
-        field_label, _ = mdmf_score(mdmf, probe)
+        field_label, _ = mdm_score(mdmf, probe)
         assert field_label == 0  # a red power mean sits next to it
 
     def test_grid_zero_reduces_to_mdm(self):
@@ -136,11 +136,11 @@ class TestMdmf:
         mdmf = mdmf_fit(trials, labels, h_grid=(0.0,))
         mdm = mdm_fit(trials, labels)
         for probe in probes:
-            lf, sf = mdmf_score(mdmf, probe)
+            lf, sf = mdm_score(mdmf, probe)
             lm, sm = mdm_score(mdm, probe)
             assert lf == lm
             assert sf == sm  # bit-identical: same solver, same init
-        lf, sf = mdmf_score(mdmf, probes)
+        lf, sf = mdm_score(mdmf, probes)
         lm, sm = mdm_score(mdm, probes)
         np.testing.assert_array_equal(lf, lm)
         np.testing.assert_array_equal(sf, sm)
@@ -371,7 +371,7 @@ class TestTsLr:
 
 SCORERS = {
     "MDM": (mdm_fit, mdm_score),
-    "MDMF": (mdmf_fit, mdmf_score),
+    "MDMF": (mdmf_fit, mdm_score),
     "MF": (mf_fit, mf_score),
     "TS+LR": (ts_lr_fit, ts_lr_score),
 }
@@ -525,7 +525,7 @@ class TestInvariances:
         mf_b = mf_fit(t_trials, labels, config=cfg)
         for p, tp in zip(probes, t_probes):
             assert mdm_score(mdm_a, p)[0] == mdm_score(mdm_b, tp)[0]
-            assert mdmf_score(mdmf_a, p)[0] == mdmf_score(mdmf_b, tp)[0]
+            assert mdm_score(mdmf_a, p)[0] == mdm_score(mdmf_b, tp)[0]
             assert mf_score(mf_a, p)[0] == mf_score(mf_b, tp)[0]
             fa = distance_features(mdmf_a, p)
             fb = distance_features(mdmf_b, tp)

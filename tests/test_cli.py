@@ -41,6 +41,18 @@ profile_1 = 2,1,1
 noise_std = 0.1
 """
 
+# Score-table damage by retyping one value: (key, value), set at the top
+# level when the key is there, else in the second row.
+RETYPED = {
+    "subject-int": ("subject", 1),
+    "error-int": ("error", 0),
+    "auc-string": ("auc", "0.5"),
+    "auc-bool": ("auc", True),
+    "fold-fractional": ("fold", 1.5),
+    "k-string": ("k", "5"),
+    "seed-fractional": ("seed", 5.7),
+}
+
 
 @pytest.fixture
 def rg_config(tmp_path):
@@ -169,6 +181,17 @@ class TestMean:
         assert main(["mean", "--archive", str(tmp_path / "no.spdt"),
                      "--h", "0"]) == 2
 
+    def test_subnormal_exponent_is_data_error(self, tmp_path, rg_config,
+                                              capsys):
+        arch_path = tmp_path / "a.spdt"
+        main(["gen", "--config", str(rg_config), "--out", str(arch_path)])
+        capsys.readouterr()  # drop the gen output
+        assert main(["mean", "--archive", str(arch_path),
+                     "--h", "1e-320"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"]["type"] == "InvalidInput"
+
 
 class TestEval:
     def make_archives(self, tmp_path, rg_config):
@@ -259,7 +282,7 @@ class TestEval:
 
     @pytest.mark.parametrize("damage", [
         "archive", "row-missing-key", "row-unknown-key", "no-rows",
-        "top-unknown-key", "row-missing-error"])
+        "top-unknown-key", "row-missing-error", *RETYPED])
     def test_corrupt_archive_is_data_error(self, tmp_path, capsys, damage):
         bad = tmp_path / "bad.spdt"
         bad.write_bytes(b"SPDTxxxxgarbage")
@@ -280,6 +303,9 @@ class TestEval:
             elif damage == "row-missing-error":
                 for row in doc["rows"]:
                     del row["error"]
+            elif damage in RETYPED:  # a value of a type the schema refuses
+                key, value = RETYPED[damage]
+                (doc if key in doc else doc["rows"][1])[key] = value
             else:
                 del doc["rows"]
             bad = tmp_path / "bad.json"

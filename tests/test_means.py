@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from meansfield import means
 from meansfield.exceptions import ConvergenceFailure, InvalidInput
 from meansfield.geometry import (
     SolverConfig, airm_distance, frobenius, geodesic, invm,
@@ -65,6 +66,27 @@ def field_cases(draw):
     return mats, tuple(k / 100 for k in exps)
 
 
+@st.composite
+def mean_sets(draw):
+    """A seeded SPD set (d 2-12, n 2-40, log spread <= 4), a permutation
+    of its trials, and an exponent with 1e-3 <= |h| <= 1."""
+    dim = draw(st.integers(2, 12))
+    n = draw(st.integers(2, 40))
+    log_spread = draw(st.floats(0.0, 4.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = np.stack([random_spd(dim, rng, log_spread=log_spread)
+                     for _ in range(n)])
+    h = draw(st.floats(1e-3, 1.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    return mats, rng.permutation(n), h
+
+
+def small_spread_set():
+    """The d = 4, n = 10 set (log spread 3, rng 0) of the exponent-floor
+    tests."""
+    rng = np.random.default_rng(0)
+    return np.stack([random_spd(4, rng, log_spread=3.0) for _ in range(10)])
+
+
 class TestClosedForms:
     def test_arithmetic_idempotent(self):
         mats = np.stack([np.eye(2), np.eye(2)])
@@ -73,11 +95,6 @@ class TestClosedForms:
     def test_arithmetic_diagonal(self):
         mats = np.stack([np.diag([1.0, 2.0]), np.diag([3.0, 4.0])])
         np.testing.assert_allclose(arithmetic_mean(mats), np.diag([2.0, 3.0]))
-
-    def test_arithmetic_weighted(self):
-        mats = np.stack([np.eye(2), np.diag([5.0, 5.0])])
-        out = arithmetic_mean(mats, weights=[0.25, 0.75])
-        np.testing.assert_allclose(out, np.diag([4.0, 4.0]))
 
     def test_harmonic_idempotent(self):
         mats = np.stack([np.eye(3), np.eye(3)])
@@ -102,13 +119,6 @@ class TestClosedForms:
             arithmetic_mean(empty)
         with pytest.raises(InvalidInput):
             harmonic_mean(empty)
-
-    def test_weight_validation(self):
-        mats = np.stack([np.eye(2), np.eye(2)])
-        with pytest.raises(InvalidInput):
-            arithmetic_mean(mats, weights=[0.5, 0.6])
-        with pytest.raises(InvalidInput):
-            arithmetic_mean(mats, weights=[1.2, -0.2])
 
 
 class TestPowerMean:
@@ -225,6 +235,20 @@ class TestPowerMean:
             power_mean(mats, 0.0)
         with pytest.raises(InvalidInput):
             power_mean(mats, 1.5)
+
+    @pytest.mark.parametrize("h", [1e-320, -1e-320, 5e-324, np.nan])
+    def test_subnormal_exponent_rejected(self, h):
+        # below the smallest normal float h log(l) keeps too few bits,
+        # and these exponents ran out the 150-step budget
+        with pytest.raises(InvalidInput):
+            power_mean(small_spread_set(), h)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_smallest_normal_exponent_is_geometric(self, sign):
+        mats = small_spread_set()
+        g = geometric_mean(mats).matrix
+        res = power_mean(mats, sign * np.finfo(float).tiny)
+        assert airm_distance(res.matrix, g) <= 2 * SolverConfig().tolerance
 
     def test_convergence_failure_carries_state(self):
         rng = np.random.default_rng(8)
@@ -388,6 +412,30 @@ class TestOrderAndLimits:
         assert min(ratios) > 0.0
         assert max(ratios) <= 2.0 * min(ratios)
 
+
+class TestSetOnly:
+    """A mean depends only on its set: not on the order of the trials,
+    and ``P_{-h}(C) = P_h(C^{-1})^{-1}``."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(mean_sets())
+    def test_permutation_invariance(self, case):
+        mats, perm, h = case
+        tol = SolverConfig().tolerance
+        for mean in (arithmetic_mean, harmonic_mean,
+                     lambda m: power_mean(m, h).matrix,
+                     lambda m: geometric_mean(m).matrix):
+            assert airm_distance(mean(mats), mean(mats[perm])) <= tol
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(mean_sets())
+    def test_negative_exponent_duality(self, case):
+        mats, _, h = case
+        direct = power_mean(mats, -h).matrix
+        dual = invm(power_mean(invm(mats), h).matrix)
+        assert airm_distance(direct, dual) <= SolverConfig().tolerance
+
+
 class TestRpme:
     def test_far_outlier_removed(self):
         rng = np.random.default_rng(15)
@@ -520,6 +568,18 @@ class TestMeanField:
             build_mean_field(trials, h_grid=(0.0, 0.0))
         with pytest.raises(InvalidInput):
             build_mean_field(trials, h_grid=(0.0, 2.0))
+
+    @pytest.mark.parametrize("h", [1e-320, -5e-324, np.nan])
+    def test_subnormal_grid_exponent_rejected_before_solving(self, h,
+                                                             monkeypatch):
+        solves = []
+        for name in ("power_mean", "geometric_mean"):
+            monkeypatch.setattr(means, name,
+                                lambda *a, **k: solves.append(a))
+        mats = small_spread_set()
+        with pytest.raises(InvalidInput):
+            build_mean_field({0: mats, 1: mats}, h_grid=(-1.0, 0.0, h, 0.5))
+        assert solves == []
 
     def test_minimum_trials_per_class(self):
         mats = np.stack([np.eye(2)] * 3)
