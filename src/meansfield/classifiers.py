@@ -7,9 +7,12 @@ the single exponent ``h = 0`` (one geometric mean per class), MDMF's the
 full field. Both take the nearest-mean head of :func:`mdm_score`, the
 minimum distance over each class's means. MF puts a linear discriminant
 head on the squared distances to every mean of the field. All three
-share one distance kernel (batched eigendecompositions of the whitened
-trials, in bounded blocks). TS+LR (``ts_lr_*``) is logistic regression
-on tangent-space coordinates at the global geometric mean.
+score with one distance kernel (batched eigendecompositions of the
+whitened trials, in bounded blocks); MF trains on the distances the
+field solver already decomposed, and the kernel only fills in the rest.
+TS+LR (``ts_lr_*``) is logistic regression on tangent-space coordinates
+at the global geometric mean, whose solve also yields the training
+coordinates.
 
 Every ``*_score`` takes one ``(d, d)`` trial and returns ``(label,
 score)``, or an ``(n, d, d)`` stack and returns ``(labels, scores)``
@@ -24,7 +27,7 @@ from dataclasses import dataclass, replace
 from .exceptions import (
     ConvergenceFailure, InvalidInput, NumericalFailure,
 )
-from .geometry import _sq_distances, check_spd, invsqrtm, logm
+from .geometry import _sq_distances, _sym, check_spd, invsqrtm, logm, sqrtm
 from .means import (
     DEFAULT_H_GRID, MeanField, _solve_field, build_mean_field,
     geometric_mean,
@@ -46,11 +49,17 @@ LR_PENALTY = 1.0
 LR_GRAD_TOL = 1e-8
 
 
-def _group_by_class(covs, labels):
+def _labelled(covs, labels):
+    """A training stack and its labels as arrays, one label per trial."""
     covs = np.asarray(covs, dtype=np.float64)
     labels = np.asarray(labels)
-    if covs.ndim != 3 or covs.shape[0] != labels.shape[0]:
+    if covs.ndim != 3 or labels.shape != covs.shape[:1]:
         raise InvalidInput("need one label per covariance matrix")
+    return covs, labels
+
+
+def _group_by_class(covs, labels):
+    covs, labels = _labelled(covs, labels)
     classes = np.unique(labels)
     if len(classes) < 2:
         raise InvalidInput("training needs at least 2 classes")
@@ -234,16 +243,43 @@ def distance_features(model, covs):
     return feats[0] if single else feats
 
 
+def _training_features(model, covs, labels):
+    """:func:`distance_features` of a field model's own training trials.
+
+    The field solver leaves the squared distances of each class's kept
+    trials to the class's iterative means (see ``means._SolvedField``);
+    the kernel computes the rest: the other classes' trials, the trials
+    robust cleaning dropped, and the closed-form ``h = +-1`` means.
+    """
+    field = model.field
+    k = len(field.h_grid)
+    feats = np.empty((len(covs), model.n_features))
+    for j, c in enumerate(field.classes):
+        cols = np.arange(j * k, (j + 1) * k)
+        kept = np.flatnonzero(labels == c)[field.kept[c]]
+        rest = np.setdiff1d(np.arange(len(covs)), kept)
+        feats[np.ix_(rest, cols)] = _sq_distances(model.whiteners[cols],
+                                                  covs[rest])
+        own = field.sq_distances[c]
+        feats[np.ix_(kept, cols)] = own
+        missing = cols[np.isnan(own[0])]
+        if missing.size:
+            feats[np.ix_(kept, missing)] = _sq_distances(
+                model.whiteners[missing], covs[kept])
+    return feats
+
+
 def mf_fit(train_covs, labels, h_grid=DEFAULT_H_GRID, config=None,
            robust=False):
     """Learn the mean field and a discriminant on its squared distances.
 
     The field and the discriminant are trained on the same trials.
     """
-    covs = np.asarray(train_covs, dtype=np.float64)
+    covs, labels = _labelled(train_covs, labels)
     model = mdmf_fit(covs, labels, h_grid=h_grid, config=config,
                      robust=robust)
-    return replace(model, lda=lda_fit(distance_features(model, covs), labels))
+    feats = _training_features(model, covs, labels)
+    return replace(model, lda=lda_fit(feats, labels))
 
 
 def mf_score(model, covs):
@@ -276,11 +312,24 @@ def tangent_map(cov, reference):
     if cov.shape[-1] != reference.shape[0]:
         raise InvalidInput("trial and reference dimensions differ")
     r = invsqrtm(reference)
-    s = logm(r @ cov @ r)
-    d = reference.shape[0]
-    iu = np.triu_indices(d)
+    return _upper_triangle(logm(r @ cov @ r))
+
+
+def _upper_triangle(s):
+    """Symmetric ``s`` as the vector of :func:`tangent_map`."""
+    iu = np.triu_indices(s.shape[-1])
     scale = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
     return s[..., iu[0], iu[1]] * scale
+
+
+def _solver_tangent_vectors(solved):
+    """:func:`tangent_map` of a mean's trials at the mean, from the last
+    step of its solve (``means._FinalStep``) instead of a second ``eigh``
+    of the stack: with ``Q = X R^{1/2}`` orthogonal,
+    ``log(R^{-1/2} C R^{-1/2}) = Q^T U log(L) U^T Q``."""
+    qu = (solved.x @ sqrtm(solved.matrix)).T @ solved.u
+    return _upper_triangle(
+        _sym((qu * solved.loglam[:, None, :]) @ np.swapaxes(qu, -1, -2)))
 
 
 def _expit(z):
@@ -375,7 +424,8 @@ class TsLrModel:
 def ts_lr_fit(train_covs, labels):
     """Fit logistic regression on tangent coordinates.
 
-    The reference point is the geometric mean of all training trials.
+    The reference point is the geometric mean of all training trials;
+    the last step of its solve gives their tangent coordinates.
     Features are standardized per coordinate (population statistics of
     the training fold; zero-spread coordinates are neutralized). The
     L2 penalty weight is fixed at 1 with an unpenalized intercept. Each
@@ -383,13 +433,13 @@ def ts_lr_fit(train_covs, labels):
     backtracking on the strictly convex objective) to gradient norm
     ``1e-8``; failing that raises :class:`ConvergenceFailure`.
     """
-    covs = np.asarray(train_covs, dtype=np.float64)
-    y = np.asarray(labels)
+    covs, y = _labelled(train_covs, labels)
     classes = np.unique(y)
     if len(classes) < 2:
         raise InvalidInput("training needs at least 2 classes")
-    reference = geometric_mean(covs).matrix
-    feats = tangent_map(covs, reference)
+    solved = geometric_mean(covs)
+    reference = solved.matrix
+    feats = _solver_tangent_vectors(solved)
     mean = feats.mean(axis=0)
     scale = feats.std(axis=0)
     scale = np.where(scale > 0.0, scale, 1.0)

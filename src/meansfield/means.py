@@ -22,8 +22,7 @@ from typing import NamedTuple
 
 from .exceptions import ConvergenceFailure, InvalidInput
 from .geometry import (
-    SolverConfig, _eigh_stack, _sym, airm_distance, frobenius, invm,
-    invsqrtm,
+    SolverConfig, _eigh_stack, _sym, frobenius, invm, invsqrtm,
 )
 
 __all__ = [
@@ -62,6 +61,20 @@ class MeanResult(NamedTuple):
     residual: float
 
 
+class _FinalStep(MeanResult):
+    """A :class:`MeanResult` that also carries the last step of
+    :func:`_mpm`: ``x`` with ``x^T x = matrix^{-1}`` up to rounding, and
+    per trial the eigenvectors ``u`` and log-eigenvalues ``loglam`` of
+    ``x C_i x^T``. A row of ``loglam`` is the log-spectrum of
+    ``matrix^{-1/2} C_i matrix^{-1/2}``, so :attr:`sq_distances` are the
+    squared distances of the trials to the mean. Only the library reads
+    these attributes: the field solver, robust cleaning and TS+LR."""
+
+    @property
+    def sq_distances(self):
+        return np.sum(self.loglam ** 2, axis=1)
+
+
 class RpmeResult(NamedTuple):
     """Outcome of robust mean estimation: survivors and their mean."""
 
@@ -85,8 +98,10 @@ class MeanField:
     """Per class, the means over the exponent grid, ascending in ``h``.
 
     ``kept`` maps each class to the trial indices that survived robust
-    cleaning (all indices when cleaning was disabled); ``classes`` is
-    the sorted tuple of class labels.
+    cleaning (all indices when cleaning was disabled): the trials the
+    means were solved on, whose distances to the means ``mf_fit`` reads
+    from the solver instead of recomputing. ``classes`` is the sorted
+    tuple of class labels.
     """
 
     h_grid: tuple
@@ -106,6 +121,17 @@ class MeanField:
             if e.h == h:
                 return e
         raise KeyError(f"no mean with h={h} for class {label}")
+
+
+@dataclass(frozen=True)
+class _SolvedField(MeanField):
+    """A :class:`MeanField` that also holds, per class, the squared
+    distances of its kept trials to its means, shape ``(kept, h_grid)``,
+    read from each solve's last step (see :class:`_FinalStep`); ``nan``
+    for the closed-form ``h = +-1`` means, which take no step."""
+
+    sq_distances: dict = field(default_factory=dict, repr=False,
+                               compare=False)
 
 
 def _check_set(mats, name="matrix set"):
@@ -152,6 +178,10 @@ def _mpm(mats, h, weights, init, config):
     unit step contracts by ``L_0 - 1`` while ``L_0 < 2``; wider sets
     take ``nu = 2/(1 + L_h)``, and a halving safeguard catches any
     increase of the residual, a scaled ``||M||_F``.
+
+    The loop tests the residual before it updates ``X``, so its last
+    decomposition belongs to the returned mean; the result is a
+    :class:`_FinalStep` that hands it on.
     """
     d = mats.shape[-1]
     tol = config.tolerance
@@ -205,7 +235,9 @@ def _mpm(mats, h, weights, init, config):
             f"iterations (residual {residual:.3e})",
             last_iterate=p, residual=residual, iterations=it,
         )
-    return MeanResult(p, it, residual)
+    res = _FinalStep(p, it, residual)
+    res.x, res.loglam, res.u = x, loglam, u
+    return res
 
 
 def power_mean(mats, h, init=None, config=None):
@@ -289,7 +321,8 @@ def rpme_clean(mats, config=None):
     """Iteratively drop outlying trials before mean estimation.
 
     Each round computes the geometric mean of the surviving trials,
-    standardizes the distances to it (sample standard deviation), and
+    standardizes their distances to it (sample standard deviation),
+    which the solver's last step yields (see :func:`_mpm`), and
     removes every trial with a z-score above ``RPME_Z_THRESHOLD``
     (2.5). Rounds stop when nothing is removed or ``RPME_MAX_ROUNDS``
     (4) mean computations have been spent; a removal that would leave
@@ -315,10 +348,10 @@ def rpme_clean(mats, config=None):
     rounds = 0
     mean = None
     while rounds < RPME_MAX_ROUNDS:
-        current = mats[kept]
-        mean = geometric_mean(current, config=config).matrix
+        solved = geometric_mean(mats[kept], config=config)
+        mean = solved.matrix
         rounds += 1
-        dist = airm_distance(mean, current)
+        dist = np.sqrt(solved.sq_distances)
         spread = float(np.std(dist, ddof=1))
         if spread == 0.0:
             break
@@ -397,10 +430,12 @@ def build_mean_field(trials_per_class, h_grid=DEFAULT_H_GRID, config=None,
 
 def _solve_field(trials_per_class, grid, config, robust):
     """The field of :func:`build_mean_field` on an ascending, checked
-    ``grid``; ``h = 0`` is solved by :func:`geometric_mean`."""
+    ``grid``; ``h = 0`` is solved by :func:`geometric_mean`. Returns a
+    :class:`_SolvedField`."""
     config = config or SolverConfig()
     entries = {}
     kept_map = {}
+    sq_map = {}
     for label in sorted(trials_per_class):
         mats, _ = _check_set(trials_per_class[label],
                              name=f"class {label} trials")
@@ -414,13 +449,17 @@ def _solve_field(trials_per_class, grid, config, robust):
         kept_map[label] = kept
 
         solved = {}
+        sq = np.full((len(mats), len(grid)), np.nan)
         try:
             for h in sorted(grid, key=lambda g: (-abs(g), -g)):
                 init = _field_start(h, solved)
                 if h == 0.0:
-                    solved[h] = geometric_mean(mats, init=init, config=config)
+                    res = geometric_mean(mats, init=init, config=config)
                 else:
-                    solved[h] = power_mean(mats, h, init=init, config=config)
+                    res = power_mean(mats, h, init=init, config=config)
+                if isinstance(res, _FinalStep):
+                    sq[:, grid.index(h)] = res.sq_distances
+                solved[h] = MeanResult(*res)  # frees the last step
         except ConvergenceFailure as exc:
             raise ConvergenceFailure(
                 f"mean field for class {label} failed: {exc}",
@@ -437,4 +476,7 @@ def _solve_field(trials_per_class, grid, config, robust):
                 MeanFieldEntry(h, matrix, res.iterations, res.residual)
             )
         entries[label] = tuple(class_entries)
-    return MeanField(h_grid=grid, entries=entries, kept=kept_map)
+        sq.flags.writeable = False
+        sq_map[label] = sq
+    return _SolvedField(h_grid=grid, entries=entries, kept=kept_map,
+                        sq_distances=sq_map)

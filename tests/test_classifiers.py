@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meansfield import classifiers, geometry
 from meansfield.classifiers import (
@@ -16,7 +17,7 @@ from meansfield.classifiers import (
 from meansfield.evaluation import auc_roc
 from meansfield.exceptions import InvalidInput, NumericalFailure
 from meansfield.geometry import SolverConfig, airm_distance, geodesic
-from meansfield.means import DEFAULT_H_GRID
+from meansfield.means import DEFAULT_H_GRID, geometric_mean
 from meansfield.synth import RiemannianGaussianSpec, synth_riemannian_gaussian
 
 from oracles import (
@@ -37,6 +38,44 @@ def dispersion_classes(rng, n=30, dim=3, sigmas=(0.15, 0.5)):
     ])
     labels = np.repeat(np.arange(len(sigmas)), n)
     return trials, labels
+
+
+@st.composite
+def two_classes(draw, min_first=3):
+    """Two classes of d 2-16 trials, 3-40 a class (at least
+    ``min_first`` in the first), log-normal clouds of spread 0.05-0.5
+    around random centers of condition up to e**3; and an rng for more
+    draws."""
+    dim = draw(st.integers(2, 16))
+    sizes = (draw(st.integers(max(3, min_first), 40)),
+             draw(st.integers(3, 40)))
+    sigma = draw(st.floats(0.05, 0.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    trials = np.concatenate([spd_cloud(random_spd(dim, rng, 3.0), sigma, n,
+                                       rng) for n in sizes])
+    return trials, np.repeat([0, 1], sizes), rng
+
+
+@st.composite
+def field_training_sets(draw):
+    """Training sets for the field's solver-side features: a grid of 1-9
+    exponents in hundredths, with or without +-1 and 0; maybe a far
+    outlier in a first class of 12 or more, which robust cleaning drops;
+    maybe a second class of identical trials, whose every mean is solved
+    in 0 iterations."""
+    outlier, identical = draw(st.booleans()), draw(st.booleans())
+    trials, labels, rng = draw(two_classes(min_first=12 if outlier else 3))
+    if outlier:
+        trials[0] = trials[0] * np.exp(8.0)
+    if identical:
+        trials[labels == 1] = trials[labels == 1][0]
+    exps = draw(st.lists(st.integers(-99, 99).filter(bool), max_size=6,
+                         unique=True))
+    if draw(st.booleans()):
+        exps += [-100, 100]
+    if draw(st.booleans()) or not exps:
+        exps.append(0)
+    return trials, labels, tuple(k / 100 for k in exps), outlier, identical
 
 
 class TestMdm:
@@ -287,6 +326,18 @@ class TestTangentMap:
         c = random_spd(5, rng)
         assert tangent_map(c, np.eye(5)).shape == (15,)
 
+    @settings(max_examples=40)
+    @given(st.integers(1, 16), st.floats(0.0, 8.0),
+           st.integers(0, 2**32 - 1))
+    def test_norm_is_distance(self, dim, log_spread, seed):
+        # both read the spectrum of one whitened matrix; the norm also
+        # rounds through V log(w) V^T, d eps relative to max |log w|
+        rng = np.random.default_rng(seed)
+        c, r = (random_spd(dim, rng, log_spread) for _ in range(2))
+        norm = np.linalg.norm(tangent_map(c, r))
+        dist = airm_distance(r, c)
+        assert abs(norm - dist) <= 1e-12 * dist
+
 
 class TestTsLr:
     def test_perfect_separation_gives_auc_one(self):
@@ -355,6 +406,16 @@ class TestTsLr:
             np.testing.assert_allclose(w, w_ref, rtol=0.0, atol=1e-9)
             assert abs(b - b_ref) <= 1e-9
 
+    def test_malformed_training_set_is_invalid_input(self):
+        rng = np.random.default_rng(31)
+        trials, labels = dispersion_classes(rng, n=10)
+        with pytest.raises(InvalidInput, match="one label per"):
+            ts_lr_fit(trials, labels[:18])
+        with pytest.raises(InvalidInput, match="one label per"):
+            ts_lr_fit(trials[0], labels[:3])
+        with pytest.raises(InvalidInput, match="one label per"):
+            ts_lr_fit(trials, labels[:, None])
+
     def test_multiclass_one_vs_rest(self):
         rng = np.random.default_rng(19)
         trials = np.concatenate([
@@ -409,6 +470,39 @@ class TestStackScoring:
                     model.lda, distance_features(model, probes))).max()
             np.testing.assert_allclose(scores, expected, rtol=1e-9,
                                        atol=1e-9 * scale)
+
+    @settings(max_examples=20)
+    @given(two_classes(), st.integers(1, 20))
+    def test_stack_scoring_is_per_trial_scoring(self, case, n_probes):
+        # a trial's features are the same arithmetic alone or in a
+        # stack (the kernel decomposes matrix by matrix); only the
+        # linear head differs, a gemv against a gemm. Each rounds a
+        # k-term product within (k + 1) eps of sum |x_j w_j| + |b|, so
+        # the two scores differ by at most twice that, summed over the
+        # discriminants a binary score subtracts
+        trials, labels, rng = case
+        probes = spd_cloud(np.mean(trials, axis=0), 0.5, n_probes, rng)
+        eps = np.finfo(float).eps
+        for name in ("MDM", "MF", "TS+LR"):
+            fit, score = SCORERS[name]
+            model = fit(trials, labels)
+            stack_labels, stack_scores = score(model, probes)
+            singles = [score(model, p) for p in probes]
+            assert stack_labels.tolist() == [lab for lab, _ in singles]
+            single_scores = np.array([s for _, s in singles])
+            if name == "MDM":
+                np.testing.assert_array_equal(stack_scores, single_scores)
+                continue
+            if name == "MF":
+                x = distance_features(model, probes)
+                w, b = model.lda._coef, model.lda._intercept
+            else:
+                x = (tangent_map(probes, model.reference)
+                     - model.feature_mean) / model.feature_scale
+                w, b = model.weights, model.intercepts
+            bound = 2 * (x.shape[1] + 1) * eps * (
+                np.abs(x) @ np.abs(w).T + np.abs(b)).sum(axis=1)
+            assert np.all(np.abs(stack_scores - single_scores) <= bound)
 
     @pytest.mark.parametrize("block", [1, 1000])
     @pytest.mark.parametrize("name", ["MDM", "MDMF", "MF", "AIRM"])
@@ -555,3 +649,38 @@ class TestInvariances:
         t1 = ts_lr_fit(trials, labels)
         t2 = ts_lr_fit(trials, labels)
         assert ts_lr_score(t1, probe) == ts_lr_score(t2, probe)
+
+
+def _rows_close(actual, expected, rtol):
+    """Each row within ``rtol`` of its largest absolute expected entry."""
+    scale = np.abs(expected).max(axis=-1, keepdims=True)
+    return np.all(np.abs(actual - expected) <= rtol * scale)
+
+
+class TestSolverSpectra:
+    """Fits read training distances and tangent vectors from the last
+    step of the mean solves; they match the kernel's to rounding."""
+
+    @settings(max_examples=30)
+    @given(field_training_sets())
+    def test_mf_training_features_match_kernel(self, case):
+        trials, labels, grid, outlier, identical = case
+        for robust in (False, True):
+            model = mdmf_fit(trials, labels, h_grid=grid, robust=robust)
+            if robust and outlier:
+                assert 0 not in model.field.kept[0]
+            if identical:
+                assert all(e.iterations == 0
+                           for e in model.field.entries[1])
+            feats = classifiers._training_features(model, trials, labels)
+            assert _rows_close(feats, distance_features(model, trials),
+                               1e-12)
+
+    @settings(max_examples=30)
+    @given(two_classes())
+    def test_ts_lr_tangent_vectors_match_tangent_map(self, case):
+        trials, _, _ = case
+        solved = geometric_mean(trials)
+        vectors = classifiers._solver_tangent_vectors(solved)
+        assert _rows_close(vectors, tangent_map(trials, solved.matrix),
+                           1e-12)

@@ -12,9 +12,9 @@ from meansfield.geometry import (
     SolverConfig, airm_distance, frobenius, geodesic, invm,
 )
 from meansfield.means import (
-    DEFAULT_H_GRID, RPME_MAX_ROUNDS, MeanField, MeanFieldEntry,
-    arithmetic_mean, build_mean_field, geometric_mean, harmonic_mean,
-    power_mean, rpme_clean,
+    DEFAULT_H_GRID, RPME_MAX_ROUNDS, RPME_Z_THRESHOLD, MeanField,
+    MeanFieldEntry, arithmetic_mean, build_mean_field, geometric_mean,
+    harmonic_mean, power_mean, rpme_clean,
 )
 
 from meansfield.synth import RiemannianGaussianSpec, synth_riemannian_gaussian
@@ -78,6 +78,38 @@ def mean_sets(draw):
                      for _ in range(n)])
     h = draw(st.floats(1e-3, 1.0)) * draw(st.sampled_from([-1.0, 1.0]))
     return mats, rng.permutation(n), h
+
+
+@st.composite
+def outlier_sets(draw):
+    """A log-normal cloud (d 2-16, n 3-40, spread 0.05-0.5) around a
+    random center, with 0-3 of its trials scaled by e**2 to e**8."""
+    dim = draw(st.integers(2, 16))
+    n = draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = spd_cloud(random_spd(dim, rng, 3.0), draw(st.floats(0.05, 0.5)),
+                     n, rng)
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True)):
+        mats[i] *= np.exp(draw(st.floats(2.0, 8.0)))
+    return mats
+
+
+def rpme_by_distance(mats):
+    """The rounds of :func:`rpme_clean` with each round's distances from
+    ``airm_distance``: kept indices and rounds."""
+    kept, rounds = np.arange(len(mats)), 0
+    while len(mats) >= 3 and rounds < RPME_MAX_ROUNDS:
+        mean = geometric_mean(mats[kept]).matrix
+        rounds += 1
+        dist = airm_distance(mean, mats[kept])
+        spread = np.std(dist, ddof=1)
+        if spread == 0.0:
+            break
+        outliers = (dist - dist.mean()) / spread > RPME_Z_THRESHOLD
+        if not outliers.any() or (~outliers).sum() < 2:
+            break
+        kept = kept[~outliers]
+    return kept, rounds
 
 
 def small_spread_set():
@@ -417,7 +449,7 @@ class TestSetOnly:
     """A mean depends only on its set: not on the order of the trials,
     and ``P_{-h}(C) = P_h(C^{-1})^{-1}``."""
 
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @settings(max_examples=25)
     @given(mean_sets())
     def test_permutation_invariance(self, case):
         mats, perm, h = case
@@ -427,7 +459,7 @@ class TestSetOnly:
                      lambda m: geometric_mean(m).matrix):
             assert airm_distance(mean(mats), mean(mats[perm])) <= tol
 
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @settings(max_examples=25)
     @given(mean_sets())
     def test_negative_exponent_duality(self, case):
         mats, _, h = case
@@ -488,6 +520,16 @@ class TestRpme:
         mats = np.stack([random_spd(3, rng) for _ in range(2)])
         res = rpme_clean(mats)
         np.testing.assert_array_equal(res.kept_indices, [0, 1])
+
+    @settings(max_examples=30)
+    @given(outlier_sets())
+    def test_solver_distances_keep_the_same_trials(self, mats):
+        # each round reads its distances from the solve's last step;
+        # they pick the trials that airm_distance z-scores pick
+        res = rpme_clean(mats)
+        kept, rounds = rpme_by_distance(mats)
+        np.testing.assert_array_equal(res.kept_indices, kept)
+        assert res.rounds == rounds
 
     def test_survivor_floor(self):
         # three points, one of which looks extreme: never drop below 2
@@ -644,7 +686,7 @@ class TestMeanField:
         field = build_mean_field({1: archive.trials[archive.labels == 1]})
         assert sum(e.iterations for e in field.entries[1]) <= 30
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(field_cases())
     def test_entries_match_cold_solves(self, case):
         # however the grid is spaced, an interpolated start changes no
