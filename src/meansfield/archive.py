@@ -19,6 +19,7 @@ Writing then reading is the identity on the in-memory archive, and
 reading then writing reproduces the file byte for byte.
 """
 
+import numbers
 import struct
 import zlib
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import CorruptArchive, InvalidInput, UnsupportedFormat
-from .geometry import _first_not_spd, check_spd
+from .geometry import _first_not_spd
 
 __all__ = ["TrialArchive", "read_archive", "write_archive",
            "MAGIC", "VERSION"]
@@ -38,6 +39,12 @@ KIND_COVARIANCE = 1
 _KIND_NAMES = {KIND_TIME_SERIES: "time-series", KIND_COVARIANCE: "covariance"}
 _KIND_CODES = {v: k for k, v in _KIND_NAMES.items()}
 
+# magic, version, kind, n_trials, n_classes; then the dims of each kind
+_HEAD = struct.Struct("<4sIBII")
+_DIMS = {KIND_TIME_SERIES: struct.Struct("<II"),
+         KIND_COVARIANCE: struct.Struct("<I")}
+_U32 = struct.Struct("<I")
+
 
 @dataclass(frozen=True)
 class TrialArchive:
@@ -45,7 +52,8 @@ class TrialArchive:
 
     ``trials`` is ``(n, channels, samples)`` float64 for time-series
     archives and ``(n, dim, dim)`` SPD matrices for covariance
-    archives. Dataset, subject and session identifiers live outside
+    archives; ``labels`` are integers in ``[0, n_classes)``, stored as
+    ``uint32``. Dataset, subject and session identifiers live outside
     the file format: ``meansfield eval`` takes the subject and session
     from each archive's file name.
     """
@@ -58,24 +66,24 @@ class TrialArchive:
     def __post_init__(self):
         if self.kind not in _KIND_CODES:
             raise InvalidInput(f"unknown archive kind {self.kind!r}")
-        trials = np.ascontiguousarray(self.trials, dtype=np.float64)
-        labels = np.ascontiguousarray(self.labels, dtype=np.uint32)
+        trials = np.require(self.trials, np.float64, "CAW")
+        labels = np.asarray(self.labels)
         if trials.ndim != 3 or trials.shape[0] < 1:
             raise InvalidInput("trials must be a non-empty 3-d stack")
-        if labels.shape != (trials.shape[0],):
-            raise InvalidInput("need exactly one label per trial")
-        if self.n_classes < 1:
-            raise InvalidInput("n_classes must be at least 1")
-        if labels.max() >= self.n_classes:
-            raise InvalidInput("labels must lie in [0, n_classes)")
-        if not np.all(np.isfinite(trials)):
-            raise InvalidInput("trials contain non-finite values")
-        if self.kind == "covariance":
-            if trials.shape[1] != trials.shape[2]:
-                raise InvalidInput("covariance trials must be square")
-            check_spd(trials, name="trial")
+        if labels.shape != (trials.shape[0],) or labels.dtype.kind not in "iu":
+            raise InvalidInput("need exactly one integer label per trial")
+        if not (isinstance(self.n_classes, numbers.Integral)
+                and 1 <= self.n_classes < 2**32):
+            raise InvalidInput("n_classes must be an integer in [1, 2**32)")
+        if self.kind == "covariance" and trials.shape[1] != trials.shape[2]:
+            raise InvalidInput("covariance trials must be square")
+        problem = _first_problem(self.kind, trials, labels, self.n_classes)
+        if problem is not None:
+            error = InvalidInput(problem[0])
+            error.offset = problem[1]  # read_archive reports it in the file
+            raise error
         object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", np.require(labels, np.uint32, "CAW"))
 
     @property
     def n_trials(self):
@@ -88,140 +96,100 @@ class TrialArchive:
         return self.trials.shape[1]
 
 
+def _first_problem(kind, trials, labels, n_classes):
+    """The first label, then value, then covariance trial that breaks
+    the archive contract, as its message and the byte offset of that
+    part counted from the first label byte; ``None`` when there is none.
+    Covariance trials are checked with one ``eigvalsh`` call."""
+    bad = np.flatnonzero((labels < 0) | (labels >= n_classes))
+    if bad.size:
+        i = int(bad[0])
+        return f"label {labels[i]} out of range [0, {n_classes})", 4 * i
+    payload = 4 * labels.size
+    bad = np.flatnonzero(~np.isfinite(trials))
+    if bad.size:
+        i = int(bad[0])
+        return f"payload value {i} is not finite", payload + 8 * i
+    if kind == "covariance" and (bad := _first_not_spd(trials)):
+        i, problem = bad
+        return (f"covariance trial {i} {problem}",
+                payload + 8 * i * trials[0].size)
+    return None
+
+
 def write_archive(archive, path):
     """Serialize an archive; see the module docstring for the layout."""
-    kind_code = _KIND_CODES[archive.kind]
-    head = bytearray()
-    head += MAGIC
-    head += struct.pack("<I", VERSION)
-    head += struct.pack("<B", kind_code)
-    head += struct.pack("<II", archive.n_trials, archive.n_classes)
-    if kind_code == KIND_TIME_SERIES:
-        head += struct.pack("<II", archive.trials.shape[1],
-                            archive.trials.shape[2])
-    else:
-        head += struct.pack("<I", archive.trials.shape[1])
-    body = bytes(head)
-    body += archive.labels.astype("<u4").tobytes()
-    body += archive.trials.astype("<f8").tobytes()
-    crc = zlib.crc32(body) & 0xFFFFFFFF
+    code = _KIND_CODES[archive.kind]
+    n_trials, rows, cols = archive.trials.shape
+    dims = (rows, cols) if code == KIND_TIME_SERIES else (rows,)
+    body = (_HEAD.pack(MAGIC, VERSION, code, n_trials, archive.n_classes)
+            + _DIMS[code].pack(*dims) + archive.labels.astype("<u4").tobytes()
+            + archive.trials.astype("<f8").tobytes())
     with open(path, "wb") as fh:
         fh.write(body)
-        fh.write(struct.pack("<I", crc))
-
-
-class _Reader:
-    def __init__(self, blob):
-        self.blob = blob
-        self.offset = 0
-
-    def take(self, n, what):
-        if self.offset + n > len(self.blob):
-            raise CorruptArchive(
-                f"file truncated while reading {what}", offset=self.offset
-            )
-        out = self.blob[self.offset:self.offset + n]
-        self.offset += n
-        return out
-
-    def u32(self, what):
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def u8(self, what):
-        return struct.unpack("<B", self.take(1, what))[0]
+        fh.write(_U32.pack(zlib.crc32(body)))
 
 
 def read_archive(path):
     """Read and validate a trial archive.
 
-    Every structural field is checked (magic, version, kind, counts,
-    label range, finiteness, checksum) and covariance payloads must
-    pass the SPD check; violations raise :class:`CorruptArchive` with
-    the offending byte offset. The result carries only what the file
-    holds: no dataset, subject or session identifier.
+    Checks run in the order of ``docs/archive_format.md``: magic and
+    version (:class:`UnsupportedFormat`), checksum, header fields, the
+    file size the header implies, then label range, finiteness and,
+    for covariance archives, the SPD check of every trial. The first
+    violation raises :class:`CorruptArchive` with its byte offset. The
+    result carries only what the file holds: no dataset, subject or
+    session identifier.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 4 or blob[:4] != MAGIC:
-        raise UnsupportedFormat(
-            f"not a trial archive (magic {blob[:4]!r}, expected {MAGIC!r})"
-        )
+        blob = memoryview(fh.read())
+    if blob[:4] != MAGIC:
+        raise UnsupportedFormat(f"not a trial archive (magic "
+                                f"{bytes(blob[:4])!r}, expected {MAGIC!r})")
     if len(blob) < 8:
         raise CorruptArchive("file truncated before version", offset=4)
-    version = struct.unpack("<I", blob[4:8])[0]
+    (version,) = _U32.unpack_from(blob, 4)
     if version != VERSION:
         raise UnsupportedFormat(
             f"unsupported archive version {version} (expected {VERSION})"
         )
-    stored_crc = struct.unpack("<I", blob[-4:])[0]
-    actual_crc = zlib.crc32(blob[:-4]) & 0xFFFFFFFF
+    end = len(blob) - 4
+    body = blob[:end]
+    (stored_crc,) = _U32.unpack_from(blob, end)
+    actual_crc = zlib.crc32(body)
     if stored_crc != actual_crc:
         raise CorruptArchive(
             f"checksum mismatch: stored {stored_crc:#010x}, "
-            f"computed {actual_crc:#010x}", offset=len(blob) - 4,
+            f"computed {actual_crc:#010x}", offset=end,
         )
 
-    r = _Reader(blob[:-4])
-    r.offset = 8
-    kind_offset = r.offset
-    kind_code = r.u8("kind")
-    if kind_code not in _KIND_NAMES:
-        raise CorruptArchive(f"unknown kind byte {kind_code}",
-                             offset=kind_offset)
-    count_offset = r.offset
-    n_trials = r.u32("n_trials")
-    n_classes = r.u32("n_classes")
-    if n_trials < 1:
-        raise CorruptArchive("archive holds no trials", offset=count_offset)
-    if n_classes < 1:
-        raise CorruptArchive("archive declares no classes",
-                             offset=count_offset + 4)
-    if kind_code == KIND_TIME_SERIES:
-        channels = r.u32("channels")
-        samples = r.u32("samples")
-        if channels < 1 or samples < 1:
-            raise CorruptArchive("zero channels or samples",
-                                 offset=r.offset - 8)
-        shape = (n_trials, channels, samples)
-    else:
-        dim_offset = r.offset
-        dim = r.u32("dim")
-        if dim < 1:
-            raise CorruptArchive("zero matrix dimension", offset=dim_offset)
-        shape = (n_trials, dim, dim)
-
-    labels_offset = r.offset
-    labels = np.frombuffer(r.take(4 * n_trials, "labels"), dtype="<u4")
-    bad = np.flatnonzero(labels >= n_classes)
-    if bad.size:
+    if end < _HEAD.size:
+        raise CorruptArchive("file truncated in the header", offset=end)
+    _, _, code, n_trials, n_classes = _HEAD.unpack_from(blob)
+    if code not in _DIMS:
+        raise CorruptArchive(f"unknown kind byte {code}", offset=8)
+    labels_at = _HEAD.size + _DIMS[code].size
+    if end < labels_at:
+        raise CorruptArchive("file truncated in the header", offset=end)
+    dims = _DIMS[code].unpack_from(blob, _HEAD.size)
+    counts = (n_trials, n_classes) + dims  # consecutive u32s from byte 9
+    if 0 in counts:
+        raise CorruptArchive("header holds a zero count or dimension",
+                             offset=9 + 4 * counts.index(0))
+    payload_at = labels_at + 4 * n_trials
+    size = payload_at + 8 * n_trials * dims[0] * dims[-1]
+    if size != end:
         raise CorruptArchive(
-            f"label {labels[bad[0]]} out of range [0, {n_classes})",
-            offset=labels_offset + 4 * int(bad[0]),
+            f"header implies {size + 4} bytes, file holds {len(blob)}",
+            offset=min(size, end),
         )
 
-    payload_offset = r.offset
-    n_values = int(np.prod(shape))
-    payload = np.frombuffer(
-        r.take(8 * n_values, "payload"), dtype="<f8"
-    ).reshape(shape)
-    if r.offset != len(r.blob):
-        raise CorruptArchive(
-            f"{len(r.blob) - r.offset} unexpected trailing bytes",
-            offset=r.offset,
-        )
-    finite = np.isfinite(payload)
-    if not finite.all():
-        first_bad = int(np.flatnonzero(~finite.ravel())[0])
-        raise CorruptArchive(
-            "payload contains a non-finite value",
-            offset=payload_offset + 8 * first_bad,
-        )
-    kind = _KIND_NAMES[kind_code]
-    bad = _first_not_spd(payload) if kind == "covariance" else None
-    if bad is not None:
-        i, problem = bad
-        raise CorruptArchive(f"covariance trial {i} {problem}",
-                             offset=payload_offset + 8 * i * dim * dim)
-
-    return TrialArchive(kind=kind, trials=payload.copy(),
-                        labels=labels.copy(), n_classes=n_classes)
+    labels = np.frombuffer(body, "<u4", n_trials, labels_at)
+    trials = np.frombuffer(body, "<f8", offset=payload_at)
+    try:
+        return TrialArchive(_KIND_NAMES[code],
+                            trials.reshape(n_trials, dims[0], dims[-1]),
+                            labels, n_classes)
+    except InvalidInput as error:  # the first bad label, value or trial
+        offset = labels_at + error.offset
+        raise CorruptArchive(str(error), offset=offset) from None

@@ -329,15 +329,18 @@ def _selftest_checks():
     def check_archive_roundtrip():
         rng = np.random.default_rng(2)
         a = rng.standard_normal((3, 4, 6))
-        archive = TrialArchive(kind="time-series", trials=a,
-                               labels=np.array([0, 1, 0]), n_classes=2)
+        labels = np.array([0, 1, 0])
+        same = []
         with tempfile.TemporaryDirectory() as tmp:
             p1 = os.path.join(tmp, "a.spdt")
             p2 = os.path.join(tmp, "b.spdt")
-            write_archive(archive, p1)
-            write_archive(read_archive(p1), p2)
-            with open(p1, "rb") as f1, open(p2, "rb") as f2:
-                return f1.read() == f2.read()
+            for kind, trials in (("time-series", a),
+                                 ("covariance", a @ a.transpose(0, 2, 1))):
+                write_archive(TrialArchive(kind, trials, labels, 2), p1)
+                write_archive(read_archive(p1), p2)
+                with open(p1, "rb") as f1, open(p2, "rb") as f2:
+                    same.append(f1.read() == f2.read())
+        return all(same)
 
     def check_oas():
         data = np.array([[1.0, 2.0, 4.0, 1.0], [2.0, 1.0, 3.0, 2.0]])

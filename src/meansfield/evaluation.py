@@ -7,6 +7,7 @@ filters and classifiers are fit strictly on the training folds;
 per-trial covariance estimation happens once, before folding.
 """
 
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -40,10 +41,11 @@ class EvalConfig:
     k: int = 5
 
     def __post_init__(self):
-        if self.k < 2:
-            raise InvalidInput("k must be at least 2")
-        if not 0 <= int(self.seed) < 2**64:
-            raise InvalidInput("seed must fit an unsigned 64-bit integer")
+        if not isinstance(self.k, numbers.Integral) or self.k < 2:
+            raise InvalidInput("k must be an integer of at least 2")
+        if not (isinstance(self.seed, numbers.Integral)
+                and 0 <= self.seed < 2**64):
+            raise InvalidInput("seed must be an unsigned 64-bit integer")
         parse_pipeline(self.pipeline)
 
 

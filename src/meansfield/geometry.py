@@ -9,6 +9,7 @@ similarity ``A^{-1/2} B A^{-1/2}`` (never from the non-symmetric
 ``A^{-1} B``).
 """
 
+import numbers
 import numpy as np
 from dataclasses import dataclass
 
@@ -47,8 +48,9 @@ class SolverConfig:
     def __post_init__(self):
         if not self.tolerance > 0:
             raise InvalidInput("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise InvalidInput("max_iterations must be at least 1")
+        if not (isinstance(self.max_iterations, numbers.Integral)
+                and self.max_iterations >= 1):
+            raise InvalidInput("max_iterations must be a positive integer")
 
 
 def _as_square(a, name="matrix"):

@@ -2,16 +2,22 @@
 oracle, and corruption detection."""
 
 import struct
+import tempfile
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from meansfield.archive import (
     MAGIC, TrialArchive, read_archive, write_archive,
 )
 from meansfield.exceptions import CorruptArchive, InvalidInput, \
     UnsupportedFormat
+
+from oracles import random_spd
 
 
 def build_bytes(kind, n_trials, n_classes, dims, labels, payload,
@@ -232,3 +238,116 @@ class TestValidation:
             TrialArchive(kind="covariance",
                          trials=np.stack([np.eye(2)]),
                          labels=np.array([3]), n_classes=2)
+        # fractional or negative labels, and a fractional class count,
+        # are refused rather than truncated or wrapped
+        for labels, n_classes in (([0.7, 1.2], 2), ([0.0, 1.0], 2),
+                                  ([0, -1], 2), ([0, 1], 2.5)):
+            with pytest.raises(InvalidInput):
+                TrialArchive(kind="covariance",
+                             trials=np.stack([np.eye(2)] * 2),
+                             labels=np.array(labels), n_classes=n_classes)
+
+
+@st.composite
+def archives(draw):
+    """Archives of either kind: 1-20 trials, dims 1-8, up to 4 classes."""
+    n = draw(st.integers(1, 20))
+    n_classes = draw(st.integers(1, 4))
+    labels = draw(arrays(np.int64, n, elements=st.integers(0, n_classes - 1)))
+    if draw(st.booleans()):
+        shape = (n, draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+        trials = draw(arrays(np.float64, shape, elements=st.floats(
+            allow_nan=False, allow_infinity=False)))
+        return TrialArchive("time-series", trials, labels, n_classes)
+    dim = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.floats(0.0, 20.0))
+    trials = np.stack([random_spd(dim, rng, spread) for _ in range(n)])
+    trials = 0.5 * (trials + trials.transpose(0, 2, 1))
+    return TrialArchive("covariance", trials, labels, n_classes)
+
+
+def small_archive_bytes(kind, tmp_path):
+    rng = np.random.default_rng(3)
+    trials = rng.standard_normal((2, 3, 4))
+    if kind == "covariance":
+        trials = trials @ trials.transpose(0, 2, 1)
+    path = tmp_path / f"{kind}.spdt"
+    write_archive(TrialArchive(kind, trials, np.array([0, 1]), 2), path)
+    return path.read_bytes()
+
+
+def with_field(blob, offset, value):
+    """``blob`` with the u32 at ``offset`` replaced and the CRC redone."""
+    body = bytearray(blob[:-4])
+    body[offset:offset + 4] = struct.pack("<I", value)
+    return bytes(body) + struct.pack("<I", zlib.crc32(body))
+
+
+class TestContract:
+    @settings(max_examples=60)
+    @given(archives())
+    def test_round_trips(self, archive):
+        with tempfile.TemporaryDirectory() as tmp:
+            p1, p2 = Path(tmp) / "a.spdt", Path(tmp) / "b.spdt"
+            write_archive(archive, p1)
+            back = read_archive(p1)
+            write_archive(back, p2)
+            assert p2.read_bytes() == p1.read_bytes()
+        assert (back.kind, back.n_classes) == (archive.kind, archive.n_classes)
+        assert back.labels.dtype == np.uint32
+        assert back.labels.tolist() == archive.labels.tolist()
+        assert back.trials.shape == archive.trials.shape
+        assert back.trials.tobytes() == archive.trials.tobytes()
+
+    @pytest.mark.parametrize("kind", ["time-series", "covariance"])
+    def test_every_truncation_is_a_format_error(self, kind, tmp_path):
+        blob = small_archive_bytes(kind, tmp_path)
+        path = tmp_path / "cut.spdt"
+        for length in range(len(blob)):
+            path.write_bytes(blob[:length])
+            with pytest.raises((UnsupportedFormat, CorruptArchive)):
+                read_archive(path)
+
+    @pytest.mark.parametrize("kind,offsets", [
+        ("time-series", [9]), ("time-series", [17]), ("time-series", [21]),
+        ("time-series", [17, 21]), ("covariance", [9]), ("covariance", [17]),
+    ], ids=["ts-trials", "ts-channels", "ts-samples", "ts-dims", "cov-trials",
+            "cov-dim"])
+    def test_largest_count_or_dim_is_corrupt(self, kind, offsets, tmp_path):
+        # n_trials or dims of 2**32 - 1: no file is that long, and with
+        # a square or two such dims the implied size overflows int64
+        blob = small_archive_bytes(kind, tmp_path)
+        for offset in offsets:
+            blob = with_field(blob, offset, 2**32 - 1)
+        path = tmp_path / "huge.spdt"
+        path.write_bytes(blob)
+        with pytest.raises(CorruptArchive) as err:
+            read_archive(path)
+        assert err.value.offset is not None
+
+    @pytest.mark.parametrize("kind", ["time-series", "covariance"])
+    def test_largest_class_count_reads(self, kind, tmp_path):
+        path = tmp_path / "classes.spdt"
+        path.write_bytes(with_field(small_archive_bytes(kind, tmp_path),
+                                    13, 2**32 - 1))
+        assert read_archive(path).n_classes == 2**32 - 1
+
+    def test_read_checks_spd_with_one_eigvalsh_call(self, tmp_path,
+                                                    monkeypatch):
+        rng = np.random.default_rng(4)
+        trials = np.stack([random_spd(5, rng) for _ in range(7)])
+        trials = 0.5 * (trials + trials.transpose(0, 2, 1))
+        path = tmp_path / "cov.spdt"
+        write_archive(TrialArchive("covariance", trials, np.zeros(7, int), 1),
+                      path)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a)[:-2])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        read_archive(path)
+        assert calls == [(7,)]

@@ -6,8 +6,10 @@ import importlib
 import json
 import os
 import pkgutil
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +317,24 @@ class TestEval:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert json.loads(err[0])["error"]["type"] == "UnsupportedFormat"
+
+    @pytest.mark.parametrize("command", ["mean", "eval"])
+    def test_overflowing_header_is_corrupt_archive(self, tmp_path, rg_config,
+                                                   capsys, command):
+        # dim 2**32 - 1 with a valid checksum: the size the header
+        # implies overflows int64
+        blob = bytearray(gen_archive(tmp_path, RG_CONFIG).read_bytes()[:-4])
+        blob[17:21] = struct.pack("<I", 2**32 - 1)
+        bad = tmp_path / "huge.spdt"
+        bad.write_bytes(bytes(blob) + struct.pack("<I", zlib.crc32(blob)))
+        argv = {"mean": ["mean", "--archive", str(bad), "--h", "0.5"],
+                "eval": ["eval", "--pipeline", "MDM", "--seed", "1", "--out",
+                         str(tmp_path / "t.json"), str(bad)]}[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "CorruptArchive"
+        assert "byte offset" in err["message"]
 
     def test_unknown_pipeline_is_data_error(self, tmp_path, rg_config):
         paths = self.make_archives(tmp_path, rg_config)

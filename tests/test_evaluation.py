@@ -75,6 +75,14 @@ class TestParsePipeline:
     def test_eval_config_validates(self):
         with pytest.raises(InvalidInput):
             EvalConfig(pipeline="MDM", seed=3, k=1)
+        for kwargs in ({"seed": 3, "k": 2.5}, {"seed": 1.7}, {"seed": -1},
+                       {"seed": 2**64}):
+            with pytest.raises(InvalidInput):
+                EvalConfig(pipeline="MDM", **kwargs)
+        # numpy integers are integers
+        config = EvalConfig(pipeline="MDM", seed=np.uint64(2**64 - 1),
+                            k=np.int32(3))
+        assert (config.seed, config.k) == (2**64 - 1, 3)
         with pytest.raises(InvalidInput):
             EvalConfig(pipeline="NOPE", seed=3)
 

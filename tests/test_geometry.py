@@ -23,6 +23,7 @@ class TestSolverConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"tolerance": 0.0}, {"tolerance": -1e-3}, {"max_iterations": 0},
+        {"max_iterations": 2.5},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidInput):
