@@ -41,12 +41,17 @@ class EvalConfig:
     k: int = 5
 
     def __post_init__(self):
-        if not isinstance(self.k, numbers.Integral) or self.k < 2:
-            raise InvalidInput("k must be an integer of at least 2")
-        if not (isinstance(self.seed, numbers.Integral)
-                and 0 <= self.seed < 2**64):
-            raise InvalidInput("seed must be an unsigned 64-bit integer")
+        _check_folds(self.k, self.seed)
         parse_pipeline(self.pipeline)
+
+
+def _check_folds(k, seed):
+    """Refuse a fold count that is not an integer of at least 2 or a
+    seed that is not an unsigned 64-bit integer; numpy integers pass."""
+    if not isinstance(k, numbers.Integral) or k < 2:
+        raise InvalidInput("k must be an integer of at least 2")
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+        raise InvalidInput("seed must be an unsigned 64-bit integer")
 
 
 @dataclass(frozen=True)
@@ -172,10 +177,16 @@ def stratified_kfold(labels, k, seed):
     -------
     list of ndarray
         ``k`` disjoint index arrays covering every trial.
+
+    Raises
+    ------
+    InvalidInput
+        When ``k`` and ``seed`` break the rules of :class:`EvalConfig`
+        (an integer ``k >= 2``, an unsigned 64-bit integer ``seed``) or
+        a class has fewer than ``k`` trials.
     """
+    _check_folds(k, seed)
     labels = np.asarray(labels)
-    if k < 2:
-        raise InvalidInput("k must be at least 2")
     folds = [[] for _ in range(k)]
     for pos, c in enumerate(np.unique(labels)):
         idx = np.flatnonzero(labels == c)

@@ -126,6 +126,23 @@ class TestStratifiedKfold:
         with pytest.raises(InvalidInput):
             stratified_kfold(labels, 5, seed=0)
 
+    @pytest.mark.parametrize("k, seed", [
+        (2.5, 0), (5.0, 0), (1, 0), (5, -1), (5, 1.7), (5, 2**64),
+    ])
+    def test_fold_arguments_follow_eval_config(self, k, seed):
+        # 2.5 raised TypeError from range, -1 numpy's ValueError, and
+        # 1.7 gave the folds of seed 1
+        labels = np.array([0] * 6 + [1] * 6)
+        with pytest.raises(InvalidInput):
+            stratified_kfold(labels, k, seed)
+
+    def test_numpy_integer_arguments_accepted(self):
+        labels = np.array([0] * 6 + [1] * 6)
+        for got, want in zip(stratified_kfold(labels, np.int32(3),
+                                              np.uint64(2**64 - 1)),
+                             stratified_kfold(labels, 3, 2**64 - 1)):
+            np.testing.assert_array_equal(got, want)
+
 
 class TestAucRoc:
     def test_perfect_separation(self):

@@ -94,6 +94,27 @@ def outlier_sets(draw):
     return mats
 
 
+@st.composite
+def branch_sets(draw):
+    """A seeded SPD set (d 1-16, n 2-30) whose log spread is below 2,
+    where every MPM step is Jacobian-corrected, or from 5 to 8, where
+    most steps are damped; a congruence of condition <= 100; and an
+    exponent that is 0 or has 1e-3 <= |h| < 1."""
+    dim = draw(st.integers(1, 16))
+    n = draw(st.integers(2, 30))
+    if draw(st.booleans()):
+        log_spread = draw(st.floats(5.0, 8.0))
+    else:
+        log_spread = draw(st.floats(0.0, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = np.stack([random_spd(dim, rng, log_spread=log_spread)
+                     for _ in range(n)])
+    h = 0.0
+    if draw(st.booleans()):
+        h = draw(st.floats(1e-3, 0.99)) * draw(st.sampled_from([-1, 1]))
+    return mats, random_gl(dim, rng, max_cond=100.0), h
+
+
 def rpme_by_distance(mats):
     """The rounds of :func:`rpme_clean` with each round's distances from
     ``airm_distance``: kept indices and rounds."""
@@ -378,6 +399,35 @@ class TestGeometricMean:
                 assert res.iterations <= 8, h
                 assert res.residual <= tol
 
+    @pytest.mark.parametrize("n", [13, 48, 96])
+    def test_concentrated_sets_take_corrected_steps(self, n):
+        # test_10-shaped classes: the Jacobian-corrected step squares the
+        # contraction of the unit step, which took 3 steps on the
+        # sigma = 0.15 class and 6 to 8 on the sigma = 0.35 one
+        spec = RiemannianGaussianSpec(dim=12, sigmas=(0.15, 0.35),
+                                      trials_per_class=n, seed=1000)
+        archive = synth_riemannian_gaussian(spec)
+        tol = SolverConfig().tolerance
+        for label, most in ((0, 2), (1, 4)):
+            res = geometric_mean(archive.trials[archive.labels == label])
+            assert res.iterations <= most, label
+            assert res.residual <= tol * 12
+
+    @pytest.mark.parametrize("h", [0.0, 0.5, -1.0])
+    @pytest.mark.parametrize("init", [
+        np.eye(3), np.eye(4)[None], np.diag([1.0, np.inf, 1.0, 1.0]),
+        np.eye(4) + np.triu(np.full((4, 4), 0.1), 1),
+    ], ids=["shape", "stack", "non-finite", "non-symmetric"])
+    def test_malformed_init_rejected(self, h, init):
+        # before any solve, also where the closed form ignores the start
+        rng = np.random.default_rng(17)
+        mats = np.stack([random_spd(4, rng) for _ in range(5)])
+        with pytest.raises(InvalidInput, match="^init "):
+            if h == 0.0:
+                geometric_mean(mats, init=init)
+            else:
+                power_mean(mats, h, init=init)
+
     @pytest.mark.parametrize("h", [0.0, 0.5, -0.5])
     def test_non_pd_trial_rejected(self, h):
         rng = np.random.default_rng(16)
@@ -466,6 +516,44 @@ class TestSetOnly:
         direct = power_mean(mats, -h).matrix
         dual = invm(power_mean(invm(mats), h).matrix)
         assert airm_distance(direct, dual) <= SolverConfig().tolerance
+
+
+class TestCongruenceAndOrder:
+    """Over sets on both sides of ``L_0 = 2``, so that the corrected and
+    the damped MPM step both run: ``P_h(A C_i A^T) = A P_h(C_i) A^T``
+    and ``P_h <= P_h'`` in the Loewner order for ``h < h'``."""
+
+    @settings(max_examples=40)
+    @given(branch_sets())
+    def test_congruence_equivariance(self, case):
+        # the MPM iterates are equivariant up to a rotation, so the two
+        # solves differ by rounding, far inside the tolerance
+        mats, a, h = case
+
+        def mean(m):
+            if h == 0.0:
+                return geometric_mean(m).matrix
+            return power_mean(m, h).matrix
+
+        image = a @ mean(mats) @ a.T
+        assert airm_distance(image, mean(a @ mats @ a.T)) <= \
+            SolverConfig().tolerance
+
+    @settings(max_examples=25)
+    @given(branch_sets(), st.lists(st.integers(-100, 100), min_size=2,
+                                   max_size=8, unique=True))
+    def test_loewner_monotone_in_h(self, case, hundredths):
+        # every eigenvalue of P_h^{-1/2} P_h' P_h^{-1/2} is at least 1,
+        # up to the two means' tolerance
+        mats = case[0]
+        grid = sorted(k / 100 for k in hundredths)
+        field = build_mean_field({0: mats}, h_grid=grid)
+        tol = SolverConfig().tolerance
+        for low, high in zip(field.entries[0][:-1], field.entries[0][1:]):
+            w, v = np.linalg.eigh(low.matrix)
+            r = (v / np.sqrt(w)) @ v.T
+            gap = np.log(np.linalg.eigvalsh(r @ high.matrix @ r).min())
+            assert gap >= -2 * tol, (low.h, high.h)
 
 
 class TestRpme:
@@ -679,12 +767,53 @@ class TestMeanField:
     def test_interpolated_starts_save_iterations(self):
         # the class of test_concentrated_class_takes_full_steps: two
         # warm-start chains took 48 steps over the default grid, starts
-        # interpolated through the solved means take 23
+        # interpolated through the solved means 23, or 13 with
+        # Jacobian-corrected steps
         spec = RiemannianGaussianSpec(dim=12, sigmas=(0.15, 0.35),
                                       trials_per_class=48, seed=1000)
         archive = synth_riemannian_gaussian(spec)
         field = build_mean_field({1: archive.trials[archive.labels == 1]})
         assert sum(e.iterations for e in field.entries[1]) <= 30
+
+    def test_corrected_steps_cut_field_iterations(self):
+        # one field-d12 subject's training classes, 13 trials each: the
+        # power means over the default grid took 8 + 30 unit steps
+        spec = RiemannianGaussianSpec(dim=12, sigmas=(0.15, 0.35),
+                                      trials_per_class=13, seed=1000)
+        archive = synth_riemannian_gaussian(spec)
+        classes = {c: archive.trials[archive.labels == c] for c in (0, 1)}
+        field = build_mean_field(classes)
+        total = sum(e.iterations for c in (0, 1)
+                    for e in field.entries[c] if e.h != 0.0)
+        assert total <= 26  # at most 13 a class
+
+    @pytest.mark.parametrize("seed", [26, 30])
+    def test_two_trial_class_of_a_wide_set_converges(self, seed):
+        # the two-trial class of these acceptance convergence sets takes
+        # corrected steps from a start far from its mean at h = -0.75;
+        # a correction of M itself, instead of log(I + h M)/h, stepped
+        # out of the domain of log1p there
+        mats = log_uniform_case(seed)
+        dim = mats.shape[-1]
+        tol = SolverConfig().tolerance
+        field = build_mean_field({0: mats, 1: mats[:2]})
+        for label in (0, 1):
+            for e in field.entries[label]:
+                assert np.all(np.isfinite(e.matrix))
+                assert e.residual <= tol * (dim if e.h == 0.0 else 1), e.h
+
+    @pytest.mark.parametrize("dim, seed", [(2, 0), (2, 91), (2, 135),
+                                           (3, 13)])
+    def test_far_starts_on_small_wide_sets_converge(self, dim, seed):
+        # three trials of log spread 6: at h = -0.75 the interpolated
+        # start is far from the mean, where a correction of M itself
+        # pointed uphill and ran out the budget
+        rng = np.random.default_rng(seed)
+        mats = np.stack([random_spd(dim, rng, log_spread=6.0)
+                         for _ in range(3)])
+        tol = SolverConfig().tolerance
+        for e in build_mean_field({0: mats}).entries[0]:
+            assert e.residual <= tol * (dim if e.h == 0.0 else 1), e.h
 
     @settings(max_examples=40)
     @given(field_cases())
