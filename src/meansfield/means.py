@@ -6,8 +6,8 @@ exponent ``h`` in (0, 1] is the unique fixed point of
 ``P -> (1/n) sum_i (P #_h C_i)`` where ``#_h`` is the geodesic, with
 the duality ``P_{-h}(C) = P_h(C^{-1})^{-1}`` for negative exponents;
 ``h = 0`` denotes the geometric mean. One MPM factor loop solves every
-``h`` in (-1, 1); on concentrated sets, where it corrects each step by
-one Jacobian product, a cold solve takes two to five steps.
+``h`` in (-1, 1); on concentrated sets, where each step is an inexact
+Newton step, a cold solve takes one to three steps.
 ``h = 1`` and ``h = -1`` are the closed-form arithmetic and harmonic
 means.
 
@@ -17,13 +17,14 @@ one solver builds every field, the one-exponent field of MDM included.
 ``h`` through the nearest means of the class already solved.
 """
 
+import math
 import numpy as np
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .exceptions import ConvergenceFailure, InvalidInput
 from .geometry import (
-    SolverConfig, _as_square, _eigh_stack, _sym, frobenius, invm, invsqrtm,
+    SolverConfig, _as_square, _eigh_stack, _first_not_spd, _sym, frobenius,
     is_symmetric,
 )
 
@@ -170,19 +171,54 @@ def arithmetic_mean(mats):
 
 
 def harmonic_mean(mats):
-    """Harmonic mean ``((1/n) sum_i C_i^{-1})^{-1}``."""
+    """Harmonic mean ``((1/n) sum_i C_i^{-1})^{-1}``, inverted through
+    triangular factors: the trials' Cholesky factors and the QR factor
+    of their stacked inverses, so no ``eigh`` runs.
+
+    Raises
+    ------
+    InvalidInput
+        When the set is malformed or a trial is not positive definite;
+        the message names the first such trial.
+    """
     mats, weights = _check_set(mats)
-    return invm(np.einsum("i,ijk->jk", weights, invm(mats)))
+    return _harmonic(mats, weights, "harmonic mean")
+
+
+def _trial_factors(mats, name):
+    """Lower Cholesky factors of the trials. Where a trial has none,
+    :class:`InvalidInput` names the first trial that ``eigvalsh`` finds
+    not SPD, or, where the two disagree within rounding, the trial with
+    the smallest eigenvalue."""
+    try:
+        return np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        bad = _first_not_spd(mats) or (
+            int(np.argmin(np.linalg.eigvalsh(mats)[:, 0])),
+            "is not positive definite")
+    raise InvalidInput(f"{name}: trial {bad[0]} {bad[1]}")
+
+
+def _harmonic(mats, weights, name):
+    """:func:`harmonic_mean` of a checked set. With ``C_i = L_i L_i^T``,
+    ``sum_i w_i C_i^{-1} = R^T R`` for the triangular factor ``R`` of
+    the QR of the stacked ``sqrt(w_i) L_i^{-1}``, so the mean is
+    ``R^{-1} R^{-T}``."""
+    li = np.linalg.inv(_trial_factors(mats, name))
+    stacked = np.sqrt(weights)[:, None, None] * li
+    ri = np.linalg.inv(np.linalg.qr(stacked.reshape(-1, mats.shape[-1]),
+                                    mode="r"))
+    return _sym(ri @ ri.T)
 
 
 def _newton_step(f, v, u, loglam, h, weights):
-    """Eigenvalues of ``G = 2F - J[F]`` and its eigenvectors in the
-    basis ``V``. ``G`` is the plain MPM step
+    """Eigenvalues of ``G = sum_{j<=k} (I - J)^j F`` and its
+    eigenvectors in the basis ``V``. ``G`` is a partial Neumann sum of
+    the Newton step ``J^{-1}[F]``: its first term is the plain MPM step
     ``F = V diag(f) V^T = log(I + h M)/h`` (``F = M`` at ``h = 0``; see
-    :func:`_mpm`) plus one Neumann term of the Newton step ``J^{-1}[F]``,
-    and ``J[D]`` is minus the derivative of ``F`` along the step
-    ``X <- exp(-D/2) X``. With the whitened trials' eigenvectors ``u``
-    and log-eigenvalues ``loglam``, ``M`` moves by
+    :func:`_mpm`), and ``J[D]`` is minus the derivative of ``F`` along
+    the step ``X <- exp(-D/2) X``. With the whitened trials'
+    eigenvectors ``u`` and log-eigenvalues ``loglam``, ``M`` moves by
     ``-sum_i w_i U_i (K_i o (U_i^T D U_i)) U_i^T``, where ``K_i[a, b]``
     is the divided difference of ``f_h`` at a pair of eigenvalues ``g``
     apart in log times their mean (``theta(g/2)`` at ``h = 0``), and
@@ -190,22 +226,36 @@ def _newton_step(f, v, u, loglam, h, weights):
     differences of ``log`` at the eigenvalues of ``I + h M`` (1 at
     ``h = 0``). Both factors are written in the gaps, so that wide
     spectra do not overflow.
+
+    Each term ``T <- T - J[T]`` reuses these factors for four batched
+    products. The sum stops at the first term whose Frobenius norm is at
+    most ``1e-3`` times that of ``F``, the forcing term of an inexact
+    Newton step (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal.
+    1982), or after three terms past ``F``.
     """
     la, lb = loglam[:, :, None], loglam[:, None, :]
     g = np.maximum(np.abs(la - lb), 1e-9)
     k = 0.5 * (1.0 + np.exp(-g)) / -np.expm1(-g)
     if h == 0:
         k *= g
+        e = 1.0
     else:
         k *= np.exp(h * np.maximum(la, lb)) * -np.expm1(-h * g) / h
-    b = np.swapaxes(u, -1, -2) @ v  # V in each trial's eigenbasis
-    bt = np.swapaxes(b, -1, -2)
-    jf = np.einsum("i,ijk->jk", weights, bt @ (k * ((b * f) @ bt)) @ b)
-    if h != 0:
         r, s = h * f[:, None], h * f[None, :]
         gap = np.maximum(np.abs(r - s), 1e-9)
-        jf *= np.exp(-np.maximum(r, s)) * gap / -np.expm1(-gap)
-    return _eigh_stack(np.diag(2.0 * f) - jf)
+        e = np.exp(-np.maximum(r, s)) * gap / -np.expm1(-gap)
+    b = np.swapaxes(u, -1, -2) @ v  # V in each trial's eigenbasis
+    bt = np.swapaxes(b, -1, -2)
+    term = np.diag(f)
+    total = term.copy()
+    stop = 1e-3 * float(np.linalg.norm(f))
+    for _ in range(3):
+        term = term - e * np.einsum(
+            "i,ijk->jk", weights, bt @ (k * (b @ term @ bt)) @ b)
+        total += term
+        if frobenius(term) <= stop:
+            break
+    return _eigh_stack(total)
 
 
 def _mpm(mats, h, weights, init, config):
@@ -213,7 +263,9 @@ def _mpm(mats, h, weights, init, config):
     TSP 2017) for the power mean with exponent ``h`` in (-1, 1), where
     ``h = 0`` is the geometric mean.
 
-    Iterates on ``X^T X = P^{-1}`` from ``X = init^{-1/2}``. One batched
+    Iterates on ``X^T X = P^{-1}`` from ``X = L^{-1}``, where
+    ``init = L L^T`` is the Cholesky factorization: only ``X^T X``
+    matters, so the start takes no eigendecomposition. One batched
     eigendecomposition of ``X C_i X^T`` per step gives each trial's
     log-eigenvalue spread ``s_i`` and ``M = sum_i w_i f_h(X C_i X^T)``,
     with ``f_h(l) = (l^h - 1)/h`` and ``f_0 = log``, which vanishes at
@@ -226,9 +278,12 @@ def _mpm(mats, h, weights, init, config):
     Hessian factor; ``L_h`` is its weighted mean over the trials.
 
     The plain unit step contracts by about ``L_0 - 1`` while
-    ``L_0 < 2``; there the loop steps along ``G = 2F - J[F]`` instead
-    (:func:`_newton_step`), which squares the contraction for a few
-    batched products and one ``d x d`` eigendecomposition. Correcting
+    ``L_0 < 2``; there the loop steps along an inexact Newton step
+    ``G``, the Neumann sum ``F + (I - J)F + (I - J)^2 F + ...`` cut at a
+    forcing term of ``1e-3`` and at most three terms past ``F``
+    (:func:`_newton_step`). Each term costs four batched products, and
+    the step one more ``d x d`` eigendecomposition, of ``G``; a cold
+    solve on a concentrated set then takes one to three steps. Correcting
     ``F`` rather than ``M`` keeps the plain step exact on a lone trial;
     a correction of ``M`` stepped uphill from starts far from the mean.
     Wider sets take ``G = F`` with ``nu = 2/(1 + L_h)``. On both
@@ -245,12 +300,15 @@ def _mpm(mats, h, weights, init, config):
         name, scale, bound = "geometric mean", 1.0, tol * d
     else:
         name, scale, bound = f"power mean (h={h})", np.sqrt(d), tol
-    x = invsqrtm(init)
+    try:
+        x = np.linalg.inv(np.linalg.cholesky(init))
+    except np.linalg.LinAlgError:
+        raise InvalidInput(f"{name}: init is not positive definite") from None
     damp, prev = 1.0, np.inf
     for it in range(config.max_iterations + 1):
         lam, u = _eigh_stack(x @ mats @ x.T)
         if np.min(lam) <= 0.0:
-            if it == 0:  # X is positive definite, so a trial is not
+            if it == 0:  # X is invertible, so a trial is not PD
                 bad = int(np.argmin(lam[:, 0]))
                 raise InvalidInput(
                     f"{name}: trial {bad} is not positive definite")
@@ -329,8 +387,11 @@ def power_mean(mats, h, init=None, config=None):
     ------
     InvalidInput
         When ``|h|`` is above 1 or below ``tiny``, ``init`` is not a
-        finite symmetric ``(d, d)`` matrix, or a trial or ``init`` is
-        not positive definite.
+        finite symmetric ``(d, d)`` matrix, a trial is not positive
+        definite (at every ``h``, the closed forms included; the message
+        names the first such trial), or the iteration's start is not
+        (``init is not positive definite``); the closed forms ignore a
+        well-formed ``init``.
     ConvergenceFailure
         When the budget runs out or an iterate loses positive
         definiteness.
@@ -344,12 +405,15 @@ def power_mean(mats, h, init=None, config=None):
     if init is not None:
         init = _check_init(init, mats.shape[-1])
     config = config or SolverConfig()
+    name = f"power mean (h={h})"
     if h == 1.0:
+        _trial_factors(mats, name)
         return MeanResult(arithmetic_mean(mats), 0, 0.0)
     if h == -1.0:
-        return MeanResult(harmonic_mean(mats), 0, 0.0)
+        return MeanResult(_harmonic(mats, weights, name), 0, 0.0)
     if init is None:
-        init = (arithmetic_mean if h > 0 else harmonic_mean)(mats)
+        init = (arithmetic_mean(mats) if h > 0
+                else _harmonic(mats, weights, name))
     return _mpm(mats, h, weights, init, config)
 
 
@@ -438,7 +502,7 @@ def _field_start(h, solved):
     if not solved:
         return None
     nodes = sorted(solved, key=lambda g: (abs(g - h), g))[:_START_NODES]
-    weights = [np.prod([(h - b) / (a - b) for b in nodes if b != a])
+    weights = [math.prod((h - b) / (a - b) for b in nodes if b != a)
                for a in nodes]
     start = np.einsum("j,jkl->kl", weights,
                       np.stack([solved[g].matrix for g in nodes]))

@@ -4,7 +4,7 @@ interpolated starts."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from meansfield import means
 from meansfield.exceptions import ConvergenceFailure, InvalidInput
@@ -133,6 +133,20 @@ def rpme_by_distance(mats):
     return kept, rounds
 
 
+def count_eigh(monkeypatch):
+    """A list that records the shape of every ``np.linalg.eigh`` call
+    from here on."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
 def small_spread_set():
     """The d = 4, n = 10 set (log spread 3, rng 0) of the exponent-floor
     tests."""
@@ -165,6 +179,17 @@ class TestClosedForms:
             mats = np.stack([random_spd(4, rng) for _ in range(6)])
             gap = arithmetic_mean(mats) - harmonic_mean(mats)
             assert np.linalg.eigvalsh(gap).min() >= -1e-9
+
+    def test_harmonic_takes_no_eigendecomposition(self, monkeypatch):
+        # both inversions go through triangular factors
+        rng = np.random.default_rng(1)
+        mats = np.stack([random_spd(4, rng) for _ in range(6)])
+        calls = count_eigh(monkeypatch)
+        mean = harmonic_mean(mats)
+        assert calls == []
+        np.testing.assert_allclose(
+            mean, np.linalg.inv(np.mean(np.linalg.inv(mats), axis=0)),
+            rtol=1e-12)
 
     def test_empty_set_rejected(self):
         empty = np.zeros((0, 3, 3))
@@ -401,17 +426,38 @@ class TestGeometricMean:
 
     @pytest.mark.parametrize("n", [13, 48, 96])
     def test_concentrated_sets_take_corrected_steps(self, n):
-        # test_10-shaped classes: the Jacobian-corrected step squares the
-        # contraction of the unit step, which took 3 steps on the
-        # sigma = 0.15 class and 6 to 8 on the sigma = 0.35 one
+        # test_10-shaped classes: the inexact Newton step solves a cold
+        # mean in at most two steps, and the sigma = 0.15 class in one
+        # from n = 48 on; one Neumann term per step took 3-4 on the
+        # sigma = 0.35 class, 3 on the pooled set and 2 on the
+        # sigma = 0.15 class, the unit step 6 to 8 and 3
         spec = RiemannianGaussianSpec(dim=12, sigmas=(0.15, 0.35),
                                       trials_per_class=n, seed=1000)
         archive = synth_riemannian_gaussian(spec)
+        wide = archive.trials[archive.labels == 1]
         tol = SolverConfig().tolerance
-        for label, most in ((0, 2), (1, 4)):
-            res = geometric_mean(archive.trials[archive.labels == label])
-            assert res.iterations <= most, label
-            assert res.residual <= tol * 12
+        for mats, h, most in (
+                (wide, 0.0, 2), (archive.trials, 0.0, 2), (wide, 0.5, 2),
+                (wide, -0.5, 2),
+                (archive.trials[archive.labels == 0], 0.0, 1 + (n < 48))):
+            res = geometric_mean(mats) if h == 0.0 else power_mean(mats, h)
+            assert res.iterations <= most, (len(mats), h)
+            assert res.residual <= tol * (12 if h == 0.0 else 1)
+
+    def test_decompositions_per_corrected_step(self, monkeypatch):
+        # each corrected step decomposes the whitened trials, M and G,
+        # the final residual test the trials once more; the Cholesky
+        # start and the harmonic start take no eigendecomposition
+        spec = RiemannianGaussianSpec(dim=12, sigmas=(0.15, 0.35),
+                                      trials_per_class=48, seed=1000)
+        archive = synth_riemannian_gaussian(spec)
+        mats = archive.trials[archive.labels == 1]
+        calls = count_eigh(monkeypatch)
+        for h in (0.0, 0.5, -0.5):
+            calls.clear()
+            res = geometric_mean(mats) if h == 0.0 else power_mean(mats, h)
+            assert res.iterations >= 1
+            assert len(calls) == 3 * res.iterations + 1, h
 
     @pytest.mark.parametrize("h", [0.0, 0.5, -1.0])
     @pytest.mark.parametrize("init", [
@@ -428,8 +474,10 @@ class TestGeometricMean:
             else:
                 power_mean(mats, h, init=init)
 
-    @pytest.mark.parametrize("h", [0.0, 0.5, -0.5])
+    @pytest.mark.parametrize("h", [0.0, 0.5, -0.5, 1.0, -1.0])
     def test_non_pd_trial_rejected(self, h):
+        # the closed forms at h = +-1 and the harmonic start of h < 0
+        # name the trial too, decided by a batched Cholesky
         rng = np.random.default_rng(16)
         mats = np.stack([random_spd(3, rng) for _ in range(3)]
                         + [np.diag([1.0, 1.0, -0.5])])
@@ -439,16 +487,24 @@ class TestGeometricMean:
                 return geometric_mean(mats, **kwargs)
             return power_mean(mats, h, **kwargs)
 
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="trial 3"):
             solve()
         with pytest.raises(InvalidInput, match="trial 3"):
             solve(init=np.eye(3))
+        if abs(h) == 1.0:
+            with pytest.raises(InvalidInput, match="trial 3"):
+                build_mean_field({0: mats}, h_grid=(h,))
 
     def test_non_spd_init_rejected(self):
         rng = np.random.default_rng(15)
         mats = np.stack([random_spd(3, rng) for _ in range(4)])
-        with pytest.raises(InvalidInput):
-            geometric_mean(mats, init=np.diag([1.0, -1.0, 1.0]))
+        init = np.diag([1.0, -1.0, 1.0])
+        with pytest.raises(InvalidInput, match="init is not positive definite"):
+            geometric_mean(mats, init=init)
+        for h in (0.5, -0.5):
+            with pytest.raises(InvalidInput,
+                               match="init is not positive definite"):
+                power_mean(mats, h, init=init)
 
 
 class TestOrderAndLimits:
@@ -520,8 +576,9 @@ class TestSetOnly:
 
 class TestCongruenceAndOrder:
     """Over sets on both sides of ``L_0 = 2``, so that the corrected and
-    the damped MPM step both run: ``P_h(A C_i A^T) = A P_h(C_i) A^T``
-    and ``P_h <= P_h'`` in the Loewner order for ``h < h'``."""
+    the damped MPM step both run: ``P_h(A C_i A^T) = A P_h(C_i) A^T``,
+    ``P_h <= P_h'`` in the Loewner order for ``h < h'``, and ``P_h``
+    tends to the geometric mean linearly in ``h``."""
 
     @settings(max_examples=40)
     @given(branch_sets())
@@ -554,6 +611,23 @@ class TestCongruenceAndOrder:
             r = (v / np.sqrt(w)) @ v.T
             gap = np.log(np.linalg.eigvalsh(r @ high.matrix @ r).min())
             assert gap >= -2 * tol, (low.h, high.h)
+
+    @settings(max_examples=40)
+    @given(branch_sets())
+    def test_continuity_at_zero(self, case):
+        # Lim & Palfia: d(P_h, G) / |h| tends to a limit from either
+        # side, so over two decades of |h| it moves by less than a factor
+        # 2; sets of nearly equal trials are skipped, where that distance
+        # is rounding
+        mats = case[0]
+        assume(np.ptp(np.log(np.linalg.eigvalsh(mats))) >= 1e-2)
+        tight = SolverConfig(tolerance=1e-11, max_iterations=500)
+        g = geometric_mean(mats, config=tight).matrix
+        ratios = [airm_distance(power_mean(mats, s * h, config=tight).matrix,
+                                g) / h
+                  for s in (1.0, -1.0) for h in (1e-1, 1e-2, 1e-3)]
+        assert min(ratios) > 0.0
+        assert max(ratios) <= 2.0 * min(ratios)
 
 
 class TestRpme:
@@ -777,7 +851,8 @@ class TestMeanField:
 
     def test_corrected_steps_cut_field_iterations(self):
         # one field-d12 subject's training classes, 13 trials each: the
-        # power means over the default grid took 8 + 30 unit steps
+        # power means over the default grid took 8 + 30 unit steps, and
+        # 5 + 18 with one Neumann term of the Newton step
         spec = RiemannianGaussianSpec(dim=12, sigmas=(0.15, 0.35),
                                       trials_per_class=13, seed=1000)
         archive = synth_riemannian_gaussian(spec)
@@ -785,7 +860,7 @@ class TestMeanField:
         field = build_mean_field(classes)
         total = sum(e.iterations for c in (0, 1)
                     for e in field.entries[c] if e.h != 0.0)
-        assert total <= 26  # at most 13 a class
+        assert total <= 18
 
     @pytest.mark.parametrize("seed", [26, 30])
     def test_two_trial_class_of_a_wide_set_converges(self, seed):
