@@ -231,14 +231,13 @@ def auc_roc(scores, labels):
 
 def _fit_and_score(filter_kind, clf_kind, train_covs, train_labels,
                    test_covs):
-    if filter_kind == "CSP":
-        filt = csp_fit(train_covs, train_labels)
-    elif filter_kind == "ADCSP":
-        filt = adcsp_fit(train_covs, train_labels)
+    if filter_kind is None:
+        train_f, test_f = train_covs, test_covs
     else:
-        filt = identity_filter(train_covs.shape[-1])
-    train_f = apply_filter(filt, train_covs)
-    test_f = apply_filter(filt, test_covs)
+        fit = csp_fit if filter_kind == "CSP" else adcsp_fit
+        filt = fit(train_covs, train_labels)
+        train_f = apply_filter(filt, train_covs)
+        test_f = apply_filter(filt, test_covs)
 
     if clf_kind == "MDM":
         model = mdm_fit(train_f, train_labels)
@@ -263,7 +262,12 @@ def run_pipeline(trialset, config, workers=1):
     classifier are fit on the training folds only and the held-out
     fold is scored with AUC-ROC and wall-clock timing. Failures are
     recorded in the affected row and the run continues; a group with
-    fewer than ``k`` trials of a class gets ``k`` error rows.
+    fewer than ``k`` trials of a class gets ``k`` error rows, and so
+    does a group of a covariance set with a trial that is not SPD:
+    each group passes through the identity stage once, before its
+    folds. A time-series set is validated by its covariance
+    estimation. ``fold_time_seconds`` covers a fold's filter and
+    classifier fit, its scoring and its AUC, not that validation.
 
     Parameters
     ----------
@@ -299,6 +303,8 @@ def run_pipeline(trialset, config, workers=1):
     for subject, session, idx in trialset.groups():
         try:
             folds = stratified_kfold(y[idx], config.k, config.seed)
+            if trialset.kind == "covariance":  # identity stage, once
+                apply_filter(identity_filter(covs.shape[-1]), covs[idx])
         except InvalidInput as exc:
             rows += [ScoreRow(trialset.dataset_id, subject, session, f, None,
                               0.0, f"{type(exc).__name__}: {exc}")

@@ -215,8 +215,10 @@ def _newton_step(f, v, u, loglam, h, weights):
     """Eigenvalues of ``G = sum_{j<=k} (I - J)^j F`` and its
     eigenvectors in the basis ``V``. ``G`` is a partial Neumann sum of
     the Newton step ``J^{-1}[F]``: its first term is the plain MPM step
-    ``F = V diag(f) V^T = log(I + h M)/h`` (``F = M`` at ``h = 0``; see
-    :func:`_mpm`), and ``J[D]`` is minus the derivative of ``F`` along
+    ``F = V diag(f) V^T = log(I + h M)/h`` (see :func:`_mpm`). At
+    ``h = 0``, ``F = M``: then ``f`` is ``M`` itself, ``v`` is unused and
+    the sum is built in the standard basis, so that ``M`` needs no
+    eigendecomposition. ``J[D]`` is minus the derivative of ``F`` along
     the step ``X <- exp(-D/2) X``. With the whitened trials'
     eigenvectors ``u`` and log-eigenvalues ``loglam``, ``M`` moves by
     ``-sum_i w_i U_i (K_i o (U_i^T D U_i)) U_i^T``, where ``K_i[a, b]``
@@ -236,19 +238,19 @@ def _newton_step(f, v, u, loglam, h, weights):
     la, lb = loglam[:, :, None], loglam[:, None, :]
     g = np.maximum(np.abs(la - lb), 1e-9)
     k = 0.5 * (1.0 + np.exp(-g)) / -np.expm1(-g)
-    if h == 0:
+    ut = np.swapaxes(u, -1, -2)
+    if h == 0:  # F = M in the standard basis: no V, and E = 1
         k *= g
-        e = 1.0
+        e, b, term = 1.0, ut, f
     else:
         k *= np.exp(h * np.maximum(la, lb)) * -np.expm1(-h * g) / h
         r, s = h * f[:, None], h * f[None, :]
         gap = np.maximum(np.abs(r - s), 1e-9)
         e = np.exp(-np.maximum(r, s)) * gap / -np.expm1(-gap)
-    b = np.swapaxes(u, -1, -2) @ v  # V in each trial's eigenbasis
+        b, term = ut @ v, np.diag(f)  # V in each trial's eigenbasis
     bt = np.swapaxes(b, -1, -2)
-    term = np.diag(f)
     total = term.copy()
-    stop = 1e-3 * float(np.linalg.norm(f))
+    stop = 1e-3 * float(frobenius(term))
     for _ in range(3):
         term = term - e * np.einsum(
             "i,ijk->jk", weights, bt @ (k * (b @ term @ bt)) @ b)
@@ -282,10 +284,12 @@ def _mpm(mats, h, weights, init, config):
     ``G``, the Neumann sum ``F + (I - J)F + (I - J)^2 F + ...`` cut at a
     forcing term of ``1e-3`` and at most three terms past ``F``
     (:func:`_newton_step`). Each term costs four batched products, and
-    the step one more ``d x d`` eigendecomposition, of ``G``; a cold
-    solve on a concentrated set then takes one to three steps. Correcting
-    ``F`` rather than ``M`` keeps the plain step exact on a lone trial;
-    a correction of ``M`` stepped uphill from starts far from the mean.
+    the step one more ``d x d`` eigendecomposition, of ``G``, while at
+    ``h = 0`` the sum takes ``F = M`` as it is and ``M`` needs none. A
+    cold solve on a concentrated set then takes one to three steps.
+    Correcting ``F`` rather than ``M`` keeps the plain step exact on a
+    lone trial; a correction of ``M`` stepped uphill from starts far
+    from the mean.
     Wider sets take ``G = F`` with ``nu = 2/(1 + L_h)``. On both
     branches a halving safeguard catches any increase of the residual,
     a scaled ``||M||_F``.
@@ -327,13 +331,18 @@ def _mpm(mats, h, weights, init, config):
         prev = residual
         half = np.maximum((loglam[:, -1] - loglam[:, 0]) / 2.0, 1e-9)
         l0 = float(weights @ (half / np.tanh(half)))
-        w, v = _eigh_stack(m)
-        g = w if h == 0 else np.log1p(h * w) / h
         if l0 < 2.0:
             nu = damp
-            g, q = _newton_step(g, v, u, loglam, h, weights)
-            v = v @ q
+            if h == 0:
+                g, v = _newton_step(m, None, u, loglam, h, weights)
+            else:
+                w, v = _eigh_stack(m)
+                g, q = _newton_step(np.log1p(h * w) / h, v, u, loglam, h,
+                                    weights)
+                v = v @ q
         else:
+            w, v = _eigh_stack(m)
+            g = w if h == 0 else np.log1p(h * w) / h
             lh = l0 if h == 0 else float(weights @ (
                 np.tanh(abs(h) * half) / (abs(h) * np.tanh(half))))
             nu = damp * 2.0 / (1.0 + lh)

@@ -308,6 +308,53 @@ class TestRunPipeline:
                 assert r.error == ("InvalidInput: class 1 has 3 trials, "
                                    "fewer than k=5")
 
+    @pytest.mark.parametrize("pipeline", ["MDM", "CSP+MDM", "ADCSP+MDM"])
+    def test_non_spd_trial_fails_its_group(self, pipeline):
+        # one indefinite trial of s02 fails all of s02's folds with one
+        # message naming its index in the group, with or without a
+        # filter that could project the bad direction away; s01 scores
+        # as it does alone
+        rng = np.random.default_rng(15)
+        centers = (np.diag(np.linspace(1.0, 4.0, 12)),
+                   np.diag(np.linspace(4.0, 1.0, 12)))
+        good = make_trialset(rng, centers, n=10)
+        both = make_trialset(rng, centers, n=10, subjects=("s01", "s02"))
+        both.trials[:20] = good.trials
+        local = 13
+        both.trials[20 + local] = np.diag([-0.5] + [1.0] * 11)
+        config = EvalConfig(pipeline=pipeline, seed=8)
+        table = run_pipeline(both, config)
+        alone = run_pipeline(good, config)
+        assert [(r.subject, r.fold, r.auc, r.error) for r in table.rows[:5]] \
+            == [(r.subject, r.fold, r.auc, r.error) for r in alone.rows]
+        assert all(r.error is None for r in alone.rows)
+        failed = table.rows[5:]
+        assert [(r.subject, r.fold) for r in failed] == [
+            ("s02", f) for f in range(5)]
+        assert {r.error for r in failed} == {
+            f"InvalidInput: filtered matrix {local} is not positive "
+            "definite (smallest eigenvalue -5.000e-01)"}
+        assert all(r.auc is None and r.fold_time_seconds == 0.0
+                   for r in failed)
+
+    def test_covariance_group_validated_once(self, monkeypatch):
+        # the identity stage runs once per (subject, session) group,
+        # not on each fold's training and held-out stacks
+        rng = np.random.default_rng(16)
+        ts = make_trialset(rng, SEPARABLE_CENTERS, n=10,
+                           subjects=("s01", "s02"))
+        stacks = []
+        apply_filter = evaluation.apply_filter
+
+        def counting(f, covs):
+            stacks.append(covs.shape[0])
+            return apply_filter(f, covs)
+
+        monkeypatch.setattr(evaluation, "apply_filter", counting)
+        table = run_pipeline(ts, EvalConfig(pipeline="MDM", seed=5, k=5))
+        assert stacks == [20, 20]
+        assert table.mean_auc() == 1.0
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_below_one_rejected(self, workers):
         rng = np.random.default_rng(13)
