@@ -2,12 +2,12 @@
 
 Two building blocks: two-class filters from the generalized
 eigendecomposition of the class means, and approximate joint
-diagonalization (AJD) of a matrix set by iterative pairwise
-transformations. The adaptive two-stage filter chains them: a fast
-eigendecomposition stage caps the dimension at 28, then an AJD stage
-on the geometric class means caps it at 10. The class means and the AJD
-weigh their matrices equally and run on the default
-:class:`SolverConfig` budget.
+diagonalization (AJD) of a matrix set by pairwise transformations,
+swept in rounds of disjoint pairs that apply together. The adaptive
+two-stage filter chains them: a fast eigendecomposition stage caps the
+dimension at 28, then an AJD stage on the geometric class means caps
+it at 10. The class means and the AJD weigh their matrices equally and
+run on the default :class:`SolverConfig` budget.
 """
 
 import numpy as np
@@ -183,18 +183,46 @@ def ajd_criterion(b, mats):
     """Pham's joint-diagonalization criterion of a demixing matrix:
     ``(1/n) sum_i [log det diag(B C_i B^T) - log det (B C_i B^T)]``.
 
-    Zero exactly when every transformed matrix is diagonal.
+    Zero exactly when every transformed matrix is diagonal; a
+    transformed matrix that is not SPD raises :class:`InvalidInput`.
     """
-    mats = np.asarray(mats, dtype=np.float64)
-    w = 1.0 / mats.shape[0]
-    total = 0.0
-    for c in mats:
-        t = b @ c @ b.T
-        sign, logdet = np.linalg.slogdet(t)
-        if sign <= 0:
-            raise InvalidInput("transformed matrix is not positive definite")
-        total += w * (np.sum(np.log(np.diag(t))) - logdet)
-    return float(total)
+    t = check_spd(b @ np.asarray(mats, dtype=np.float64) @ b.T,
+                  "transformed matrix")
+    logdet = np.linalg.slogdet(t)[1]
+    diag = np.diagonal(t, axis1=1, axis2=2)
+    return float(np.mean(np.sum(np.log(diag), axis=1) - logdet))
+
+
+def _round_robin(d):
+    """The ``(i, j)`` index arrays, ``i > j``, of each round of a sweep:
+    the circle method on ``m`` slots (slot ``d`` a dummy if ``d`` is
+    odd), where round ``r`` pairs slot ``m - 1`` with ``r`` and ``r + k``
+    with ``r - k`` modulo ``m - 1``; each pair is in exactly one round."""
+    m = d + d % 2
+    r = np.arange(m - 1)[:, None]
+    k = np.arange(1, m // 2)
+    p = np.hstack([np.full_like(r, m - 1), (r + k) % (m - 1)])
+    q = np.hstack([r, (r - k) % (m - 1)])
+    i, j = np.maximum(p, q), np.minimum(p, q)
+    return [(a[a < d], b[a < d]) for a, b in zip(i, j)]
+
+
+def _pham_round(c, b, i, j, weights):
+    """Pham's 2x2 step on the disjoint pairs ``(i[k], j[k])`` at once;
+    returns the transformed ``c`` and ``b`` and the summed decrement."""
+    c_ii, c_jj, c_ij = c[:, i, i], c[:, j, j], c[:, i, j]
+    g_ij, g_ji, w_ij, w_ji = weights @ np.stack(
+        [c_ij / c_ii, c_ij / c_jj, c_jj / c_ii, c_ii / c_jj])
+    w_tilde = np.sqrt(w_ji / w_ij)
+    w_prod = np.sqrt(w_ij * w_ji)
+    t1 = (w_tilde * g_ij + g_ji) / (w_prod + 1.0)
+    t2 = (w_tilde * g_ij - g_ji) / np.maximum(w_prod - 1.0, 1e-12)
+    h12 = t1 + t2
+    h21 = (t1 - t2) / w_tilde
+    tmp = 1.0 + np.sqrt(np.maximum(1.0 - h12 * h21, 0.0))
+    t = np.eye(len(b))
+    t[i, j], t[j, i] = -h12 / tmp, -h21 / tmp
+    return t @ c @ t.T, t @ b, float(np.sum(g_ij * h12 + g_ji * h21) / 2)
 
 
 def pham_ajd(mats, return_info=False):
@@ -202,10 +230,15 @@ def pham_ajd(mats, return_info=False):
     equally.
 
     Minimizes Pham's criterion by sweeps of pairwise (2x2) invertible
-    transformations; each sweep can only decrease the criterion, and
+    transformations; no pair step can increase the criterion, and
     iteration stops when a sweep's decrement falls to the default
     :class:`SolverConfig` tolerance (1e-7), within its budget of 150
-    sweeps.
+    sweeps. A sweep visits each index pair once, in the round-robin
+    order of parallel Jacobi methods: d - 1 rounds (d if d is odd) of
+    disjoint pairs. A pair step reads only its pair's entries of each
+    ``C_i``, which the round's other steps leave alone, and steps on
+    disjoint pairs commute, so a round applies its pairs as one
+    transform and equals applying them one by one in any order.
 
     Parameters
     ----------
@@ -230,33 +263,13 @@ def pham_ajd(mats, return_info=False):
     n, d, _ = mats.shape
     weights = np.full(n, 1.0 / n)
 
-    c = mats.copy()
-    b = np.eye(d)
-    history = []
+    c, b, history = mats, np.eye(d), []
+    rounds = _round_robin(d)
     for sweep in range(config.max_iterations):
         decrement = 0.0
-        for i in range(1, d):
-            for j in range(i):
-                c_ii = c[:, i, i]
-                c_jj = c[:, j, j]
-                c_ij = c[:, i, j]
-                g_ij = float(np.sum(weights * c_ij / c_ii))
-                g_ji = float(np.sum(weights * c_ij / c_jj))
-                w_ij = float(np.sum(weights * c_jj / c_ii))
-                w_ji = float(np.sum(weights * c_ii / c_jj))
-                w_tilde = np.sqrt(w_ji / w_ij)
-                w_prod = np.sqrt(w_ij * w_ji)
-                t1 = (w_tilde * g_ij + g_ji) / (w_prod + 1.0)
-                t2 = (w_tilde * g_ij - g_ji) / max(w_prod - 1.0, 1e-12)
-                h12 = t1 + t2
-                h21 = (t1 - t2) / w_tilde
-                decrement += (g_ij * h12 + g_ji * h21) / 2.0
-                tmp = 1.0 + np.sqrt(max(1.0 - h12 * h21, 0.0))
-                pair = np.array([i, j])
-                t = np.array([[1.0, -h12 / tmp], [-h21 / tmp, 1.0]])
-                c[:, pair, :] = np.einsum("xy,kyl->kxl", t, c[:, pair, :])
-                c[:, :, pair] = np.einsum("kly,xy->klx", c[:, :, pair], t)
-                b[pair, :] = t @ b[pair, :]
+        for i, j in rounds:
+            c, b, step = _pham_round(c, b, i, j, weights)
+            decrement += step
         if return_info:
             history.append(ajd_criterion(b, mats))
         if abs(decrement) <= config.tolerance:

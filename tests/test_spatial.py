@@ -8,8 +8,8 @@ import scipy.linalg
 from meansfield.exceptions import InvalidInput
 from meansfield.geometry import airm_distance
 from meansfield.spatial import (
-    SpatialFilter, adcsp_fit, ajd_criterion, apply_filter, csp_fit,
-    csp_gevd, identity_filter, pham_ajd,
+    SpatialFilter, _pham_round, _round_robin, adcsp_fit, ajd_criterion,
+    apply_filter, csp_fit, csp_gevd, identity_filter, pham_ajd,
 )
 
 from oracles import random_gl, random_spd, spd_cloud
@@ -88,6 +88,36 @@ class TestCspGevd:
         assert f.output_dim == 8  # 4 filters per class, 2 classes
 
 
+def pham_pair_step(c, b, i, j):
+    """Reference: Pham's 2x2 step on one pair, equal weights, applied
+    in place; returns the pair's decrement."""
+    g_ij = np.mean(c[:, i, j] / c[:, i, i])
+    g_ji = np.mean(c[:, i, j] / c[:, j, j])
+    w_ij = np.mean(c[:, j, j] / c[:, i, i])
+    w_ji = np.mean(c[:, i, i] / c[:, j, j])
+    w_tilde = np.sqrt(w_ji / w_ij)
+    w_prod = np.sqrt(w_ij * w_ji)
+    t1 = (w_tilde * g_ij + g_ji) / (w_prod + 1.0)
+    t2 = (w_tilde * g_ij - g_ji) / max(w_prod - 1.0, 1e-12)
+    h12 = t1 + t2
+    h21 = (t1 - t2) / w_tilde
+    tmp = 1.0 + np.sqrt(max(1.0 - h12 * h21, 0.0))
+    pair = np.array([i, j])
+    t = np.array([[1.0, -h12 / tmp], [-h21 / tmp, 1.0]])
+    c[:, pair, :] = np.einsum("xy,kyl->kxl", t, c[:, pair, :])
+    c[:, :, pair] = np.einsum("kly,xy->klx", c[:, :, pair], t)
+    b[pair, :] = t @ b[pair, :]
+    return (g_ij * h12 + g_ji * h21) / 2.0
+
+
+def mixed_diagonal_set(dim, n, seed):
+    """``n`` matrices ``M D_k M^T`` sharing one mixing matrix ``M``."""
+    rng = np.random.default_rng(seed)
+    base = [np.diag(rng.uniform(0.5, 4.0, dim)) for _ in range(n)]
+    m = random_gl(dim, rng, max_cond=30.0)
+    return np.stack([m @ d @ m.T for d in base])
+
+
 class TestPhamAjd:
     def test_diagonal_set_is_fixed_point(self):
         mats = np.stack([np.diag([1.0, 2.0, 3.0]), np.diag([3.0, 1.0, 0.5])])
@@ -123,14 +153,90 @@ class TestPhamAjd:
         assert ((bq > 1e-6).sum(axis=1) == 1).all()
         assert (bq.max(axis=0) == 1.0).all()
 
-    def test_criterion_non_increasing(self):
-        rng = np.random.default_rng(5)
-        base = [np.diag(rng.uniform(0.5, 4.0, 6)) for _ in range(5)]
-        m = random_gl(6, rng, max_cond=30.0)
-        mats = np.stack([m @ d @ m.T for d in base])
+    @staticmethod
+    def assert_criterion_non_increasing(mats):
         b, info = pham_ajd(mats, return_info=True)
-        hist = [ajd_criterion(np.eye(6), mats)] + info["criterion"]
+        hist = [ajd_criterion(np.eye(mats.shape[-1]), mats)]
+        hist += info["criterion"]
         assert all(b <= a + 1e-12 for a, b in zip(hist[:-1], hist[1:]))
+        return info
+
+    def test_criterion_non_increasing(self):
+        self.assert_criterion_non_increasing(mixed_diagonal_set(6, 5, seed=5))
+
+    def test_odd_dimension_criterion_non_increasing(self):
+        # odd d: every round leaves one index paired with the dummy slot
+        info = self.assert_criterion_non_increasing(
+            mixed_diagonal_set(7, 5, seed=15))
+        assert info["sweeps"] >= 2
+
+    @pytest.mark.parametrize("dim", range(2, 30))
+    def test_rounds_cover_every_pair_once(self, dim):
+        rounds = _round_robin(dim)
+        assert len(rounds) == (dim - 1 if dim % 2 == 0 else dim)
+        seen = []
+        for i, j in rounds:
+            assert len(i) == dim // 2
+            assert (i > j).all()
+            assert len(set(i) | set(j)) == 2 * len(i)
+            seen += zip(i.tolist(), j.tolist())
+        expected = [(i, j) for i in range(dim) for j in range(i)]
+        assert sorted(seen) == expected
+
+    @pytest.mark.parametrize("dim", [6, 7])
+    def test_round_equals_its_pairs_one_at_a_time(self, dim):
+        mats = mixed_diagonal_set(dim, 4, seed=16)
+        mats /= np.abs(mats).max()
+        weights = np.full(4, 0.25)
+        c, b = mats.copy(), np.eye(dim)
+        # a few rounds in, so every pair carries a nonzero step
+        for i, j in _round_robin(dim)[:3]:
+            c, b, _ = _pham_round(c, b, i, j, weights)
+        for i, j in _round_robin(dim):
+            c_ref, b_ref = c.copy(), b.copy()
+            dec_ref = sum(pham_pair_step(c_ref, b_ref, p, q)
+                          for p, q in zip(i, j))
+            c_new, b_new, dec = _pham_round(c, b, i, j, weights)
+            np.testing.assert_allclose(c_new, c_ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(b_new, b_ref, rtol=0, atol=1e-12)
+            assert abs(dec - dec_ref) <= 1e-12
+            assert abs(dec) > 0
+            c, b = c_new, b_new
+
+    def test_two_matrices_match_generalized_eigenvalues(self):
+        # the adaptive filter's stage-2 case: two SPD matrices at d = 28
+        rng = np.random.default_rng(17)
+        a, bm = random_spd(28, rng), random_spd(28, rng)
+        b = pham_ajd(np.stack([a, bm]))
+        assert ajd_criterion(b, np.stack([a, bm])) <= 1e-10
+        diag_a = np.diag(b @ a @ b.T)
+        ratios = diag_a / np.diag(b @ (a + bm) @ b.T)
+        # csp_gevd rows v satisfy v^T (a + bm) v = 1, v^T a v = lambda
+        v = csp_gevd(a, bm, 28).matrix
+        lam = np.diag(v @ a @ v.T)
+        np.testing.assert_allclose(np.sort(ratios), np.sort(lam),
+                                   rtol=0, atol=1e-8)
+
+    def test_criterion_matches_per_matrix_sum(self):
+        mats = mixed_diagonal_set(5, 4, seed=18)
+        b = random_gl(5, np.random.default_rng(19), max_cond=10.0)
+        total = 0.0
+        for c in mats:
+            t = b @ c @ b.T
+            total += (np.sum(np.log(np.diag(t)))
+                      - np.linalg.slogdet(t)[1]) / len(mats)
+        assert abs(ajd_criterion(b, mats) - total) <= 1e-14
+
+    @pytest.mark.parametrize("bad", [
+        np.diag([1.0, -1.0, 2.0]),
+        # positive diagonal and determinant, eigenvalues (5, -1, -1)
+        np.full((3, 3), 2.0) - np.eye(3),
+    ])
+    def test_criterion_names_first_non_pd_matrix(self, bad):
+        mats = np.stack([np.eye(3), np.eye(3), bad, -np.eye(3)])
+        with pytest.raises(InvalidInput, match="transformed matrix 2 is "
+                                               "not positive definite"):
+            ajd_criterion(np.eye(3), mats)
 
     def test_off_diagonal_energy_shrinks(self):
         rng = np.random.default_rng(6)
@@ -156,6 +262,7 @@ class TestPhamAjd:
 class TestAdcsp:
     @pytest.mark.parametrize("dim,expected", [
         (64, 10), (30, 10), (14, 10), (10, 10), (8, 8), (4, 4),
+        (13, 10), (27, 10), (28, 10), (29, 10),
     ])
     def test_dimension_contract(self, dim, expected):
         rng = np.random.default_rng(dim)
