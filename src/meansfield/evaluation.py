@@ -4,7 +4,8 @@ Each (subject, session) group is scored by stratified k-fold
 cross-validation with AUC-ROC; fold assignment is a pure function of
 (labels, k, seed) so every pipeline sees identical folds. Spatial
 filters and classifiers are fit strictly on the training folds;
-per-trial covariance estimation happens once, before folding.
+per-trial covariance estimation happens once per group, before
+folding.
 """
 
 import numbers
@@ -254,6 +255,15 @@ def _fit_and_score(filter_kind, clf_kind, train_covs, train_labels,
     return score(model, test_f)[1]
 
 
+def _take(a, idx):
+    """``a[idx]`` for sorted, distinct ``idx``: a view where the indices
+    are consecutive, as a stored group's are, so that a group of
+    recordings is not copied before its covariances are estimated."""
+    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+        return a[idx[0]:idx[-1] + 1]
+    return a[idx]
+
+
 def run_pipeline(trialset, config, workers=1):
     """Evaluate one pipeline on a dataset.
 
@@ -265,9 +275,12 @@ def run_pipeline(trialset, config, workers=1):
     fewer than ``k`` trials of a class gets ``k`` error rows, and so
     does a group of a covariance set with a trial that is not SPD:
     each group passes through the identity stage once, before its
-    folds. A time-series set is validated by its covariance
-    estimation. ``fold_time_seconds`` covers a fold's filter and
-    classifier fit, its scoring and its AUC, not that validation.
+    folds. A time-series group has its covariances estimated once,
+    before its folds, and a degenerate trial (every channel constant,
+    say) likewise fails only its group. The error names a bad trial by
+    its index within the group. ``fold_time_seconds`` covers a fold's
+    filter and classifier fit, its scoring and its AUC, not that
+    validation or estimation.
 
     Parameters
     ----------
@@ -294,37 +307,33 @@ def run_pipeline(trialset, config, workers=1):
         )
     y = np.searchsorted(classes, trialset.labels)
 
-    if trialset.kind == "time-series":
-        covs = oas_covariance(trialset.trials)
-    else:
-        covs = trialset.trials
-
     tasks, rows = [], []
     for subject, session, idx in trialset.groups():
+        labels = y[idx]
         try:
-            folds = stratified_kfold(y[idx], config.k, config.seed)
-            if trialset.kind == "covariance":  # identity stage, once
-                apply_filter(identity_filter(covs.shape[-1]), covs[idx])
+            folds = stratified_kfold(labels, config.k, config.seed)
+            covs = _take(trialset.trials, idx)
+            if trialset.kind == "time-series":
+                covs = oas_covariance(covs)
+            else:  # identity stage, once
+                apply_filter(identity_filter(covs.shape[-1]), covs)
         except InvalidInput as exc:
             rows += [ScoreRow(trialset.dataset_id, subject, session, f, None,
                               0.0, f"{type(exc).__name__}: {exc}")
                      for f in range(config.k)]
             continue
-        for f, test_local in enumerate(folds):
-            train_local = np.setdiff1d(np.arange(idx.size), test_local)
-            tasks.append((subject, session, f, idx, train_local, test_local))
+        for f, test in enumerate(folds):
+            train = np.setdiff1d(np.arange(idx.size), test)
+            tasks.append((subject, session, f, covs, labels, train, test))
 
     def run_task(task):
-        subject, session, f, idx, train_local, test_local = task
-        train_idx = idx[train_local]
-        test_idx = idx[test_local]
+        subject, session, f, covs, labels, train, test = task
         t0 = time.perf_counter()
         try:
             scores = _fit_and_score(
-                filter_kind, clf_kind, covs[train_idx], y[train_idx],
-                covs[test_idx],
+                filter_kind, clf_kind, covs[train], labels[train], covs[test],
             )
-            auc = auc_roc(scores, y[test_idx])
+            auc = auc_roc(scores, labels[test])
             error = None
         except (InvalidInput, NumericalFailure) as exc:
             auc = None

@@ -7,7 +7,11 @@ swept in rounds of disjoint pairs that apply together. The adaptive
 two-stage filter chains them: a fast eigendecomposition stage caps the
 dimension at 28, then an AJD stage on the geometric class means caps
 it at 10. The class means and the AJD weigh their matrices equally and
-run on the default :class:`SolverConfig` budget.
+run on the default :class:`SolverConfig` budget. The stage-1 outputs
+are projected without a check of their own: the stage-2 geometric
+mean's first factorization is their positive-definiteness check, as it
+is for trials that enter stage 2 unfiltered. :func:`apply_filter`
+validates every matrix it returns.
 """
 
 import numpy as np
@@ -294,10 +298,24 @@ def adcsp_fit(trial_covs, labels):
     eigendecomposition stage on the diagonalized means), composed with
     stage 1. Inputs of dimension < 10 pass through an identity filter.
 
+    The trials entering stage 2, filtered by stage 1 or not, are
+    checked positive definite once, by the first factorization of
+    their class's geometric-mean solve; that check names a bad trial by
+    its index within its class.
+
     Returns
     -------
     SpatialFilter
         With ``output_dim = min(input_dim, 10)``.
+
+    Raises
+    ------
+    InvalidInput
+        When the labels do not name exactly two classes, or a trial
+        entering stage 2 is not positive definite
+        (``geometric mean: trial i is not positive definite``, or
+        ``init is not positive definite`` where the class's arithmetic
+        mean is not either).
     """
     covs_a, covs_b = _split_two_classes(trial_covs, labels)
     d = covs_a.shape[-1]
@@ -305,13 +323,11 @@ def adcsp_fit(trial_covs, labels):
         return identity_filter(d)
 
     if d >= STAGE1_DIM:
-        stage1 = csp_gevd(
+        w = csp_gevd(
             arithmetic_mean(covs_a), arithmetic_mean(covs_b), STAGE1_DIM
-        )
-        covs_a = apply_filter(stage1, covs_a)
-        covs_b = apply_filter(stage1, covs_b)
-        w = stage1.matrix
-        d = STAGE1_DIM
+        ).matrix
+        covs_a = w @ covs_a @ w.T
+        covs_b = w @ covs_b @ w.T
     else:
         w = np.eye(d)
 

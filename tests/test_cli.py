@@ -270,6 +270,33 @@ class TestEval:
         assert all(r["auc"] is None for r in failed)
         assert all(r["auc"] is not None for r in rows if r not in failed)
 
+    def test_degenerate_recording_fails_only_its_subject(self, tmp_path,
+                                                         capsys):
+        # a time-series trial with every channel constant fails its own
+        # subject's 5 folds; the run exits 0 and writes the other's rows
+        paths = []
+        for name, seed in (("s01@0", 4), ("s02@0", 5)):
+            paths.append(gen_archive(
+                tmp_path, MIX_CONFIG.replace("seed = 4", f"seed = {seed}"),
+                f"{name}.spdt"))
+        good = read_archive(paths[1])
+        trials = good.trials.copy()
+        trials[3] = 1.5
+        write_archive(TrialArchive(kind="time-series", trials=trials,
+                                   labels=good.labels, n_classes=2),
+                      paths[1])
+        out = tmp_path / "t.json"
+        capsys.readouterr()
+        assert main(["eval", "--pipeline", "MDM", "--seed", "7",
+                     "--out", str(out), *map(str, paths)]) == 0
+        assert ", 5 errors ->" in capsys.readouterr().out
+        rows = json.loads(out.read_text())["rows"]
+        assert [(r["subject"], r["error"]) for r in rows] == [
+            ("s01", None)] * 5 + [
+            ("s02", "DegenerateInput: trial 3: all channels are constant; "
+                    "covariance is zero")] * 5
+        assert all(r["auc"] is not None for r in rows[:5])
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_usage_error(self, tmp_path, rg_config,
                                               capsys, workers):

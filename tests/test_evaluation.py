@@ -393,6 +393,46 @@ class TestRunPipeline:
         table = run_pipeline(ts, EvalConfig(pipeline="MDM", seed=4))
         assert table.mean_auc() > 0.8
 
+    @pytest.mark.parametrize("pipeline", ["MDM", "TS+LR"])
+    def test_degenerate_recording_fails_its_group(self, pipeline):
+        # every channel of s01's trial 5 (trial 25 of the set) constant:
+        # OAS fails s01 alone, naming the trial by its index in the
+        # group, and s00 scores as it does alone
+        rng = np.random.default_rng(17)
+        mixing = rng.standard_normal((6, 6))
+        trials, labels = [], []
+        for _ in range(2):
+            for label, gain in enumerate((1.0, 4.0)):
+                scale = np.r_[gain, np.ones(5)]
+                for _ in range(10):
+                    z = rng.standard_normal((6, 64))
+                    trials.append(mixing @ (scale[:, None] * z))
+                    labels.append(label)
+        trials[25] = np.full((6, 64), 0.3)
+        subjects = np.repeat(np.array(["s00", "s01"], dtype=object), 20)
+
+        def trialset(rows):
+            return TrialSet(
+                dataset_id="mix", kind="time-series",
+                trials=np.stack(trials)[rows], labels=np.array(labels)[rows],
+                subjects=subjects[rows],
+                sessions=np.array(["0"] * len(subjects), dtype=object)[rows])
+
+        config = EvalConfig(pipeline=pipeline, seed=6)
+        table = run_pipeline(trialset(slice(None)), config)
+        alone = run_pipeline(trialset(slice(0, 20)), config)
+        assert [(r.subject, r.fold, r.auc, r.error) for r in table.rows[:5]] \
+            == [(r.subject, r.fold, r.auc, r.error) for r in alone.rows]
+        assert all(r.error is None for r in alone.rows)
+        failed = table.rows[5:]
+        assert [(r.subject, r.fold) for r in failed] == [
+            ("s01", f) for f in range(5)]
+        assert {r.error for r in failed} == {
+            "DegenerateInput: trial 5: all channels are constant; "
+            "covariance is zero"}
+        assert all(r.auc is None and r.fold_time_seconds == 0.0
+                   for r in failed)
+
     def test_session_groups_evaluated_separately(self):
         rng = np.random.default_rng(11)
         base = make_trialset(rng, SEPARABLE_CENTERS, n=10)

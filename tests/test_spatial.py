@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from meansfield import spatial
 from meansfield.exceptions import InvalidInput
 from meansfield.geometry import airm_distance
 from meansfield.spatial import (
@@ -293,6 +294,36 @@ class TestAdcsp:
         f = adcsp_fit(covs, labels)
         assert f.output_dim == 10
         assert f.matrix.shape == (10, 40)
+
+    def test_stage1_outputs_checked_by_the_stage2_solve(self, monkeypatch):
+        # at d = 32 the projected class stacks reach check_spd nowhere;
+        # the only 28 x 28 stack it sees is the AJD's pair of means
+        rng = np.random.default_rng(11)
+        covs, labels = two_class_covs(32, 6, rng)
+        checked = []
+        check_spd = spatial.check_spd
+
+        def recording(a, name="matrix"):
+            checked.append((name, np.shape(a)))
+            return check_spd(a, name)
+
+        monkeypatch.setattr(spatial, "check_spd", recording)
+        adcsp_fit(covs, labels)
+        assert [c for c in checked if c[1][-1] == 28] == [
+            ("ajd input", (2, 28, 28))]
+        assert [c[1] for c in checked if c[1][-1] == 32] == [(32, 32)] * 2
+
+    @pytest.mark.parametrize("dim", [12, 32])
+    def test_indefinite_trial_named_within_its_class(self, dim):
+        # trial 3 of class 1 negated: with or without stage 1, the
+        # stage-2 geometric mean names it by its index in the class
+        rng = np.random.default_rng(12)
+        covs, labels = two_class_covs(dim, 8, rng)
+        covs[8 + 3] = -covs[8 + 3]
+        with pytest.raises(InvalidInput) as err:
+            adcsp_fit(covs, labels)
+        assert str(err.value) == (
+            "geometric mean: trial 3 is not positive definite")
 
     def test_preserves_separability(self):
         rng = np.random.default_rng(10)
