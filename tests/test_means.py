@@ -97,9 +97,10 @@ def outlier_sets(draw):
 @st.composite
 def branch_sets(draw):
     """A seeded SPD set (d 1-16, n 2-30) whose log spread is below 2,
-    where every MPM step is Jacobian-corrected, or from 5 to 8, where
-    most steps are damped; a congruence of condition <= 100; and an
-    exponent that is 0 or has 1e-3 <= |h| < 1."""
+    where each Newton step takes one or two conjugate-gradient
+    iterations, or from 5 to 8, where most take three to five; a
+    congruence of condition <= 100; and an exponent that is 0 or has
+    1e-3 <= |h| < 1."""
     dim = draw(st.integers(1, 16))
     n = draw(st.integers(2, 30))
     if draw(st.booleans()):
@@ -289,7 +290,9 @@ class TestPowerMean:
 
     @pytest.mark.parametrize("log10_cond", [6, 10])
     def test_ill_conditioned_sets_converge(self, log10_cond):
-        # widely spread sets need a shorter step than the MPM default
+        # widely spread sets, on which the plain MPM step oscillates:
+        # the Newton step solves them in 3-4 steps at every h, where a
+        # step damped by the trials' spread took 15-66
         rng = np.random.default_rng(40 + log10_cond)
         mats = np.stack([random_spd(12, rng, log_spread=log10_cond
                                     * np.log(10.0)) for _ in range(30)])
@@ -297,10 +300,7 @@ class TestPowerMean:
         for h in (0.5, 0.25, 0.1, -0.1, -0.25, -0.5):
             res = power_mean(mats, h, config=cfg)
             assert res.residual <= cfg.tolerance
-            if abs(h) == 0.5:
-                # the unit step is gated on the h-free factor L_0; gated
-                # on L_h <= 1/|h| <= 2 it would be taken and oscillate
-                assert res.iterations <= 25
+            assert res.iterations <= 8, h
             p, base = res.matrix, mats
             if h < 0:
                 p, base = invm(p), invm(mats)
@@ -400,12 +400,28 @@ class TestGeometricMean:
     @pytest.mark.parametrize("seed", [2, 9, 17, 18, 29])
     def test_widely_spread_sets_converge(self, seed):
         # sets of the acceptance convergence test on which a plain unit
-        # step stalls: the spread-based step 2/(1 + L) must take over
+        # step stalls; the Newton step is solved to its forcing term
+        # however spread the set is
         mats = log_uniform_case(seed)
         cfg = SolverConfig()
         res = geometric_mean(mats, config=cfg)
         assert res.iterations <= cfg.max_iterations
         assert res.residual <= cfg.tolerance * mats.shape[-1]
+
+    @pytest.mark.parametrize("h", [0.75, 0.5, 0.25, 0.1, 0.0, -0.1, -0.25,
+                                   -0.5, -0.75])
+    def test_wide_sets_take_few_newton_steps(self, h):
+        # cold solves on the acceptance convergence sets 2-21 (d 4-32,
+        # condition up to 1e4) take at most 3 Newton steps each, where a
+        # step damped by the trials' spread took up to 8 at |h| = 0.75
+        # and 34 at |h| = 0.1
+        tol = SolverConfig().tolerance
+        for seed in range(2, 22):
+            mats = log_uniform_case(seed)
+            dim = mats.shape[-1]
+            res = geometric_mean(mats) if h == 0.0 else power_mean(mats, h)
+            assert res.iterations <= 5, seed
+            assert res.residual <= tol * (dim if h == 0.0 else 1), seed
 
     def test_concentrated_class_takes_full_steps(self):
         # a test_10-shaped class: every trial's log-eigenvalue spread is
@@ -497,6 +513,20 @@ class TestGeometricMean:
             with pytest.raises(InvalidInput, match="trial 3"):
                 build_mean_field({0: mats}, h_grid=(h,))
 
+    @pytest.mark.parametrize("h", [0.0, 0.5, -0.5])
+    def test_first_non_pd_trial_named(self, h):
+        # the first non-PD trial is named, not the one with the smallest
+        # eigenvalue, whether the solver's first step or the harmonic
+        # start finds it
+        mats = np.stack([5.0 * np.eye(3)] * 6)
+        mats[2] = np.diag([-0.1, 1.0, 1.0])
+        mats[4] = np.diag([-3.0, 1.0, 1.0])
+        with pytest.raises(InvalidInput, match="trial 2 "):
+            if h == 0.0:
+                geometric_mean(mats)
+            else:
+                power_mean(mats, h)
+
     def test_non_spd_init_rejected(self):
         rng = np.random.default_rng(15)
         mats = np.stack([random_spd(3, rng) for _ in range(4)])
@@ -577,8 +607,9 @@ class TestSetOnly:
 
 
 class TestCongruenceAndOrder:
-    """Over sets on both sides of ``L_0 = 2``, so that the corrected and
-    the damped MPM step both run: ``P_h(A C_i A^T) = A P_h(C_i) A^T``,
+    """Over concentrated and widely spread sets, so that the Newton
+    step takes few and several conjugate-gradient iterations:
+    ``P_h(A C_i A^T) = A P_h(C_i) A^T``,
     ``P_h <= P_h'`` in the Loewner order for ``h < h'``, and ``P_h``
     tends to the geometric mean linearly in ``h``."""
 

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from meansfield import spatial
-from meansfield.exceptions import InvalidInput
+from meansfield.exceptions import ConvergenceFailure, InvalidInput
 from meansfield.geometry import airm_distance
 from meansfield.spatial import (
     SpatialFilter, _pham_round, _round_robin, adcsp_fit, ajd_criterion,
@@ -258,6 +258,16 @@ class TestPhamAjd:
     def test_needs_two_matrices(self):
         with pytest.raises(InvalidInput):
             pham_ajd(np.eye(3)[None])
+
+    def test_absolute_stop_fails_on_inexact_sets(self):
+        # five d = 28 sample covariances share no joint diagonalizer, and
+        # their sweep decrement is still about 1e-6 after 150 sweeps
+        a = np.random.default_rng(0).standard_normal((5, 28, 56))
+        mats = a @ a.transpose(0, 2, 1) / 56 + 0.1 * np.eye(28)
+        with pytest.raises(ConvergenceFailure, match="150 sweeps") as err:
+            pham_ajd(mats)
+        assert err.value.iterations == 150
+        assert err.value.residual > 1e-7
 
 
 class TestAdcsp:
