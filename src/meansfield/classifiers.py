@@ -48,6 +48,10 @@ LDA_RIDGE = 1e-9
 LR_PENALTY = 1.0
 LR_GRAD_TOL = 1e-8
 
+# Tangent-coordinate spread at or below which a TS+LR feature is
+# rounding, not signal.
+TS_SPREAD_FLOOR = 1e-12
+
 
 def _labelled(covs, labels):
     """A training stack and its labels as arrays, one label per trial."""
@@ -427,7 +431,10 @@ def ts_lr_fit(train_covs, labels):
     The reference point is the geometric mean of all training trials;
     the last step of its solve gives their tangent coordinates.
     Features are standardized per coordinate (population statistics of
-    the training fold; zero-spread coordinates are neutralized). The
+    the training fold). A coordinate whose spread is at most
+    ``TS_SPREAD_FLOOR`` (1e-12; tangent coordinates are dimensionless,
+    so the bound is absolute) holds only rounding and is neutralized:
+    its training column is zero and its weight exactly 0. The
     L2 penalty weight is fixed at 1 with an unpenalized intercept. Each
     weight vector is found by damped Newton steps from zero (Armijo
     backtracking on the strictly convex objective) to gradient norm
@@ -442,8 +449,9 @@ def ts_lr_fit(train_covs, labels):
     feats = _solver_tangent_vectors(solved)
     mean = feats.mean(axis=0)
     scale = feats.std(axis=0)
-    scale = np.where(scale > 0.0, scale, 1.0)
-    x = (feats - mean) / scale
+    spread = scale > TS_SPREAD_FLOOR
+    scale = np.where(spread, scale, 1.0)
+    x = np.where(spread, (feats - mean) / scale, 0.0)
 
     if len(classes) == 2:
         targets = [(y == classes[1]).astype(np.float64)]

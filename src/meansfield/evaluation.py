@@ -133,16 +133,15 @@ class TrialSet:
         return np.unique(self.labels)
 
     def groups(self):
-        """(subject, session) pairs in sorted order with their trial
-        indices."""
-        keys = sorted({(str(s), str(e))
-                       for s, e in zip(self.subjects, self.sessions)})
-        out = []
-        for subject, session in keys:
-            mask = (self.subjects.astype(str) == subject) & (
-                self.sessions.astype(str) == session)
-            out.append((subject, session, np.flatnonzero(mask)))
-        return out
+        """(subject, session) pairs, compared as strings, in sorted
+        order with their trial indices ascending; one pass over the
+        ids."""
+        members = {}
+        for i, key in enumerate(zip(self.subjects.astype(str).tolist(),
+                                    self.sessions.astype(str).tolist())):
+            members.setdefault(key, []).append(i)
+        return [(subject, session, np.array(idx, dtype=np.intp))
+                for (subject, session), idx in sorted(members.items())]
 
 
 def parse_pipeline(name):

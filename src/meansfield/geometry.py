@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .exceptions import InvalidInput, NumericalFailure
 
 __all__ = [
-    "SolverConfig", "check_spd", "is_symmetric", "sym_eig",
-    "logm", "expm", "sqrtm", "invsqrtm", "invm", "powm",
+    "SolverConfig", "check_spd", "is_symmetric",
+    "logm", "expm", "sqrtm", "invsqrtm", "powm",
     "airm_distance", "geodesic", "frobenius",
 ]
 
@@ -120,34 +120,6 @@ def _first_not_spd(a):
     return i, f"is not positive definite (smallest eigenvalue {low[i]:.3e})"
 
 
-def sym_eig(s):
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
-
-    Parameters
-    ----------
-    s : ndarray, shape (n, n)
-        Symmetric matrix (within ``SYMMETRY_RTOL``).
-
-    Returns
-    -------
-    eigenvalues : ndarray, shape (n,)
-        In descending order.
-    eigenvectors : ndarray, shape (n, n)
-        Orthonormal columns matching the eigenvalue order, so that
-        ``V @ diag(w) @ V.T`` reconstructs ``s``.
-    """
-    s = _as_square(s)
-    if s.ndim != 2:
-        raise InvalidInput("sym_eig expects a single matrix")
-    if not is_symmetric(s):
-        raise InvalidInput("sym_eig requires a symmetric matrix")
-    try:
-        w, v = np.linalg.eigh(_sym(s))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
 def _eigh_stack(s):
     """Ascending eigh over a (possibly stacked) symmetric array."""
     try:
@@ -187,11 +159,6 @@ def sqrtm(s):
 def invsqrtm(s):
     """Inverse principal square root of an SPD matrix."""
     return _spectral(s, lambda w: 1.0 / np.sqrt(w), "invsqrtm")
-
-
-def invm(s):
-    """Inverse of an SPD matrix through its spectrum."""
-    return _spectral(s, lambda w: 1.0 / w, "invm")
 
 
 def powm(s, t):
@@ -235,13 +202,17 @@ def _sq_distances(whiteners, covs):
     """Squared affine-invariant distances, shape ``(n, K)``, from ``n``
     trials to the ``K`` means whose whiteners ``M^{-1/2}`` are stacked:
     summed squared log-eigenvalues of ``M^{-1/2} C M^{-1/2}``, from one
-    batched ``eigh`` per ``KERNEL_BLOCK`` whitened entries."""
+    batched ``eigh`` per ``KERNEL_BLOCK`` whitened entries. A trial
+    that is not positive definite raises :class:`InvalidInput` naming
+    the first such index of ``covs``."""
     step = max(1, KERNEL_BLOCK // whiteners.size)
     lam = np.concatenate([
         _eigh_stack(whiteners @ covs[i:i + step, None] @ whiteners)[0]
         for i in range(0, len(covs), step)])
     if np.min(lam) <= 0.0:
-        raise InvalidInput("distance requires positive-definite trials")
+        i = np.flatnonzero(lam[..., 0].min(axis=1) <= 0.0)[0]
+        raise InvalidInput(f"distance requires positive-definite trials; "
+                           f"trial {i} is not")
     return np.sum(np.log(lam) ** 2, axis=-1)
 
 

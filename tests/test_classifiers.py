@@ -361,6 +361,22 @@ class TestTsLr:
         _, score = ts_lr_score(model, c)
         assert abs(score - np.log(2.0)) <= 1e-6  # log(8/4)
 
+    def test_rounding_level_spread_is_neutralized(self):
+        # identical trials leave tangent coordinates whose spread is
+        # rounding (down to 1e-35), not exactly 0; standardizing those
+        # to unit scale gave scores such as 9280 instead of log(5/2)
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            for d in (3, 6, 12):
+                a = rng.standard_normal((d, d))
+                c = a @ a.T + d * np.eye(d)
+                for n in (7, 12, 30):
+                    labels = np.array([0, 0] + [1] * (n - 2))
+                    model = ts_lr_fit(np.stack([c] * n), labels)
+                    assert np.all(model.weights == 0.0), (seed, d, n)
+                    _, score = ts_lr_score(model, c)
+                    assert abs(score - np.log((n - 2) / 2)) <= 1e-9
+
     def test_matches_irls_oracle(self):
         rng = np.random.default_rng(18)
         trials, labels = dispersion_classes(rng, n=15, sigmas=(0.2, 0.5))
@@ -557,6 +573,15 @@ class TestStackScoring:
         indefinite[5] = np.diag([1.0, 2.0, -1.0])
         with pytest.raises(InvalidInput):
             score(model, indefinite)
+
+    @pytest.mark.parametrize("name", ["MDM", "MF"])
+    def test_first_non_pd_trial_named(self, name):
+        rng = np.random.default_rng(26)
+        model, score, probes = fitted_scorer(name, 2, rng)
+        probes[2] = np.diag([1.0, 2.0, -1.0])
+        probes[7] = np.diag([-5.0, 2.0, 1.0])
+        with pytest.raises(InvalidInput, match="trial 2 is not"):
+            score(model, probes)
 
 
 FIELD_PIPELINES = ["MDM", "MDMF", "MF"]

@@ -190,6 +190,45 @@ class TestAucRoc:
             auc_roc([bad, 1.0, 0.5], [0, 1, 1])
 
 
+def per_group_oracle(trialset):
+    """Groups as a full rescan of the ids per (subject, session) finds
+    them: the definition that :meth:`TrialSet.groups` must reproduce."""
+    keys = sorted({(str(s), str(e))
+                   for s, e in zip(trialset.subjects, trialset.sessions)})
+    return [(s, e, np.flatnonzero((trialset.subjects.astype(str) == s)
+                                  & (trialset.sessions.astype(str) == e)))
+            for s, e in keys]
+
+
+class TestGroups:
+    def test_interleaved_mixed_ids_match_rescan(self):
+        # 240 subject ids, str and int, of which "7" and 7 print alike,
+        # by 3 sessions, str and int: 717 groups, trials shuffled
+        rng = np.random.default_rng(12)
+        subjects = [f"s{i:03d}" for i in range(120)] + list(range(119)) + [
+            "7"]
+        sessions = ["a", 0, "1"]
+        pairs = [(s, e) for s in subjects for e in sessions] * 3
+        order = rng.permutation(len(pairs))
+        n = len(pairs)
+        ts = TrialSet(
+            dataset_id="mixed", kind="covariance",
+            trials=np.broadcast_to(np.eye(2), (n, 2, 2)),
+            labels=np.arange(n) % 2,
+            subjects=np.array([pairs[i][0] for i in order], dtype=object),
+            sessions=np.array([pairs[i][1] for i in order], dtype=object),
+        )
+        groups = ts.groups()
+        expected = per_group_oracle(ts)
+        assert len(groups) == len(expected) == 717
+        for (s, e, idx), (s0, e0, idx0) in zip(groups, expected):
+            assert (type(s), type(e)) == (str, str)
+            assert (s, e) == (s0, e0)
+            assert idx.dtype == idx0.dtype == np.intp
+            np.testing.assert_array_equal(idx, idx0)
+        assert sum(idx.size for _, _, idx in groups) == n
+
+
 class TestRunPipeline:
     def test_separable_mdm_is_perfect(self):
         rng = np.random.default_rng(3)

@@ -6,8 +6,8 @@ import pytest
 
 from meansfield.exceptions import InvalidInput
 from meansfield.geometry import (
-    SolverConfig, airm_distance, check_spd, expm, geodesic, invm, invsqrtm,
-    is_symmetric, logm, powm, sqrtm, sym_eig,
+    SolverConfig, airm_distance, check_spd, expm, geodesic, invsqrtm,
+    is_symmetric, logm, powm, sqrtm,
 )
 
 from oracles import random_gl, random_spd
@@ -75,42 +75,6 @@ class TestSpdCheck:
         np.testing.assert_array_equal(check_spd(stack[:2]), stack[:2])
 
 
-class TestSymEig:
-    def test_identity(self):
-        w, v = sym_eig(np.eye(3))
-        np.testing.assert_allclose(w, np.ones(3))
-        np.testing.assert_allclose(v @ v.T, np.eye(3), atol=1e-12)
-
-    def test_diagonal(self):
-        w, v = sym_eig(np.diag([4.0, 1.0]))
-        np.testing.assert_allclose(w, [4.0, 1.0])
-        np.testing.assert_allclose(np.abs(v), np.eye(2), atol=1e-12)
-
-    def test_hand_2x2(self):
-        # [[2,1],[1,2]]: characteristic polynomial gives 3 and 1 with
-        # eigenvectors (1,1)/sqrt(2) and (1,-1)/sqrt(2)
-        w, v = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        np.testing.assert_allclose(w, [3.0, 1.0], atol=1e-12)
-        np.testing.assert_allclose(np.abs(v[:, 0]), [1, 1] / np.sqrt(2))
-        np.testing.assert_allclose(np.abs(v[:, 1]), [1, 1] / np.sqrt(2))
-        assert np.sign(v[0, 0]) == np.sign(v[1, 0])
-        assert np.sign(v[0, 1]) != np.sign(v[1, 1])
-
-    def test_reconstruction_and_orthonormality(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            s = random_spd(6, rng, log_spread=4.0)
-            w, v = sym_eig(s)
-            assert np.all(np.diff(w) <= 0)
-            err = np.linalg.norm(v @ np.diag(w) @ v.T - s)
-            assert err <= 1e-10 * np.linalg.norm(s)
-            assert np.abs(v.T @ v - np.eye(6)).max() <= 1e-12
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(InvalidInput):
-            sym_eig(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-
 class TestMatrixFunctions:
     def test_log_identity_is_zero(self):
         np.testing.assert_allclose(logm(np.eye(4)), np.zeros((4, 4)))
@@ -148,11 +112,11 @@ class TestMatrixFunctions:
     def test_inverse(self):
         rng = np.random.default_rng(3)
         s = random_spd(4, rng)
-        np.testing.assert_allclose(invm(s) @ s, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(powm(s, -1.0) @ s, np.eye(4), atol=1e-12)
 
     def test_positivity_required(self):
         indefinite = np.diag([1.0, -1.0])
-        for fn in (logm, sqrtm, invsqrtm, invm):
+        for fn in (logm, sqrtm, invsqrtm):
             with pytest.raises(InvalidInput):
                 fn(indefinite)
         # exp applies to any symmetric matrix
@@ -203,7 +167,7 @@ class TestDistance:
         for _ in range(20):
             a, b = random_spd(4, rng), random_spd(4, rng)
             d0 = airm_distance(a, b)
-            d1 = airm_distance(invm(a), invm(b))
+            d1 = airm_distance(np.linalg.inv(a), np.linalg.inv(b))
             assert abs(d1 - d0) <= 1e-8 * d0
 
     def test_dimension_mismatch(self):
