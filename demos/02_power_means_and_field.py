@@ -37,11 +37,12 @@ mats = spd_cloud(np.diag([1.0, 2.0, 4.0]), 0.6, 30)
 # --- the family orders itself: harmonic <= geometric <= arithmetic -----
 field = build_mean_field({0: mats, 1: mats[:2]})
 print("h      min eig of (P_h - P_prev)   d(P_h, geometric)   iterations")
+geo = field.matrices(0)[field.h_grid.index(0.0)]
 prev = None
 for entry in field.entries[0]:
     gap = "" if prev is None else \
         f"{np.linalg.eigvalsh(entry.matrix - prev).min():+.2e}"
-    d_geo = airm_distance(field.entry(0, 0.0).matrix, entry.matrix)
+    d_geo = airm_distance(geo, entry.matrix)
     print(f"{entry.h:+.2f}   {gap:>12s}          {d_geo:8.4f}        "
           f"{entry.iterations:4d}")
     prev = entry.matrix

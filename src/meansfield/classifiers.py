@@ -1,24 +1,21 @@
 """Classifiers for SPD covariance trials.
 
 MDM, MDMF and MF fit one model type, :class:`FieldModel`: a per-class
-field of power means, the whiteners of its means and a head. Every field
-comes from the one field solver of :mod:`.means`: MDM's is the field of
-the single exponent ``h = 0`` (one geometric mean per class), MDMF's the
-full field. Both take the nearest-mean head of :func:`mdm_score`, the
-minimum distance over each class's means. MF puts a linear discriminant
-head on the squared distances to every mean of the field. All three
-score with one distance kernel (batched eigendecompositions of the
-whitened trials, in bounded blocks); MF trains on the distances the
-field solver already decomposed, and the kernel only fills in the rest.
-TS+LR (``ts_lr_*``) is logistic regression on tangent-space coordinates
-at the global geometric mean, whose solve also yields the training
-coordinates.
+field of power means from the one field solver of :mod:`.means`, the
+whiteners of its means and a head. MDM's field is the single exponent
+``h = 0`` (one geometric mean per class), MDMF's the full field; both
+take the nearest-mean head of :func:`mdm_score`. MF puts a linear
+discriminant head on the squared distances to every mean of the field.
+All three score with one distance kernel. TS+LR (``ts_lr_*``) is
+logistic regression on tangent-space coordinates at the global
+geometric mean.
 
 Every ``*_score`` takes one ``(d, d)`` trial and returns ``(label,
 score)``, or an ``(n, d, d)`` stack and returns ``(labels, scores)``
-arrays. Binary decision scores are oriented so that higher means the
-class with the larger label index; ties in predicted labels resolve to
-the lower class index.
+arrays, and raises :class:`InvalidInput` naming the first trial with a
+non-finite entry. Binary decision scores are oriented so that higher
+means the class with the larger label index; ties in predicted labels
+resolve to the lower class index.
 """
 
 import numpy as np
@@ -77,15 +74,20 @@ def _group_by_class(covs, labels):
 
 
 def _trials(covs, dim):
-    """A ``(d, d)`` trial or ``(n, d, d)`` stack as a stack, and whether
-    it was a single trial."""
+    """A ``(d, d)`` trial or ``(n, d, d)`` stack as a finite stack, and
+    whether it was a single trial."""
     covs = np.asarray(covs, dtype=np.float64)
     if (covs.ndim not in (2, 3) or covs.shape[-2:] != (dim, dim)
             or covs.size == 0):
         raise InvalidInput(
             f"expected a ({dim}, {dim}) trial or a non-empty "
             f"(n, {dim}, {dim}) stack, got shape {covs.shape}")
-    return covs.reshape(-1, dim, dim), covs.ndim == 2
+    stack = covs.reshape(-1, dim, dim)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise InvalidInput(f"trial {np.argmin(finite)} contains non-finite "
+                           "entries")
+    return stack, covs.ndim == 2
 
 
 def _decide(classes, evidence, single):

@@ -5,16 +5,10 @@ Every mean weighs the trials of its set equally. The power mean with
 exponent ``h`` in (0, 1] is the unique fixed point of
 ``P -> (1/n) sum_i (P #_h C_i)`` where ``#_h`` is the geodesic, with
 the duality ``P_{-h}(C) = P_h(C^{-1})^{-1}`` for negative exponents;
-``h = 0`` denotes the geometric mean. One MPM factor loop solves every
-``h`` in (-1, 1) by inexact Newton steps: a cold solve takes one to
-three steps on concentrated sets and at most four on ill-conditioned ones.
-``h = 1`` and ``h = -1`` are the closed-form arithmetic and harmonic
-means.
-
-A mean field collects the means over a grid of exponents per class;
-one solver builds every field, the one-exponent field of MDM included.
-``P_h`` is smooth in ``h``, so each solve starts at the polynomial in
-``h`` through the nearest means of the class already solved.
+``h = 0`` denotes the geometric mean. :func:`_mpm` solves every ``h``
+in (-1, 1); ``h = 1`` and ``h = -1`` are the closed-form arithmetic and
+harmonic means. A mean field collects the means over a grid of
+exponents per class (:func:`build_mean_field`).
 """
 
 import math
@@ -119,12 +113,6 @@ class MeanField:
         """Stack of the means of one class, ``h`` ascending."""
         return np.stack([e.matrix for e in self.entries[label]])
 
-    def entry(self, label, h):
-        for e in self.entries[label]:
-            if e.h == h:
-                return e
-        raise KeyError(f"no mean with h={h} for class {label}")
-
 
 @dataclass(frozen=True)
 class _SolvedField(MeanField):
@@ -138,7 +126,7 @@ class _SolvedField(MeanField):
 
 
 def _check_set(mats, name="matrix set"):
-    """The set as a float stack and its uniform weights ``1/n``."""
+    """The set as a checked float stack."""
     mats = np.asarray(mats, dtype=np.float64)
     if mats.ndim != 3 or mats.shape[-1] != mats.shape[-2]:
         raise InvalidInput(
@@ -148,8 +136,15 @@ def _check_set(mats, name="matrix set"):
         raise InvalidInput(f"{name} is empty")
     if not np.all(np.isfinite(mats)):
         raise InvalidInput(f"{name} contains non-finite entries")
-    n = mats.shape[0]
-    return mats, np.full(n, 1.0 / n)
+    return mats
+
+
+def _average(stack):
+    """``(1/n) sum_i`` over the ``n`` matrices of a stack, the one
+    uniform average of every mean. A weighted ``einsum``: ``sum`` adds
+    in another order at ``d = 1`` and on strided stacks."""
+    n = stack.shape[0]
+    return np.einsum("i,ijk->jk", np.full(n, 1.0 / n), stack)
 
 
 def _check_init(init, d):
@@ -166,8 +161,7 @@ def _check_init(init, d):
 
 def arithmetic_mean(mats):
     """Arithmetic mean ``(1/n) sum_i C_i`` (exact, no iteration)."""
-    mats, weights = _check_set(mats)
-    return np.einsum("i,ijk->jk", weights, mats)
+    return _average(_check_set(mats))
 
 
 def harmonic_mean(mats):
@@ -181,8 +175,7 @@ def harmonic_mean(mats):
         When the set is malformed or a trial is not positive definite;
         the message names the first such trial.
     """
-    mats, weights = _check_set(mats)
-    return _harmonic(mats, weights, "harmonic mean")
+    return _harmonic(_check_set(mats), "harmonic mean")
 
 
 def _trial_factors(mats, name):
@@ -199,19 +192,19 @@ def _trial_factors(mats, name):
     raise InvalidInput(f"{name}: trial {bad[0]} {bad[1]}")
 
 
-def _harmonic(mats, weights, name):
+def _harmonic(mats, name):
     """:func:`harmonic_mean` of a checked set. With ``C_i = L_i L_i^T``,
-    ``sum_i w_i C_i^{-1} = R^T R`` for the triangular factor ``R`` of
-    the QR of the stacked ``sqrt(w_i) L_i^{-1}``, so the mean is
+    ``(1/n) sum_i C_i^{-1} = R^T R`` for the triangular factor ``R`` of
+    the QR of the stacked ``sqrt(1/n) L_i^{-1}``, so the mean is
     ``R^{-1} R^{-T}``."""
     li = np.linalg.inv(_trial_factors(mats, name))
-    stacked = np.sqrt(weights)[:, None, None] * li
+    stacked = np.sqrt(1.0 / mats.shape[0]) * li
     ri = np.linalg.inv(np.linalg.qr(stacked.reshape(-1, mats.shape[-1]),
                                     mode="r"))
     return _sym(ri @ ri.T)
 
 
-def _newton_step(m, u, loglam, h, weights):
+def _newton_step(m, u, loglam, h):
     """Eigenvalues and eigenvectors of the inexact Newton step ``G``
     with ``J[G] = F``, where ``F = log(I + h M)/h`` is the plain MPM
     step (see :func:`_mpm`). At ``h = 0``, ``F = M`` is taken as it is,
@@ -220,7 +213,7 @@ def _newton_step(m, u, loglam, h, weights):
     ``F = diag(f)``. ``J[D]`` is minus the derivative of ``F`` along
     the step ``X <- exp(-D/2) X``. With the whitened trials'
     eigenvectors ``u`` and log-eigenvalues ``loglam``, ``M`` moves by
-    ``-sum_i w_i U_i (K_i o (U_i^T D U_i)) U_i^T``, where ``K_i[a, b]``
+    ``-(1/n) sum_i U_i (K_i o (U_i^T D U_i)) U_i^T``, where ``K_i[a, b]``
     is the divided difference of ``f_h`` at a pair of eigenvalues ``g``
     apart in log times their mean (``theta(g/2)`` at ``h = 0``), and
     ``F`` by ``V (E o (V^T dM V)) V^T``, where ``E`` holds the divided
@@ -228,7 +221,7 @@ def _newton_step(m, u, loglam, h, weights):
     ``h = 0``). Both factors are written in the gaps, so that wide
     spectra do not overflow.
 
-    So in the basis ``V``, ``J = E o S`` with ``S[T] = sum_i w_i B_i^T
+    So in the basis ``V``, ``J = E o S`` with ``S[T] = (1/n) sum_i B_i^T
     (K_i o B_i T B_i^T) B_i``, ``B_i = U_i^T V``, symmetric positive
     definite because ``K_i`` is positive. Conjugate gradients on
     ``S[G] = F / E``, preconditioned by ``E o``, converge however spread
@@ -259,7 +252,7 @@ def _newton_step(m, u, loglam, h, weights):
     rz = np.vdot(res, p)
     stop = 1e-3 * float(frobenius(rhs))
     for _ in range(30):
-        q = np.einsum("i,ijk->jk", weights, bt @ (k * (b @ p @ bt)) @ b)
+        q = _average(bt @ (k * (b @ p @ bt)) @ b)
         alpha = rz / np.vdot(p, q)
         step = step + alpha * p
         res = res - alpha * q
@@ -272,7 +265,7 @@ def _newton_step(m, u, loglam, h, weights):
     return lam, (q if h == 0 else v @ q)
 
 
-def _mpm(mats, h, weights, init, config):
+def _mpm(mats, h, init, config):
     """MPM factor iteration (Congedo, Barachant & Kharati Koopaei, IEEE
     TSP 2017) for the power mean with exponent ``h`` in (-1, 1), where
     ``h = 0`` is the geometric mean.
@@ -281,7 +274,7 @@ def _mpm(mats, h, weights, init, config):
     ``init = L L^T`` is the Cholesky factorization: only ``X^T X``
     matters, so the start takes no eigendecomposition. One batched
     eigendecomposition of ``X C_i X^T`` per step gives
-    ``M = sum_i w_i f_h(X C_i X^T)``, with ``f_h(l) = (l^h - 1)/h`` and
+    ``M = (1/n) sum_i f_h(X C_i X^T)``, with ``f_h(l) = (l^h - 1)/h`` and
     ``f_0 = log``, which vanishes at the mean; one more, of ``M``, gives
     the plain MPM step ``F = log(I + h M)/h`` (``F = M`` at ``h = 0``).
     The update is ``X <- exp(-nu G/2) X`` along the inexact Newton step
@@ -289,7 +282,7 @@ def _mpm(mats, h, weights, init, config):
     set, however widely spread (:func:`_newton_step`). It costs one more
     ``d x d`` eigendecomposition, of ``G``; at ``h = 0`` the step takes
     ``F = M`` as it is, and ``M`` needs none. A cold solve takes one to
-    three steps on a concentrated set and two to four on sets of
+    three steps on a concentrated set and two to eight on sets of
     condition up to ``1e10``. Correcting ``F`` rather than ``M`` keeps
     the plain step exact on a lone trial; a correction of ``M`` stepped
     uphill from starts far from the mean. ``nu`` starts at 1 and halves
@@ -320,8 +313,7 @@ def _mpm(mats, h, weights, init, config):
             break
         loglam = np.log(lam)
         f = loglam if h == 0 else np.expm1(h * loglam) / h
-        m = np.einsum("i,ijk->jk", weights,
-                      (u * f[:, None, :]) @ np.swapaxes(u, -1, -2))
+        m = _average((u * f[:, None, :]) @ np.swapaxes(u, -1, -2))
         residual = float(frobenius(m)) / scale
         if residual <= bound or it == config.max_iterations:
             break
@@ -330,7 +322,7 @@ def _mpm(mats, h, weights, init, config):
             if nu < 1e-12:
                 break
         prev = residual
-        g, v = _newton_step(m, u, loglam, h, weights)
+        g, v = _newton_step(m, u, loglam, h)
         x = (v * np.exp(-nu * g / 2.0)) @ v.T @ x
     if it == 0:
         p = np.array(init, dtype=np.float64)
@@ -356,7 +348,10 @@ def _mpm(mats, h, weights, init, config):
 def power_mean(mats, h, init=None, config=None):
     """Power mean of an SPD set for an exponent ``h`` with
     ``tiny <= |h| <= 1``, where ``tiny = np.finfo(float).tiny`` (about
-    2.2e-308) is the smallest normal float.
+    2.2e-308) is the smallest normal float. The supported domain is
+    sets whose trials are of condition number up to ``1e10`` (``1e9``
+    above ``d = 32``), alone and whitened by the mean
+    (``docs/determinism.md``).
 
     Parameters
     ----------
@@ -390,7 +385,7 @@ def power_mean(mats, h, init=None, config=None):
         When the budget runs out or an iterate loses positive
         definiteness.
     """
-    mats, weights = _check_set(mats)
+    mats = _check_set(mats)
     if not (_MIN_ABS_H <= abs(h) <= 1.0):
         raise InvalidInput(
             f"power-mean exponent must satisfy {_MIN_ABS_H:.4g} <= |h| <= 1, "
@@ -404,23 +399,25 @@ def power_mean(mats, h, init=None, config=None):
         _trial_factors(mats, name)
         return MeanResult(arithmetic_mean(mats), 0, 0.0)
     if h == -1.0:
-        return MeanResult(_harmonic(mats, weights, name), 0, 0.0)
+        return MeanResult(_harmonic(mats, name), 0, 0.0)
     if init is None:
-        init = (arithmetic_mean(mats) if h > 0
-                else _harmonic(mats, weights, name))
-    return _mpm(mats, h, weights, init, config)
+        init = arithmetic_mean(mats) if h > 0 else _harmonic(mats, name)
+    return _mpm(mats, h, init, config)
 
 
 def geometric_mean(mats, init=None, config=None):
     """Geometric (Karcher) mean of an SPD set: the ``h = 0`` member of
     the MPM iteration (see :func:`_mpm`), started at ``init``, which
-    defaults to the arithmetic mean.
+    defaults to the arithmetic mean. The supported domain is sets whose
+    trials are of condition number up to ``1e10`` (``1e9`` above
+    ``d = 32``), alone and whitened by the mean
+    (``docs/determinism.md``).
 
     Returns
     -------
     MeanResult
         The residual is the stationarity norm
-        ``||sum_i w_i log(G^{-1/2} C_i G^{-1/2})||_F`` at the returned
+        ``||(1/n) sum_i log(G^{-1/2} C_i G^{-1/2})||_F`` at the returned
         matrix, at most ``tolerance * d``; a mean found before any step
         is a copy of ``init``.
 
@@ -433,13 +430,13 @@ def geometric_mean(mats, init=None, config=None):
         When the budget runs out or an iterate loses positive
         definiteness.
     """
-    mats, weights = _check_set(mats)
+    mats = _check_set(mats)
     config = config or SolverConfig()
     if init is None:
         init = arithmetic_mean(mats)
     else:
         init = _check_init(init, mats.shape[-1])
-    return _mpm(mats, 0.0, weights, init, config)
+    return _mpm(mats, 0.0, init, config)
 
 
 def rpme_clean(mats, config=None):
@@ -463,7 +460,7 @@ def rpme_clean(mats, config=None):
         whenever iteration stopped because nothing was removed), and
         the number of rounds used.
     """
-    mats, _ = _check_set(mats)
+    mats = _check_set(mats)
     config = config or SolverConfig()
     n = mats.shape[0]
     kept = np.arange(n)
@@ -562,8 +559,8 @@ def _solve_field(trials_per_class, grid, config, robust):
     kept_map = {}
     sq_map = {}
     for label in sorted(trials_per_class):
-        mats, _ = _check_set(trials_per_class[label],
-                             name=f"class {label} trials")
+        mats = _check_set(trials_per_class[label],
+                          name=f"class {label} trials")
         if mats.shape[0] < 2:
             raise InvalidInput(f"class {label} needs at least 2 trials")
         kept = np.arange(mats.shape[0])

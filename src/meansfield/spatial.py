@@ -1,17 +1,9 @@
 """Dimensionality-reducing spatial filters for covariance trials.
 
 Two building blocks: two-class filters from the generalized
-eigendecomposition of the class means, and approximate joint
-diagonalization (AJD) of a matrix set by pairwise transformations,
-swept in rounds of disjoint pairs that apply together. The adaptive
-two-stage filter chains them: a fast eigendecomposition stage caps the
-dimension at 28, then an AJD stage on the geometric class means caps
-it at 10. The class means and the AJD weigh their matrices equally and
-run on the default :class:`SolverConfig` budget. The stage-1 outputs
-are projected without a check of their own: the stage-2 geometric
-mean's first factorization is their positive-definiteness check, as it
-is for trials that enter stage 2 unfiltered. :func:`apply_filter`
-validates every matrix it returns.
+eigendecomposition of the class means (:func:`csp_gevd`), and
+approximate joint diagonalization of a matrix set (:func:`pham_ajd`).
+The adaptive two-stage filter :func:`adcsp_fit` chains them.
 """
 
 import numpy as np
@@ -306,7 +298,8 @@ def adcsp_fit(trial_covs, labels):
     Stage 1 (entered iff the dimension is >= 28): arithmetic class
     means, eigendecomposition-based filter to 28 rows. Stage 2
     (entered iff the current dimension is >= 10): geometric class
-    means of the stage-1-filtered trials, joint diagonalization of the
+    means of the stage-1-filtered trials on the default
+    :class:`SolverConfig` budget, joint diagonalization of the
     two means, and the 10 most discriminative rows (scored like the
     eigendecomposition stage on the diagonalized means), composed with
     stage 1. Inputs of dimension < 10 pass through an identity filter.

@@ -574,6 +574,22 @@ class TestStackScoring:
         with pytest.raises(InvalidInput):
             score(model, indefinite)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["MDM", "MF", "TS+LR"])
+    def test_non_finite_trial_named(self, name, bad):
+        # refused by name before any decomposition, alike for every
+        # scorer, in a stack and alone
+        rng = np.random.default_rng(27)
+        model, score, probes = fitted_scorer(name, 2, rng)
+        probes = probes[:4]
+        probes[2, 0, 1] = bad
+        with pytest.raises(InvalidInput,
+                           match="^trial 2 contains non-finite entries$"):
+            score(model, probes)
+        with pytest.raises(InvalidInput,
+                           match="^trial 0 contains non-finite entries$"):
+            score(model, probes[2])
+
     @pytest.mark.parametrize("name", ["MDM", "MF"])
     def test_first_non_pd_trial_named(self, name):
         rng = np.random.default_rng(26)

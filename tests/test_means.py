@@ -116,6 +116,38 @@ def branch_sets(draw):
     return mats, random_gl(dim, rng, max_cond=100.0), h
 
 
+# Largest n d^2 of a domain set: at d = 64 a set has at most 14 trials,
+# so that no example takes a second.
+DOMAIN_CAP = 60_000
+
+
+@st.composite
+def domain_sets(draw):
+    """A seeded set over the solvers' documented domain, trials of
+    condition up to 1e10 (1e9 above d = 32) alone and whitened by their
+    mean, and an exponent with 1e-3 <= |h| <= 1: d 1-64, n 2-200 with
+    n d^2 <= DOMAIN_CAP, independent trials of condition up to the
+    bound, and up to n - 1 near-duplicates of the first trial,
+    congruences of it by ``I + E`` with ``E`` about 1e-8. Duplicates
+    pull the mean onto that trial, so the trials of a set with
+    duplicates are of condition up to the square root of the bound."""
+    dim = draw(st.integers(1, 64) | st.just(64))
+    n = draw(st.integers(2, min(200, DOMAIN_CAP // dim**2)))
+    top = 10.0 if dim <= 32 else 9.0
+    log10_cond = draw(st.floats(0.0, top) | st.just(top))
+    duplicates = draw(st.integers(0, n - 1))
+    if duplicates:
+        log10_cond /= 2
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = np.stack([random_spd(dim, rng, log_spread=log10_cond
+                                * np.log(10.0)) for _ in range(n)])
+    for i in range(1, duplicates + 1):
+        e = np.eye(dim) + 1e-8 * rng.standard_normal((dim, dim))
+        mats[i] = e @ mats[0] @ e.T
+    h = draw(st.floats(1e-3, 1.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    return mats, h
+
+
 def rpme_by_distance(mats):
     """The rounds of :func:`rpme_clean` with each round's distances from
     ``airm_distance``: kept indices and rounds."""
@@ -661,6 +693,53 @@ class TestCongruenceAndOrder:
                   for s in (1.0, -1.0) for h in (1e-1, 1e-2, 1e-3)]
         assert min(ratios) > 0.0
         assert max(ratios) <= 2.0 * min(ratios)
+
+
+class TestDocumentedDomain:
+    """Trials of condition up to 1e10 (1e9 above d = 32), alone and
+    whitened by their mean (docs/determinism.md)."""
+
+    @settings(max_examples=60)
+    @given(domain_sets())
+    def test_solves_meet_their_bounds(self, case):
+        mats, h = case
+        cfg = SolverConfig()
+        res = power_mean(mats, h, config=cfg)
+        assert res.residual <= cfg.tolerance
+        res = geometric_mean(mats, config=cfg)
+        assert res.residual <= cfg.tolerance * mats.shape[-1]
+
+    def test_copies_of_one_trial_leave_the_domain(self):
+        # 101 of 109 trials (d = 26) are copies of one trial of
+        # condition 1e9.6: the mean comes close to it, and a trial in
+        # another basis is of condition up to 1e15.7 whitened by it.
+        # The solves fail by name: at h = 0 an iterate loses positive
+        # definiteness to rounding, at h = -0.1 the step length
+        # underflows, both well inside the step budget
+        rng = np.random.default_rng(141)
+        mats = np.stack([random_spd(26, rng, log_spread=9.8 * np.log(10.0))
+                         for _ in range(109)])
+        mats[1:101] = mats[0]
+        for h in (0.0, -0.1):
+            with pytest.raises(ConvergenceFailure) as err:
+                geometric_mean(mats) if h == 0.0 else power_mean(mats, h)
+            assert err.value.iterations < SolverConfig().max_iterations
+
+    @pytest.mark.parametrize("seed", [64023, 64024])
+    def test_two_trials_at_d64_leave_the_domain(self, seed):
+        # two d = 64 trials of condition 1e9.5-1e10, above the 1e9 of
+        # d > 32, and 1e8.7-1e9.0 whitened by their mean: at h = -0.9
+        # the residual stalls at 1.5e-7-1.6e-7, above the tolerance,
+        # until the step length underflows; h = -0.5 converges in two
+        # steps
+        rng = np.random.default_rng(seed)
+        mats = np.stack([random_spd(64, rng, log_spread=10 * np.log(10.0))
+                         for _ in range(2)])
+        cfg = SolverConfig()
+        assert power_mean(mats, -0.5, config=cfg).iterations <= 2
+        with pytest.raises(ConvergenceFailure) as err:
+            power_mean(mats, -0.9, config=cfg)
+        assert cfg.tolerance < err.value.residual <= 2 * cfg.tolerance
 
 
 class TestRpme:
