@@ -24,7 +24,9 @@ from dataclasses import dataclass, replace
 from .exceptions import (
     ConvergenceFailure, InvalidInput, NumericalFailure,
 )
-from .geometry import _sq_distances, _sym, check_spd, invsqrtm, logm, sqrtm
+from .geometry import (
+    _check_finite, _sq_distances, _sym, check_spd, invsqrtm, logm, sqrtm,
+)
 from .means import (
     DEFAULT_H_GRID, MeanField, _solve_field, build_mean_field,
     geometric_mean,
@@ -64,13 +66,7 @@ def _group_by_class(covs, labels):
     classes = np.unique(labels)
     if len(classes) < 2:
         raise InvalidInput("training needs at least 2 classes")
-    groups = {}
-    for c in classes:
-        sel = covs[labels == c]
-        if sel.shape[0] < 2:
-            raise InvalidInput(f"class {c} needs at least 2 trials")
-        groups[c] = sel
-    return groups
+    return {c: covs[labels == c] for c in classes}
 
 
 def _trials(covs, dim):
@@ -82,12 +78,7 @@ def _trials(covs, dim):
         raise InvalidInput(
             f"expected a ({dim}, {dim}) trial or a non-empty "
             f"(n, {dim}, {dim}) stack, got shape {covs.shape}")
-    stack = covs.reshape(-1, dim, dim)
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    if not finite.all():
-        raise InvalidInput(f"trial {np.argmin(finite)} contains non-finite "
-                           "entries")
-    return stack, covs.ndim == 2
+    return _check_finite(covs.reshape(-1, dim, dim), "trial"), covs.ndim == 2
 
 
 def _decide(classes, evidence, single):
@@ -253,7 +244,7 @@ def _training_features(model, covs, labels):
     """:func:`distance_features` of a field model's own training trials.
 
     The field solver leaves the squared distances of each class's kept
-    trials to the class's iterative means (see ``means._SolvedField``);
+    trials to the class's iterative means (``MeanField.sq_distances``);
     the kernel computes the rest: the other classes' trials, the trials
     robust cleaning dropped, and the closed-form ``h = +-1`` means.
     """

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 
 from .exceptions import DegenerateInput, InvalidInput
-from .geometry import check_spd
+from .geometry import _check_finite, check_spd
 
 __all__ = ["oas_covariance", "oas_shrinkage"]
 
@@ -24,8 +24,7 @@ def _check_trials(data):
         )
     if data.ndim == 3 and data.shape[0] == 0:
         raise InvalidInput("trial stack is empty")
-    if not np.all(np.isfinite(data)):
-        raise InvalidInput("trial data contains non-finite entries")
+    _check_finite(data, "trial")
     channels, samples = data.shape[-2:]
     if channels < 1 or samples < 2:
         raise InvalidInput("trial needs at least 1 channel and 2 samples")

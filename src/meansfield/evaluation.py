@@ -272,14 +272,14 @@ def run_pipeline(trialset, config, workers=1):
     fold is scored with AUC-ROC and wall-clock timing. Failures are
     recorded in the affected row and the run continues; a group with
     fewer than ``k`` trials of a class gets ``k`` error rows, and so
-    does a group of a covariance set with a trial that is not SPD:
-    each group passes through the identity stage once, before its
-    folds. A time-series group has its covariances estimated once,
-    before its folds, and a degenerate trial (every channel constant,
-    say) likewise fails only its group. The error names a bad trial by
-    its index within the group. ``fold_time_seconds`` covers a fold's
-    filter and classifier fit, its scoring and its AUC, not that
-    validation or estimation.
+    does a group of a covariance set with a trial that is not finite
+    or not SPD: each group passes through the identity stage once,
+    before its folds. A time-series group has its covariances
+    estimated once, before its folds, and a non-finite or degenerate
+    trial (every channel constant, say) likewise fails only its group.
+    The error names a bad trial by its index within the group.
+    ``fold_time_seconds`` covers a fold's filter and classifier fit,
+    its scoring and its AUC, not that validation or estimation.
 
     Parameters
     ----------

@@ -20,7 +20,8 @@ class NumericalFailure(RuntimeError):
 
 
 class ConvergenceFailure(NumericalFailure):
-    """An iterative solver exhausted its iteration budget.
+    """An iterative solver stopped short of its tolerance: its budget
+    ran out, its step length stalled, or an iterate left the domain.
 
     Carries the last iterate and residual so callers can inspect or
     restart the computation.

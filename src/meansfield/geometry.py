@@ -57,8 +57,17 @@ def _as_square(a, name="matrix"):
     a = np.asarray(a, dtype=np.float64)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InvalidInput(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInput(f"{name} contains non-finite entries")
+    return _check_finite(a, name)
+
+
+def _check_finite(a, name):
+    """``a``, one matrix or a stack, when all its entries are finite;
+    else :class:`InvalidInput` naming the first matrix with a non-finite
+    entry as ``"{name} {i}"`` (``name`` alone for one matrix)."""
+    if not np.isfinite(a).all():
+        finite = np.isfinite(a).all(axis=(-2, -1)).ravel()
+        where = name if a.ndim == 2 else f"{name} {np.argmin(finite)}"
+        raise InvalidInput(f"{where} contains non-finite entries")
     return a
 
 
@@ -129,14 +138,18 @@ def _eigh_stack(s):
 
 
 def _spectral(s, fn, name, require_pd=True):
-    """Apply a scalar function to the spectrum: ``V diag(fn(w)) V^T``."""
+    """Apply a scalar function to the spectrum: ``V diag(fn(w)) V^T``;
+    where ``require_pd``, the error names a stack's first non-PD matrix
+    as a trial, as the distance kernel does."""
     s = _as_square(s, name="argument of " + name)
     w, v = _eigh_stack(s)
     if require_pd and np.min(w) <= 0.0:
+        low = w[..., 0].ravel()
+        i = int(np.flatnonzero(low <= 0.0)[0])
+        what = ("a positive-definite matrix" if s.ndim == 2 else
+                f"positive-definite trials; trial {i} is not")
         raise InvalidInput(
-            f"{name} requires a positive-definite matrix "
-            f"(smallest eigenvalue {np.min(w):.3e})"
-        )
+            f"{name} requires {what} (smallest eigenvalue {low[i]:.3e})")
     fw = fn(w)
     return _sym((v * fw[..., None, :]) @ np.swapaxes(v, -1, -2))
 

@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 from .exceptions import ConvergenceFailure, InvalidInput
 from .geometry import (
-    SolverConfig, _as_square, _eigh_stack, _first_not_spd, _sym, frobenius,
-    is_symmetric,
+    SolverConfig, _as_square, _check_finite, _eigh_stack, _first_not_spd,
+    _sym, frobenius, is_symmetric,
 )
 
 __all__ = [
@@ -96,14 +96,19 @@ class MeanField:
 
     ``kept`` maps each class to the trial indices that survived robust
     cleaning (all indices when cleaning was disabled): the trials the
-    means were solved on, whose distances to the means ``mf_fit`` reads
-    from the solver instead of recomputing. ``classes`` is the sorted
-    tuple of class labels.
+    means were solved on. ``sq_distances`` holds, per class, the squared
+    distances of those kept trials to its means, shape ``(kept,
+    h_grid)``, read from each solve's last step (see :class:`_FinalStep`)
+    so that ``mf_fit`` need not recompute them; ``nan`` for the
+    closed-form ``h = +-1`` means, which take no step. ``classes`` is the
+    sorted tuple of class labels.
     """
 
     h_grid: tuple
     entries: dict
     kept: dict = field(default_factory=dict)
+    sq_distances: dict = field(default_factory=dict, repr=False,
+                               compare=False)
     classes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -114,29 +119,17 @@ class MeanField:
         return np.stack([e.matrix for e in self.entries[label]])
 
 
-@dataclass(frozen=True)
-class _SolvedField(MeanField):
-    """A :class:`MeanField` that also holds, per class, the squared
-    distances of its kept trials to its means, shape ``(kept, h_grid)``,
-    read from each solve's last step (see :class:`_FinalStep`); ``nan``
-    for the closed-form ``h = +-1`` means, which take no step."""
-
-    sq_distances: dict = field(default_factory=dict, repr=False,
-                               compare=False)
-
-
-def _check_set(mats, name="matrix set"):
-    """The set as a checked float stack."""
+def _check_set(mats, name="trial"):
+    """The set as a checked float stack; a message names the set as
+    ``"{name} set"`` and its first non-finite trial as ``"{name} {i}"``."""
     mats = np.asarray(mats, dtype=np.float64)
     if mats.ndim != 3 or mats.shape[-1] != mats.shape[-2]:
         raise InvalidInput(
-            f"{name} must be a stack of square matrices, got shape {mats.shape}"
-        )
+            f"{name} set must be a stack of square matrices, got shape "
+            f"{mats.shape}")
     if mats.shape[0] == 0:
-        raise InvalidInput(f"{name} is empty")
-    if not np.all(np.isfinite(mats)):
-        raise InvalidInput(f"{name} contains non-finite entries")
-    return mats
+        raise InvalidInput(f"{name} set is empty")
+    return _check_finite(mats, name)
 
 
 def _average(stack):
@@ -286,7 +279,8 @@ def _mpm(mats, h, init, config):
     condition up to ``1e10``. Correcting ``F`` rather than ``M`` keeps
     the plain step exact on a lone trial; a correction of ``M`` stepped
     uphill from starts far from the mean. ``nu`` starts at 1 and halves
-    whenever the residual, a scaled ``||M||_F``, fails to decrease.
+    whenever the residual, a scaled ``||M||_F``, fails to decrease;
+    below ``1e-12`` the solve stops as stalled.
 
     The loop tests the residual before it updates ``X``, so its last
     decomposition belongs to the returned mean; the result is a
@@ -335,9 +329,11 @@ def _mpm(mats, h, init, config):
             last_iterate=p, residual=np.inf, iterations=it,
         )
     if residual > bound:
+        why = (f"did not converge in {it} iterations"
+               if it == config.max_iterations else
+               f"step length stalled after {it} iterations")
         raise ConvergenceFailure(
-            f"{name} did not converge in {config.max_iterations} "
-            f"iterations (residual {residual:.3e})",
+            f"{name} {why} (residual {residual:.3e})",
             last_iterate=p, residual=residual, iterations=it,
         )
     res = _FinalStep(p, it, residual)
@@ -382,8 +378,8 @@ def power_mean(mats, h, init=None, config=None):
         (``init is not positive definite``); the closed forms ignore a
         well-formed ``init``.
     ConvergenceFailure
-        When the budget runs out or an iterate loses positive
-        definiteness.
+        When the budget runs out, the step length stalls or an iterate
+        loses positive definiteness; the message says which.
     """
     mats = _check_set(mats)
     if not (_MIN_ABS_H <= abs(h) <= 1.0):
@@ -427,8 +423,8 @@ def geometric_mean(mats, init=None, config=None):
         When ``init`` is not a finite symmetric ``(d, d)`` matrix, or
         a trial or ``init`` is not positive definite.
     ConvergenceFailure
-        When the budget runs out or an iterate loses positive
-        definiteness.
+        When the budget runs out, the step length stalls or an iterate
+        loses positive definiteness; the message says which.
     """
     mats = _check_set(mats)
     config = config or SolverConfig()
@@ -447,10 +443,8 @@ def rpme_clean(mats, config=None):
     which the solver's last step yields (see :func:`_mpm`), and
     removes every trial with a z-score above ``RPME_Z_THRESHOLD``
     (2.5). Rounds stop when nothing is removed or ``RPME_MAX_ROUNDS``
-    (4) mean computations have been spent; a removal that would leave
-    fewer than 2 survivors is skipped and iteration halts. Sets of
-    fewer than 3 trials are returned unmodified (z-scores are
-    undefined).
+    (4) mean computations have been spent. Sets of fewer than 3 trials
+    are returned unmodified (z-scores are undefined).
 
     Returns
     -------
@@ -478,10 +472,10 @@ def rpme_clean(mats, config=None):
         if spread == 0.0:
             break
         z = (dist - dist.mean()) / spread
+        # the z**2 sum to n - 1, so fewer than (n - 1) / 2.5**2 trials
+        # are outliers: at least 2 of the n >= 3 survive
         outliers = z > RPME_Z_THRESHOLD
         if not outliers.any():
-            break
-        if (~outliers).sum() < 2:
             break
         kept = kept[~outliers]
     return RpmeResult(kept, mean, rounds)
@@ -552,21 +546,16 @@ def build_mean_field(trials_per_class, h_grid=DEFAULT_H_GRID, config=None,
 
 def _solve_field(trials_per_class, grid, config, robust):
     """The field of :func:`build_mean_field` on an ascending, checked
-    ``grid``; ``h = 0`` is solved by :func:`geometric_mean`. Returns a
-    :class:`_SolvedField`."""
+    ``grid``; ``h = 0`` is solved by :func:`geometric_mean`."""
     config = config or SolverConfig()
-    entries = {}
-    kept_map = {}
-    sq_map = {}
+    entries, kept_map, sq_map = {}, {}, {}
     for label in sorted(trials_per_class):
-        mats = _check_set(trials_per_class[label],
-                          name=f"class {label} trials")
+        mats = _check_set(trials_per_class[label], name=f"class {label} trial")
         if mats.shape[0] < 2:
             raise InvalidInput(f"class {label} needs at least 2 trials")
         kept = np.arange(mats.shape[0])
         if robust:
-            cleaned = rpme_clean(mats, config=config)
-            kept = cleaned.kept_indices
+            kept = rpme_clean(mats, config=config).kept_indices
             mats = mats[kept]
         kept_map[label] = kept
 
@@ -581,24 +570,16 @@ def _solve_field(trials_per_class, grid, config, robust):
                     res = power_mean(mats, h, init=init, config=config)
                 if isinstance(res, _FinalStep):
                     sq[:, grid.index(h)] = res.sq_distances
-                solved[h] = MeanResult(*res)  # frees the last step
+                res.matrix.flags.writeable = False  # the solver's own array
+                solved[h] = MeanFieldEntry(h, res.matrix, res.iterations,
+                                           res.residual)
         except ConvergenceFailure as exc:
             raise ConvergenceFailure(
                 f"mean field for class {label} failed: {exc}",
                 last_iterate=exc.last_iterate, residual=exc.residual,
                 iterations=exc.iterations,
             ) from exc
-
-        class_entries = []
-        for h in grid:
-            res = solved[h]
-            matrix = res.matrix.copy()
-            matrix.flags.writeable = False
-            class_entries.append(
-                MeanFieldEntry(h, matrix, res.iterations, res.residual)
-            )
-        entries[label] = tuple(class_entries)
+        entries[label] = tuple(solved[h] for h in grid)
         sq.flags.writeable = False
         sq_map[label] = sq
-    return _SolvedField(h_grid=grid, entries=entries, kept=kept_map,
-                        sq_distances=sq_map)
+    return MeanField(grid, entries, kept_map, sq_map)

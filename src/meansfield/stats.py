@@ -139,9 +139,7 @@ def wilcoxon_signed_rank(diffs):
     w_plus = float(ranks[d > 0].sum())
     mu = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0
-    var -= int(np.sum(ties**3 - ties)) / 48.0
-    if var <= 0.0:
-        return 1.0, True
+    var -= int(np.sum(ties**3 - ties)) / 48.0  # at least n (n + 1)^2 / 16
     z = (w_plus - 0.5 - mu) / np.sqrt(var)
     return float(1.0 - normal_cdf(z)), False
 

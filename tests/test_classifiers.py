@@ -590,14 +590,30 @@ class TestStackScoring:
                            match="^trial 0 contains non-finite entries$"):
             score(model, probes[2])
 
-    @pytest.mark.parametrize("name", ["MDM", "MF"])
+    @pytest.mark.parametrize("name", ["MDM", "MF", "TS+LR"])
     def test_first_non_pd_trial_named(self, name):
+        # the first non-PD trial, not the one with the smallest
+        # eigenvalue, read from the eigenvalues the scorer computes
         rng = np.random.default_rng(26)
         model, score, probes = fitted_scorer(name, 2, rng)
         probes[2] = np.diag([1.0, 2.0, -1.0])
         probes[7] = np.diag([-5.0, 2.0, 1.0])
         with pytest.raises(InvalidInput, match="trial 2 is not"):
             score(model, probes)
+
+    @pytest.mark.parametrize("name,where", [
+        ("MDM", "class 1 trial 3"), ("MF", "class 1 trial 3"),
+        ("TS+LR", "trial 9"),
+    ])
+    def test_non_finite_training_trial_named(self, name, where):
+        # trial 9 of the training stack, trial 3 of class 1: the field
+        # fits name it within its class, TS+LR within the stack
+        trials, labels = dispersion_classes(np.random.default_rng(28), n=6)
+        trials[9, 1, 0] = np.nan
+        fit, _ = SCORERS[name]
+        with pytest.raises(InvalidInput,
+                           match=f"^{where} contains non-finite entries$"):
+            fit(trials, labels)
 
 
 FIELD_PIPELINES = ["MDM", "MDMF", "MF"]

@@ -19,8 +19,10 @@ import meansfield
 from meansfield.archive import TrialArchive, read_archive, write_archive
 from meansfield.cli import main
 from meansfield.means import geometric_mean, power_mean
-from meansfield.reports import load_score_table, meta_report_to_dict
-from meansfield.stats import meta_compare
+from meansfield.reports import (
+    format_meta_table, load_score_table, meta_report_to_dict,
+)
+from meansfield.stats import DatasetComparison, MetaReport, meta_compare
 
 RG_CONFIG = """
 # two-class covariance cloud
@@ -387,6 +389,19 @@ class TestCompare:
         assert doc == api
         text = capsys.readouterr().out
         assert "SMD" in text and "META" in text
+
+    def test_meta_table_marks_significance(self):
+        # three, two and one marks below p = .001, .01 and .05; none at
+        # .05 itself
+        datasets = tuple(
+            DatasetComparison(f"d{i}", 10, 1.0, 0.5, 0.1, 0.9, p, "exact",
+                              False)
+            for i, p in enumerate((0.0005, 0.005, 0.03)))
+        table = format_meta_table(
+            MetaReport("MDM", "MF", datasets, 0.5, 0.05)).splitlines()
+        col = table[1].index("sig")
+        assert [(row.split()[0], row[col:].strip()) for row in table[2:]] \
+            == [("d0", "***"), ("d1", "**"), ("d2", "*"), ("META", "")]
 
     def test_self_comparison_zero_effect(self, tmp_path, rg_config):
         paths = TestEval().make_archives(tmp_path, rg_config)

@@ -376,6 +376,58 @@ class TestRunPipeline:
         assert all(r.auc is None and r.fold_time_seconds == 0.0
                    for r in failed)
 
+    @pytest.mark.parametrize("kind,where", [
+        ("covariance", "filtered matrix 7"), ("time-series", "trial 5"),
+    ])
+    def test_non_finite_trial_fails_its_group(self, kind, where):
+        # a NaN in one trial of s02 fails s02's folds with one message
+        # naming the trial by its index in the group: covariance trial 7
+        # from the identity stage, time-series trial 5 before its
+        # covariance is estimated; s01 scores
+        rng = np.random.default_rng(18)
+        local = int(where.split()[-1])
+        if kind == "covariance":
+            ts = make_trialset(rng, SEPARABLE_CENTERS, n=10,
+                               subjects=("s01", "s02"))
+        else:
+            ts = TrialSet(
+                dataset_id="noise", kind=kind,
+                trials=rng.standard_normal((40, 4, 32)),
+                labels=np.tile(np.repeat([0, 1], 10), 2),
+                subjects=np.repeat(np.array(["s01", "s02"], dtype=object),
+                                   20),
+                sessions=np.array(["0"] * 40, dtype=object))
+        ts.trials[20 + local, 0, 1] = np.nan
+        table = run_pipeline(ts, EvalConfig(pipeline="MDM", seed=6))
+        assert all(r.auc is not None for r in table.rows[:5])
+        failed = table.rows[5:]
+        assert [(r.subject, r.fold) for r in failed] == [
+            ("s02", f) for f in range(5)]
+        assert {r.error for r in failed} == {
+            f"InvalidInput: {where} contains non-finite entries"}
+
+    @pytest.mark.parametrize("pipeline", ["MDM", "TS+LR"])
+    def test_interleaved_subjects_score_as_contiguous(self, pipeline):
+        # an interleaved set's groups are gathered by copy, a contiguous
+        # set's taken as views of the stack: the rows are the same
+        rng = np.random.default_rng(19)
+        ts = make_trialset(rng, (np.eye(3), np.diag([1.5, 1.0, 1.0])),
+                           sigma=0.3, n=10, subjects=("s01", "s02"))
+        order = np.arange(40).reshape(2, 20).T.ravel()  # s01, s02, ...
+        mixed = TrialSet(ts.dataset_id, ts.kind, ts.trials[order],
+                         ts.labels[order], ts.subjects[order],
+                         ts.sessions[order])
+        idx = mixed.groups()[0][2]
+        assert not np.shares_memory(evaluation._take(mixed.trials, idx),
+                                    mixed.trials)
+        config = EvalConfig(pipeline=pipeline, seed=3)
+
+        def rows(trialset):
+            return [(r.subject, r.session, r.fold, r.auc, r.error)
+                    for r in run_pipeline(trialset, config).rows]
+
+        assert rows(mixed) == rows(ts)
+
     def test_covariance_group_validated_once(self, monkeypatch):
         # the identity stage runs once per (subject, session) group,
         # not on each fold's training and held-out stacks

@@ -559,6 +559,18 @@ class TestGeometricMean:
             else:
                 power_mean(mats, h)
 
+    @pytest.mark.parametrize("h", [0.0, 0.5, -1.0])
+    def test_non_finite_trial_named(self, h):
+        rng = np.random.default_rng(19)
+        mats = np.stack([random_spd(3, rng) for _ in range(5)])
+        mats[3, 2, 2] = np.inf
+        with pytest.raises(InvalidInput,
+                           match="^trial 3 contains non-finite entries$"):
+            geometric_mean(mats) if h == 0.0 else power_mean(mats, h)
+        with pytest.raises(InvalidInput, match="^class 1 trial 3 contains "
+                                               "non-finite entries$"):
+            build_mean_field({0: mats[:3], 1: mats}, h_grid=(h,))
+
     def test_non_spd_init_rejected(self):
         rng = np.random.default_rng(15)
         mats = np.stack([random_spd(3, rng) for _ in range(4)])
@@ -730,8 +742,8 @@ class TestDocumentedDomain:
         # two d = 64 trials of condition 1e9.5-1e10, above the 1e9 of
         # d > 32, and 1e8.7-1e9.0 whitened by their mean: at h = -0.9
         # the residual stalls at 1.5e-7-1.6e-7, above the tolerance,
-        # until the step length underflows; h = -0.5 converges in two
-        # steps
+        # until the step length underflows, and the failure says so;
+        # h = -0.5 converges in two steps
         rng = np.random.default_rng(seed)
         mats = np.stack([random_spd(64, rng, log_spread=10 * np.log(10.0))
                          for _ in range(2)])
@@ -740,6 +752,11 @@ class TestDocumentedDomain:
         with pytest.raises(ConvergenceFailure) as err:
             power_mean(mats, -0.9, config=cfg)
         assert cfg.tolerance < err.value.residual <= 2 * cfg.tolerance
+        assert err.value.iterations < cfg.max_iterations
+        assert str(err.value) == (
+            f"power mean (h=-0.9) step length stalled after "
+            f"{err.value.iterations} iterations "
+            f"(residual {err.value.residual:.3e})")
 
 
 class TestRpme:
