@@ -28,8 +28,8 @@ from .geometry import (
     _check_finite, _sq_distances, _sym, check_spd, invsqrtm, logm, sqrtm,
 )
 from .means import (
-    DEFAULT_H_GRID, MeanField, _solve_field, build_mean_field,
-    geometric_mean,
+    DEFAULT_H_GRID, MeanField, _labelled_set, _solve_field,
+    build_mean_field, geometric_mean,
 )
 
 __all__ = [
@@ -50,23 +50,6 @@ LR_GRAD_TOL = 1e-8
 # Tangent-coordinate spread at or below which a TS+LR feature is
 # rounding, not signal.
 TS_SPREAD_FLOOR = 1e-12
-
-
-def _labelled(covs, labels):
-    """A training stack and its labels as arrays, one label per trial."""
-    covs = np.asarray(covs, dtype=np.float64)
-    labels = np.asarray(labels)
-    if covs.ndim != 3 or labels.shape != covs.shape[:1]:
-        raise InvalidInput("need one label per covariance matrix")
-    return covs, labels
-
-
-def _group_by_class(covs, labels):
-    covs, labels = _labelled(covs, labels)
-    classes = np.unique(labels)
-    if len(classes) < 2:
-        raise InvalidInput("training needs at least 2 classes")
-    return {c: covs[labels == c] for c in classes}
 
 
 def _trials(covs, dim):
@@ -132,17 +115,27 @@ def _field_model(field):
 
 def mdm_fit(train_covs, labels, config=None):
     """Learn one geometric mean per class: the field of the single
-    exponent ``h = 0``, equal to ``mdmf_fit(..., h_grid=(0.0,))``."""
-    groups = _group_by_class(train_covs, labels)
-    return _field_model(_solve_field(groups, (0.0,), config, robust=False))
+    exponent ``h = 0``, equal to ``mdmf_fit(..., h_grid=(0.0,))``.
+
+    Raises :class:`InvalidInput` unless ``train_covs`` is an ``(n, d,
+    d)`` stack with one label per trial and at least two classes.
+    """
+    covs, members = _labelled_set(train_covs, labels)
+    return _field_model(_solve_field({c: covs[i] for c, i in members.items()},
+                                     (0.0,), config, robust=False))
 
 
 def mdmf_fit(train_covs, labels, h_grid=DEFAULT_H_GRID, config=None,
              robust=False):
-    """Learn the full power-mean field per class."""
-    groups = _group_by_class(train_covs, labels)
-    return _field_model(build_mean_field(groups, h_grid=h_grid,
-                                         config=config, robust=robust))
+    """Learn the full power-mean field per class.
+
+    Raises :class:`InvalidInput` unless ``train_covs`` is an ``(n, d,
+    d)`` stack with one label per trial and at least two classes.
+    """
+    covs, members = _labelled_set(train_covs, labels)
+    return _field_model(build_mean_field(
+        {c: covs[i] for c, i in members.items()}, h_grid=h_grid,
+        config=config, robust=robust))
 
 
 def mdm_score(model, covs):
@@ -186,23 +179,26 @@ def lda_fit(features, labels):
 
     The pooled within-class covariance (normalized by ``N - n_classes``)
     receives ``LDA_RIDGE * tr(S)/k`` on its diagonal before inversion.
-    Raises :class:`NumericalFailure` when a feature is not finite, or
-    the ridged covariance is not finite or not positive definite.
+    Raises :class:`InvalidInput` unless ``features`` is an ``(n, k)``
+    array with one label per row, at least two classes and more rows
+    than classes; :class:`NumericalFailure` when a feature is not
+    finite, or the ridged covariance is not finite or not positive
+    definite.
     """
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels)
-    classes = np.unique(y)
+    x, members = _labelled_set(features, labels, trial_ndim=1)
     n, k = x.shape
-    if len(classes) < 2 or n <= len(classes):
-        raise InvalidInput("discriminant needs 2+ classes and n > n_classes")
+    if n <= len(members):
+        raise InvalidInput(
+            f"discriminant needs more trials than classes, got {n} trials "
+            f"of {len(members)} classes")
     if not np.all(np.isfinite(x)):
         raise NumericalFailure("features contain non-finite entries")
-    means = np.stack([x[y == c].mean(axis=0) for c in classes])
+    means = np.stack([x[i].mean(axis=0) for i in members.values()])
     pooled = np.zeros((k, k))
-    for c, mu in zip(classes, means):
-        centered = x[y == c] - mu
+    for i, mu in zip(members.values(), means):
+        centered = x[i] - mu
         pooled += centered.T @ centered
-    pooled /= n - len(classes)
+    pooled /= n - len(members)
     ridge = LDA_RIDGE * np.trace(pooled) / k
     pooled_r = pooled + ridge * np.eye(k)
     if not np.all(np.isfinite(pooled_r)):
@@ -214,11 +210,11 @@ def lda_fit(features, labels):
             f"pooled feature covariance is singular after ridge: {exc}"
         ) from exc
     coef = np.linalg.solve(chol.T, np.linalg.solve(chol, means.T)).T
-    priors = np.array([(y == c).mean() for c in classes])
+    priors = np.array([len(i) / n for i in members.values()])
     intercept = -0.5 * np.sum(coef * means, axis=1) + np.log(priors)
     for a in (priors, coef, intercept):
         a.flags.writeable = False
-    return LdaModel(tuple(classes), priors, coef, intercept)
+    return LdaModel(tuple(members), priors, coef, intercept)
 
 
 def lda_discriminants(model, features):
@@ -240,8 +236,9 @@ def distance_features(model, covs):
     return feats[0] if single else feats
 
 
-def _training_features(model, covs, labels):
-    """:func:`distance_features` of a field model's own training trials.
+def _training_features(model, covs, members):
+    """:func:`distance_features` of a field model's own training trials,
+    ``members`` mapping each class to the indices of its trials.
 
     The field solver leaves the squared distances of each class's kept
     trials to the class's iterative means (``MeanField.sq_distances``);
@@ -253,7 +250,7 @@ def _training_features(model, covs, labels):
     feats = np.empty((len(covs), model.n_features))
     for j, c in enumerate(field.classes):
         cols = np.arange(j * k, (j + 1) * k)
-        kept = np.flatnonzero(labels == c)[field.kept[c]]
+        kept = members[c][field.kept[c]]
         rest = np.setdiff1d(np.arange(len(covs)), kept)
         feats[np.ix_(rest, cols)] = _sq_distances(model.whiteners[cols],
                                                   covs[rest])
@@ -271,11 +268,14 @@ def mf_fit(train_covs, labels, h_grid=DEFAULT_H_GRID, config=None,
     """Learn the mean field and a discriminant on its squared distances.
 
     The field and the discriminant are trained on the same trials.
+    Raises :class:`InvalidInput` unless ``train_covs`` is an ``(n, d,
+    d)`` stack with one label per trial and at least two classes.
     """
-    covs, labels = _labelled(train_covs, labels)
-    model = mdmf_fit(covs, labels, h_grid=h_grid, config=config,
-                     robust=robust)
-    feats = _training_features(model, covs, labels)
+    covs, members = _labelled_set(train_covs, labels)
+    model = _field_model(build_mean_field(
+        {c: covs[i] for c, i in members.items()}, h_grid=h_grid,
+        config=config, robust=robust))
+    feats = _training_features(model, covs, members)
     return replace(model, lda=lda_fit(feats, labels))
 
 
@@ -302,14 +302,16 @@ def tangent_map(cov, reference):
     ``S = log(R^{-1/2} C R^{-1/2})`` vectorized as the row-major upper
     triangle with off-diagonal entries scaled by ``sqrt(2)``, so the
     Euclidean norm of the vector equals the affine-invariant distance
-    from ``C`` to ``R``.
+    from ``C`` to ``R``. ``cov`` is one ``(d, d)`` trial, mapped to one
+    vector, or an ``(n, d, d)`` stack, mapped to one row per trial, of
+    the reference's dimension ``d``; :class:`InvalidInput` names the
+    first trial with a non-finite entry.
     """
     reference = check_spd(reference, "reference")
-    cov = np.asarray(cov, dtype=np.float64)
-    if cov.shape[-1] != reference.shape[0]:
-        raise InvalidInput("trial and reference dimensions differ")
+    covs, single = _trials(cov, reference.shape[0])
     r = invsqrtm(reference)
-    return _upper_triangle(logm(r @ cov @ r))
+    feats = _upper_triangle(logm(r @ covs @ r))
+    return feats[0] if single else feats
 
 
 def _upper_triangle(s):
@@ -432,11 +434,11 @@ def ts_lr_fit(train_covs, labels):
     weight vector is found by damped Newton steps from zero (Armijo
     backtracking on the strictly convex objective) to gradient norm
     ``1e-8``; failing that raises :class:`ConvergenceFailure`.
+    Raises :class:`InvalidInput` unless ``train_covs`` is an ``(n, d,
+    d)`` stack with one label per trial and at least two classes.
     """
-    covs, y = _labelled(train_covs, labels)
-    classes = np.unique(y)
-    if len(classes) < 2:
-        raise InvalidInput("training needs at least 2 classes")
+    covs, members = _labelled_set(train_covs, labels)
+    classes = tuple(members)
     solved = geometric_mean(covs)
     reference = solved.matrix
     feats = _solver_tangent_vectors(solved)
@@ -446,17 +448,17 @@ def ts_lr_fit(train_covs, labels):
     scale = np.where(spread, scale, 1.0)
     x = np.where(spread, (feats - mean) / scale, 0.0)
 
+    targets = np.zeros((len(classes), len(covs)))
+    for j, i in enumerate(members.values()):
+        targets[j, i] = 1.0
     if len(classes) == 2:
-        targets = [(y == classes[1]).astype(np.float64)]
-    else:
-        targets = [(y == c).astype(np.float64) for c in classes]
+        targets = targets[1:]
     solutions = [_fit_binary_lr(x, t) for t in targets]
     weights = np.stack([s[:-1] for s in solutions])
     intercepts = np.array([s[-1] for s in solutions])
     for a in (reference, mean, scale, weights, intercepts):
         a.flags.writeable = False
-    return TsLrModel(tuple(classes), reference, mean, scale, weights,
-                     intercepts)
+    return TsLrModel(classes, reference, mean, scale, weights, intercepts)
 
 
 def ts_lr_score(model, covs):
@@ -467,10 +469,9 @@ def ts_lr_score(model, covs):
     lower class index). Returns ``(label, score)``, or
     ``(labels, scores)`` arrays for a stack.
     """
-    covs, single = _trials(covs, model.dim)
-    feats = tangent_map(covs, model.reference)
+    feats = np.atleast_2d(tangent_map(covs, model.reference))
     x = (feats - model.feature_mean) / model.feature_scale
     logits = x @ model.weights.T + model.intercepts
     if len(model.classes) == 2:  # evidence 0 for the first class
         logits = np.hstack([np.zeros_like(logits), logits])
-    return _decide(model.classes, logits, single)
+    return _decide(model.classes, logits, np.ndim(covs) == 2)

@@ -132,6 +132,28 @@ def _check_set(mats, name="trial"):
     return _check_finite(mats, name)
 
 
+def _labelled_set(trials, labels, trial_ndim=2):
+    """The labelled-trials contract of every fit: ``trials`` a stack of
+    ``n`` trials of ``trial_ndim`` axes each (a ``(d, d)`` matrix, or a
+    feature row for ``trial_ndim=1``), exactly one label per trial and
+    at least two classes; :class:`InvalidInput` otherwise. Returns the
+    trials as a float array and a dict from each class, ascending, to
+    the ascending indices of its trials."""
+    trials = np.asarray(trials, dtype=np.float64)
+    labels = np.asarray(labels)
+    if trials.ndim != trial_ndim + 1 or labels.shape != trials.shape[:1]:
+        raise InvalidInput(
+            f"need one label per trial of an (n{', d' * trial_ndim}) "
+            f"stack, got trials of shape {trials.shape} and labels of "
+            f"shape {labels.shape}")
+    classes, codes = np.unique(labels, return_inverse=True)
+    if len(classes) < 2:
+        raise InvalidInput(
+            f"training needs at least 2 classes, got {len(classes)}")
+    return trials, {c: np.flatnonzero(codes == j)
+                    for j, c in enumerate(classes)}
+
+
 def _average(stack):
     """``(1/n) sum_i`` over the ``n`` matrices of a stack, the one
     uniform average of every mean. A weighted ``einsum``: ``sum`` adds

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .exceptions import ConvergenceFailure, InvalidInput
 from .geometry import SolverConfig, _eigh_stack, check_spd
-from .means import arithmetic_mean, geometric_mean
+from .means import _labelled_set, arithmetic_mean, geometric_mean
 
 __all__ = [
     "SpatialFilter", "csp_gevd", "csp_fit", "pham_ajd", "ajd_criterion",
@@ -152,26 +152,18 @@ def csp_gevd(mean_a, mean_b, n_filters):
     return SpatialFilter(v[:, rows].T)
 
 
-def _split_two_classes(covs, labels):
-    covs = np.asarray(covs, dtype=np.float64)
-    labels = np.asarray(labels)
-    classes = np.unique(labels)
-    if len(classes) < 2:
-        raise InvalidInput("spatial filter fitting needs two classes")
-    if len(classes) > 2:
-        raise InvalidInput(
-            f"spatial filter fitting supports exactly 2 classes, "
-            f"got {len(classes)}"
-        )
-    return covs[labels == classes[0]], covs[labels == classes[1]]
-
-
 def csp_fit(trial_covs, labels):
     """Plain two-class filter: arithmetic class means, one
-    eigendecomposition, ``2 * CSP_FILTERS_PER_CLASS`` rows."""
-    covs_a, covs_b = _split_two_classes(trial_covs, labels)
-    mean_a = arithmetic_mean(covs_a)
-    mean_b = arithmetic_mean(covs_b)
+    eigendecomposition, ``2 * CSP_FILTERS_PER_CLASS`` rows.
+
+    Raises :class:`InvalidInput` unless ``trial_covs`` is an ``(n, d,
+    d)`` stack with one label per trial and exactly two classes.
+    """
+    covs, members = _labelled_set(trial_covs, labels)
+    if len(members) != 2:
+        raise InvalidInput(f"spatial filter fitting supports exactly 2 "
+                           f"classes, got {len(members)}")
+    mean_a, mean_b = (arithmetic_mean(covs[i]) for i in members.values())
     return csp_gevd(mean_a, mean_b, 2 * CSP_FILTERS_PER_CLASS)
 
 
@@ -317,14 +309,19 @@ def adcsp_fit(trial_covs, labels):
     Raises
     ------
     InvalidInput
-        When the labels do not name exactly two classes, or a trial
-        entering stage 2 is not positive definite
+        Unless ``trial_covs`` is an ``(n, d, d)`` stack with one label
+        per trial and exactly two classes; or when a trial entering
+        stage 2 is not positive definite
         (``geometric mean: trial i is not positive definite``, or
         ``init is not positive definite`` where the class's arithmetic
         mean is not either).
     """
-    covs_a, covs_b = _split_two_classes(trial_covs, labels)
-    d = covs_a.shape[-1]
+    covs, members = _labelled_set(trial_covs, labels)
+    if len(members) != 2:
+        raise InvalidInput(f"spatial filter fitting supports exactly 2 "
+                           f"classes, got {len(members)}")
+    covs_a, covs_b = (covs[i] for i in members.values())
+    d = covs.shape[-1]
     if d < STAGE2_DIM:
         return identity_filter(d)
 

@@ -248,6 +248,55 @@ class TestValidation:
                              labels=np.array(labels), n_classes=n_classes)
 
 
+def with_crc(body):
+    """``body`` followed by its CRC-32: a file that passes the checksum."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+class TestHeaderContract:
+    """Header faults under a valid checksum, each at the byte offset
+    that ``docs/archive_format.md`` documents."""
+
+    @pytest.mark.parametrize("body,offset", [
+        (MAGIC + struct.pack("<IB", 1, 1), 9),
+        (MAGIC + struct.pack("<IBIII", 1, 0, 1, 1, 3), 21),
+    ], ids=["fixed-header", "dims"])
+    def test_file_cut_in_the_header(self, tmp_path, body, offset):
+        # magic, version and kind, then 4 of a time-series header's 8
+        # bytes of dims: the header breaks off where the bytes end
+        path = tmp_path / "cut.spdt"
+        path.write_bytes(with_crc(body))
+        with pytest.raises(CorruptArchive,
+                           match="^file truncated in the header") as err:
+            read_archive(path)
+        assert err.value.offset == offset
+
+    def test_unknown_kind_byte(self, tmp_path):
+        path = tmp_path / "kind.spdt"
+        path.write_bytes(build_bytes(kind=7, n_trials=1, n_classes=1,
+                                     dims=[2], labels=[0],
+                                     payload=[2.0, 1.0, 1.0, 2.0]))
+        with pytest.raises(CorruptArchive,
+                           match="^unknown kind byte 7") as err:
+            read_archive(path)
+        assert err.value.offset == 8
+
+    def test_constructor_refuses_unknown_kind(self):
+        with pytest.raises(InvalidInput, match="unknown archive kind"):
+            TrialArchive("spectra", np.stack([np.eye(2)]), np.array([0]), 1)
+
+    def test_constructor_refuses_non_square_covariance(self):
+        with pytest.raises(InvalidInput,
+                           match="^covariance trials must be square$"):
+            TrialArchive("covariance", np.ones((2, 2, 3)), np.array([0, 0]),
+                         1)
+
+    def test_dim_of_time_series_archive(self, ts_archive):
+        with pytest.raises(InvalidInput,
+                           match="only defined for covariance archives"):
+            ts_archive.dim
+
+
 @st.composite
 def archives(draw):
     """Archives of either kind: 1-20 trials, dims 1-8, up to 4 classes."""

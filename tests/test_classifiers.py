@@ -17,7 +17,8 @@ from meansfield.classifiers import (
 from meansfield.evaluation import auc_roc
 from meansfield.exceptions import InvalidInput, NumericalFailure
 from meansfield.geometry import SolverConfig, airm_distance, geodesic
-from meansfield.means import DEFAULT_H_GRID, geometric_mean
+from meansfield.means import DEFAULT_H_GRID, _labelled_set, geometric_mean
+from meansfield.spatial import adcsp_fit, csp_fit
 from meansfield.synth import RiemannianGaussianSpec, synth_riemannian_gaussian
 
 from oracles import (
@@ -326,6 +327,20 @@ class TestTangentMap:
         c = random_spd(5, rng)
         assert tangent_map(c, np.eye(5)).shape == (15,)
 
+    def test_stack_contract(self):
+        # a stack maps to one row per trial; a non-finite trial is named
+        # by its index in the stack, and a trial of another dimension
+        # than the reference's is refused
+        trials = np.stack([np.eye(3)] * 3)
+        assert tangent_map(trials, np.eye(3)).shape == (3, 6)
+        trials[2, 1, 0] = np.nan
+        with pytest.raises(InvalidInput,
+                           match="^trial 2 contains non-finite entries$"):
+            tangent_map(trials, np.eye(3))
+        for bad in (np.eye(4), np.stack([np.eye(4)] * 2)):
+            with pytest.raises(InvalidInput, match=r"expected a \(3, 3\)"):
+                tangent_map(bad, np.eye(3))
+
     @settings(max_examples=40)
     @given(st.integers(1, 16), st.floats(0.0, 8.0),
            st.integers(0, 2**32 - 1))
@@ -444,6 +459,52 @@ class TestTsLr:
         correct = sum(ts_lr_score(model, t)[0] == y
                       for t, y in zip(trials, labels))
         assert correct / len(labels) >= 0.9
+
+
+LABELLED_FITS = {
+    "MDM": mdm_fit, "MDMF": mdmf_fit, "MF": mf_fit, "TS+LR": ts_lr_fit,
+    "LDA": lambda trials, labels: lda_fit(
+        trials.reshape(len(trials), -1), labels),
+    "CSP": csp_fit, "ADCSP": adcsp_fit,
+}
+
+
+class TestLabelledContract:
+    """Every fit takes a stack of trials with one label each and at
+    least two classes, and refuses any other labelling with
+    :class:`InvalidInput`."""
+
+    @pytest.mark.parametrize("name", LABELLED_FITS)
+    def test_labels_one_short(self, name):
+        trials, labels = dispersion_classes(np.random.default_rng(40), n=6)
+        with pytest.raises(InvalidInput, match="^need one label per trial"):
+            LABELLED_FITS[name](trials, labels[:-1])
+
+    @pytest.mark.parametrize("name", LABELLED_FITS)
+    def test_single_class(self, name):
+        trials, labels = dispersion_classes(np.random.default_rng(41), n=6)
+        with pytest.raises(InvalidInput,
+                           match="^training needs at least 2 classes, got 1$"):
+            LABELLED_FITS[name](trials, np.zeros_like(labels))
+
+    @pytest.mark.parametrize("fit", [csp_fit, adcsp_fit])
+    def test_two_class_filters_refuse_three_classes(self, fit):
+        trials, labels = dispersion_classes(np.random.default_rng(42), n=6,
+                                            sigmas=(0.1, 0.3, 0.5))
+        with pytest.raises(InvalidInput, match="exactly 2 classes, got 3$"):
+            fit(trials, labels)
+
+    def test_discriminant_needs_more_rows_than_classes(self):
+        with pytest.raises(InvalidInput, match="more trials than classes"):
+            lda_fit(np.eye(2), [0, 1])
+
+    def test_classes_and_members(self):
+        covs, members = _labelled_set(np.zeros((5, 2, 2)), ["b", "a", "b",
+                                                            "c", "a"])
+        assert list(members) == ["a", "b", "c"]
+        assert [m.tolist() for m in members.values()] == [[1, 4], [0, 2],
+                                                         [3]]
+        assert covs.dtype == np.float64
 
 
 SCORERS = {
@@ -729,7 +790,8 @@ class TestSolverSpectra:
             if identical:
                 assert all(e.iterations == 0
                            for e in model.field.entries[1])
-            feats = classifiers._training_features(model, trials, labels)
+            _, members = _labelled_set(trials, labels)
+            feats = classifiers._training_features(model, trials, members)
             assert _rows_close(feats, distance_features(model, trials),
                                1e-12)
 

@@ -218,3 +218,12 @@ class TestGeodesic:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInput):
             geodesic(np.eye(2), np.eye(3), 0.5)
+
+    def test_endpoint_not_positive_definite(self):
+        indefinite = np.diag([1.0, -1.0])
+        with pytest.raises(InvalidInput,
+                           match="^geodesic requires positive-definite "
+                                 "endpoints$"):
+            geodesic(indefinite, np.eye(2), 0.5)
+        with pytest.raises(InvalidInput):
+            geodesic(np.eye(2), indefinite, 0.5)

@@ -892,6 +892,10 @@ class TestMeanField:
         plain = geometric_mean(mats).matrix
         np.testing.assert_array_equal(field.entries[0][0].matrix, plain)
 
+    def test_no_classes(self):
+        with pytest.raises(InvalidInput, match="^no classes given$"):
+            build_mean_field({})
+
     def test_grid_validation(self):
         mats = np.stack([np.eye(2)] * 3)
         trials = {0: mats, 1: mats}
