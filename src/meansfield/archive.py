@@ -110,10 +110,9 @@ def _first_problem(kind, trials, labels, n_classes):
     if bad.size:
         i = int(bad[0])
         return f"payload value {i} is not finite", payload + 8 * i
-    if kind == "covariance" and (bad := _first_not_spd(trials)):
-        i, problem = bad
-        return (f"covariance trial {i} {problem}",
-                payload + 8 * i * trials[0].size)
+    if kind == "covariance" and (
+            bad := _first_not_spd(trials, "covariance trial")):
+        return bad[1], payload + 8 * bad[0] * trials[0].size
     return None
 
 

@@ -25,7 +25,8 @@ from .exceptions import (
     ConvergenceFailure, InvalidInput, NumericalFailure,
 )
 from .geometry import (
-    _check_finite, _sq_distances, _sym, check_spd, invsqrtm, logm, sqrtm,
+    _check_finite, _spectral, _sq_distances, _sym, check_spd, invsqrtm,
+    sqrtm,
 )
 from .means import (
     DEFAULT_H_GRID, MeanField, _labelled_set, _solve_field,
@@ -305,12 +306,13 @@ def tangent_map(cov, reference):
     from ``C`` to ``R``. ``cov`` is one ``(d, d)`` trial, mapped to one
     vector, or an ``(n, d, d)`` stack, mapped to one row per trial, of
     the reference's dimension ``d``; :class:`InvalidInput` names the
-    first trial with a non-finite entry.
+    first trial with a non-finite entry, or the first that is not
+    positive definite.
     """
     reference = check_spd(reference, "reference")
     covs, single = _trials(cov, reference.shape[0])
     r = invsqrtm(reference)
-    feats = _upper_triangle(logm(r @ covs @ r))
+    feats = _upper_triangle(_spectral(r @ covs @ r, np.log, "trial"))
     return feats[0] if single else feats
 
 

@@ -102,31 +102,54 @@ def check_spd(a, name="matrix"):
     :class:`InvalidInput` when a matrix is not symmetric within
     ``SYMMETRY_RTOL`` of its own largest entry or its smallest
     eigenvalue is not strictly positive, naming the first such matrix
-    of a stack as ``"{name} {i}"``. Nothing is repaired or clamped.
+    of a stack as ``"{name} {i}"`` (see :func:`_not_pd`). Nothing is
+    repaired or clamped.
     """
     a = _as_square(a, name)
-    bad = _first_not_spd(a)
+    bad = _first_not_spd(a, name)
     if bad is not None:
-        i, problem = bad
-        where = name if a.ndim == 2 else f"{name} {i}"
-        raise InvalidInput(f"{where} {problem}")
+        raise InvalidInput(bad[1])
     return a
 
 
-def _first_not_spd(a):
-    """Index and problem of the first matrix of a square stack that is
-    not SPD, indexed over the flattened leading axes, or ``None`` when
-    all are; one ``eigvalsh`` call covers the stack."""
+def _first_not_spd(a, name):
+    """Index, over the flattened leading axes, and message of the first
+    matrix of a square stack that is not SPD, named as in
+    :func:`check_spd`, or ``None`` when all are; one ``eigvalsh`` call
+    covers the stack."""
     stack = a.reshape((-1,) + a.shape[-2:])
     symmetric = _symmetric_each(stack)
-    low = np.linalg.eigvalsh(stack).min(axis=-1)
+    low = np.linalg.eigvalsh(stack)[:, 0]
     bad = np.flatnonzero(~symmetric | (low <= 0.0))
     if bad.size == 0:
         return None
     i = int(bad[0])
-    if not symmetric[i]:
-        return i, "is not symmetric"
-    return i, f"is not positive definite (smallest eigenvalue {low[i]:.3e})"
+    if symmetric[i]:
+        return i, str(_not_pd(low.reshape(a.shape[:-2]), name))
+    where = name if a.ndim == 2 else f"{name} {i}"
+    return i, f"{where} is not symmetric"
+
+
+def _not_pd(low, noun):
+    """The one refusal of a matrix that is not positive definite, as an
+    :class:`InvalidInput` to raise: ``"{noun} {i} is not positive
+    definite (smallest eigenvalue {x:.3e})"``, ``noun`` alone for one
+    matrix.
+
+    ``low`` holds the smallest eigenvalue of each matrix, shaped like the
+    input's leading axes, as the caller's own decomposition found it.
+    ``i`` is the first matrix, over the flattened axes, with a value at
+    most 0; where none is (a Cholesky refusal that ``eigvalsh`` puts
+    above 0 within rounding), the one with the smallest value. A caller
+    that decomposes ``W C W^T`` for a positive-definite ``W`` passes that
+    product's values: by Sylvester's law of inertia it is positive
+    definite exactly when ``C`` is, but its smallest eigenvalue differs.
+    """
+    flat = np.ravel(low)
+    i = int(np.argmax(flat <= 0.0) if flat.min() <= 0.0 else np.argmin(flat))
+    where = noun if np.ndim(low) == 0 else f"{noun} {i}"
+    return InvalidInput(f"{where} is not positive definite "
+                        f"(smallest eigenvalue {flat[i]:.3e})")
 
 
 def _eigh_stack(s):
@@ -137,46 +160,45 @@ def _eigh_stack(s):
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
 
 
-def _spectral(s, fn, name, require_pd=True):
+def _spectral(s, fn, noun="matrix", require_pd=True):
     """Apply a scalar function to the spectrum: ``V diag(fn(w)) V^T``;
-    where ``require_pd``, the error names a stack's first non-PD matrix
-    as a trial, as the distance kernel does."""
-    s = _as_square(s, name="argument of " + name)
+    where ``require_pd``, a matrix that is not positive definite is
+    refused as ``noun`` (see :func:`_not_pd`)."""
+    s = _as_square(s, noun)
     w, v = _eigh_stack(s)
     if require_pd and np.min(w) <= 0.0:
-        low = w[..., 0].ravel()
-        i = int(np.flatnonzero(low <= 0.0)[0])
-        what = ("a positive-definite matrix" if s.ndim == 2 else
-                f"positive-definite trials; trial {i} is not")
-        raise InvalidInput(
-            f"{name} requires {what} (smallest eigenvalue {low[i]:.3e})")
+        raise _not_pd(w[..., 0], noun)
     fw = fn(w)
     return _sym((v * fw[..., None, :]) @ np.swapaxes(v, -1, -2))
 
 
 def logm(s):
     """Matrix logarithm of an SPD matrix (stack-aware)."""
-    return _spectral(s, np.log, "logm")
+    return _spectral(s, np.log)
 
 
 def expm(s):
     """Matrix exponential of a symmetric matrix (stack-aware)."""
-    return _spectral(s, np.exp, "expm", require_pd=False)
+    return _spectral(s, np.exp, require_pd=False)
 
 
 def sqrtm(s):
     """Principal square root of an SPD matrix."""
-    return _spectral(s, np.sqrt, "sqrtm")
+    return _spectral(s, np.sqrt)
+
+
+def _inv_sqrt(w):
+    return 1.0 / np.sqrt(w)
 
 
 def invsqrtm(s):
     """Inverse principal square root of an SPD matrix."""
-    return _spectral(s, lambda w: 1.0 / np.sqrt(w), "invsqrtm")
+    return _spectral(s, _inv_sqrt)
 
 
 def powm(s, t):
     """Fractional power ``s**t`` of an SPD matrix."""
-    return _spectral(s, lambda w: np.power(w, t), f"powm(t={t})")
+    return _spectral(s, lambda w: np.power(w, t))
 
 
 def _check_same_dim(a, b):
@@ -207,25 +229,25 @@ def airm_distance(a, b):
     a = _as_square(a, "a")
     b = _as_square(b, "b")
     _check_same_dim(a, b)
-    d = np.sqrt(_sq_distances(invsqrtm(a)[None], b.reshape((-1,) + a.shape)))
+    d = np.sqrt(_sq_distances(_spectral(a, _inv_sqrt, "a")[None], b, "b"))
     return float(d[0, 0]) if b.ndim == 2 else d.reshape(b.shape[:-2])
 
 
-def _sq_distances(whiteners, covs):
-    """Squared affine-invariant distances, shape ``(n, K)``, from ``n``
-    trials to the ``K`` means whose whiteners ``M^{-1/2}`` are stacked:
-    summed squared log-eigenvalues of ``M^{-1/2} C M^{-1/2}``, from one
-    batched ``eigh`` per ``KERNEL_BLOCK`` whitened entries. A trial
-    that is not positive definite raises :class:`InvalidInput` naming
-    the first such index of ``covs``."""
+def _sq_distances(whiteners, covs, noun="trial"):
+    """Squared affine-invariant distances, shape ``(n, K)``, from the
+    ``n`` trials of ``covs`` (one ``(d, d)`` matrix or a stack, flattened
+    over its leading axes) to the ``K`` means whose whiteners
+    ``M^{-1/2}`` are stacked: summed squared log-eigenvalues of
+    ``M^{-1/2} C M^{-1/2}``, from one batched ``eigh`` per
+    ``KERNEL_BLOCK`` whitened entries. A trial that is not positive
+    definite is refused as ``noun`` (see :func:`_not_pd`)."""
+    flat = covs.reshape((-1,) + covs.shape[-2:])
     step = max(1, KERNEL_BLOCK // whiteners.size)
     lam = np.concatenate([
-        _eigh_stack(whiteners @ covs[i:i + step, None] @ whiteners)[0]
-        for i in range(0, len(covs), step)])
+        _eigh_stack(whiteners @ flat[i:i + step, None] @ whiteners)[0]
+        for i in range(0, len(flat), step)])
     if np.min(lam) <= 0.0:
-        i = np.flatnonzero(lam[..., 0].min(axis=1) <= 0.0)[0]
-        raise InvalidInput(f"distance requires positive-definite trials; "
-                           f"trial {i} is not")
+        raise _not_pd(lam[..., 0].min(axis=1).reshape(covs.shape[:-2]), noun)
     return np.sum(np.log(lam) ** 2, axis=-1)
 
 
@@ -233,7 +255,9 @@ def geodesic(a, b, t):
     """Point at parameter ``t`` on the geodesic from ``a`` to ``b``.
 
     ``a^{1/2} (a^{-1/2} b a^{-1/2})^t a^{1/2}`` with ``t`` in [0, 1];
-    ``t = 0`` returns ``a`` exactly and ``t = 1`` returns ``b``.
+    ``t = 0`` returns ``a`` exactly and ``t = 1`` returns ``b``. For
+    ``t`` strictly inside, an endpoint that is not positive definite is
+    refused as ``a`` or ``b`` (see :func:`_not_pd`).
     """
     a = _as_square(a, "a")
     b = _as_square(b, "b")
@@ -246,8 +270,8 @@ def geodesic(a, b, t):
         return np.broadcast_to(b, np.broadcast_shapes(a.shape, b.shape)).copy()
     w, v = _eigh_stack(a)
     if np.min(w) <= 0.0:
-        raise InvalidInput("geodesic requires positive-definite endpoints")
+        raise _not_pd(w[..., 0], "a")
     vt = np.swapaxes(v, -1, -2)
     r = (v * (1.0 / np.sqrt(w))[..., None, :]) @ vt
     rh = (v * np.sqrt(w)[..., None, :]) @ vt
-    return _sym(rh @ powm(r @ b @ r, t) @ rh)
+    return _sym(rh @ _spectral(r @ b @ r, lambda w: np.power(w, t), "b") @ rh)

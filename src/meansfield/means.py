@@ -13,13 +13,14 @@ exponents per class (:func:`build_mean_field`).
 
 import math
 import numpy as np
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .exceptions import ConvergenceFailure, InvalidInput
 from .geometry import (
-    SolverConfig, _as_square, _check_finite, _eigh_stack, _first_not_spd,
-    _sym, frobenius, is_symmetric,
+    SolverConfig, _as_square, _check_finite, _eigh_stack, _not_pd, _sym,
+    frobenius, is_symmetric,
 )
 
 __all__ = [
@@ -194,17 +195,14 @@ def harmonic_mean(mats):
 
 
 def _trial_factors(mats, name):
-    """Lower Cholesky factors of the trials. Where a trial has none,
-    :class:`InvalidInput` names the first trial that ``eigvalsh`` finds
-    not SPD, or, where the two disagree within rounding, the trial with
-    the smallest eigenvalue."""
+    """Lower Cholesky factors of the trials. Where a trial has none, one
+    ``eigvalsh`` of the set finds the trial to refuse (see
+    :func:`_not_pd`)."""
     try:
         return np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
-        bad = _first_not_spd(mats) or (
-            int(np.argmin(np.linalg.eigvalsh(mats)[:, 0])),
-            "is not positive definite")
-    raise InvalidInput(f"{name}: trial {bad[0]} {bad[1]}")
+        low = np.linalg.eigvalsh(mats)[:, 0]
+    raise _not_pd(low, f"{name}: trial")
 
 
 def _harmonic(mats, name):
@@ -317,15 +315,13 @@ def _mpm(mats, h, init, config):
     try:
         x = np.linalg.inv(np.linalg.cholesky(init))
     except np.linalg.LinAlgError:
-        raise InvalidInput(f"{name}: init is not positive definite") from None
+        raise _not_pd(np.linalg.eigvalsh(init)[0], f"{name}: init") from None
     nu, prev = 1.0, np.inf
     for it in range(config.max_iterations + 1):
         lam, u = _eigh_stack(x @ mats @ x.T)
         if np.min(lam) <= 0.0:
             if it == 0:  # X is invertible, so a trial is not PD
-                bad = int(np.flatnonzero(lam[:, 0] <= 0.0)[0])
-                raise InvalidInput(
-                    f"{name}: trial {bad} is not positive definite")
+                raise _not_pd(lam[:, 0], f"{name}: trial")
             break
         loglam = np.log(lam)
         f = loglam if h == 0 else np.expm1(h * loglam) / h
@@ -575,15 +571,13 @@ def _solve_field(trials_per_class, grid, config, robust):
         mats = _check_set(trials_per_class[label], name=f"class {label} trial")
         if mats.shape[0] < 2:
             raise InvalidInput(f"class {label} needs at least 2 trials")
-        kept = np.arange(mats.shape[0])
-        if robust:
-            kept = rpme_clean(mats, config=config).kept_indices
-            mats = mats[kept]
-        kept_map[label] = kept
-
-        solved = {}
-        sq = np.full((len(mats), len(grid)), np.nan)
-        try:
+        with _in_class(label):
+            kept = np.arange(mats.shape[0])
+            if robust:
+                kept = rpme_clean(mats, config=config).kept_indices
+                mats = mats[kept]
+            solved = {}
+            sq = np.full((len(mats), len(grid)), np.nan)
             for h in sorted(grid, key=lambda g: (-abs(g), -g)):
                 init = _field_start(h, solved)
                 if h == 0.0:
@@ -595,13 +589,23 @@ def _solve_field(trials_per_class, grid, config, robust):
                 res.matrix.flags.writeable = False  # the solver's own array
                 solved[h] = MeanFieldEntry(h, res.matrix, res.iterations,
                                            res.residual)
-        except ConvergenceFailure as exc:
-            raise ConvergenceFailure(
-                f"mean field for class {label} failed: {exc}",
-                last_iterate=exc.last_iterate, residual=exc.residual,
-                iterations=exc.iterations,
-            ) from exc
+        kept_map[label] = kept
         entries[label] = tuple(solved[h] for h in grid)
         sq.flags.writeable = False
         sq_map[label] = sq
     return MeanField(grid, entries, kept_map, sq_map)
+
+
+@contextmanager
+def _in_class(label):
+    """Re-raise a refusal or solver failure of one class's solve with
+    the class named, as ``"class {label}: {message}"``; the message
+    indexes the class's trials within the class."""
+    try:
+        yield
+    except InvalidInput as exc:
+        raise InvalidInput(f"class {label}: {exc}") from exc
+    except ConvergenceFailure as exc:
+        raise ConvergenceFailure(
+            f"class {label}: {exc}", last_iterate=exc.last_iterate,
+            residual=exc.residual, iterations=exc.iterations) from exc

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .exceptions import ConvergenceFailure, InvalidInput
 from .geometry import SolverConfig, _eigh_stack, check_spd
-from .means import _labelled_set, arithmetic_mean, geometric_mean
+from .means import _in_class, _labelled_set, arithmetic_mean, geometric_mean
 
 __all__ = [
     "SpatialFilter", "csp_gevd", "csp_fit", "pham_ajd", "ajd_criterion",
@@ -299,7 +299,7 @@ def adcsp_fit(trial_covs, labels):
     The trials entering stage 2, filtered by stage 1 or not, are
     checked positive definite once, by the first factorization of
     their class's geometric-mean solve; that check names a bad trial by
-    its index within its class.
+    its class and its index within the class.
 
     Returns
     -------
@@ -311,34 +311,30 @@ def adcsp_fit(trial_covs, labels):
     InvalidInput
         Unless ``trial_covs`` is an ``(n, d, d)`` stack with one label
         per trial and exactly two classes; or when a trial entering
-        stage 2 is not positive definite
-        (``geometric mean: trial i is not positive definite``, or
-        ``init is not positive definite`` where the class's arithmetic
-        mean is not either).
+        stage 2 is not positive definite (``class c: geometric mean:
+        trial i is not positive definite (smallest eigenvalue x)``, or
+        ``class c: geometric mean: init is not positive definite (...)``
+        where the class's arithmetic mean is not either).
     """
     covs, members = _labelled_set(trial_covs, labels)
     if len(members) != 2:
         raise InvalidInput(f"spatial filter fitting supports exactly 2 "
                            f"classes, got {len(members)}")
-    covs_a, covs_b = (covs[i] for i in members.values())
     d = covs.shape[-1]
     if d < STAGE2_DIM:
         return identity_filter(d)
 
+    sets = {c: covs[i] for c, i in members.items()}
+    w = np.eye(d)
     if d >= STAGE1_DIM:
-        w = csp_gevd(
-            arithmetic_mean(covs_a), arithmetic_mean(covs_b), STAGE1_DIM
-        ).matrix
-        covs_a = w @ covs_a @ w.T
-        covs_b = w @ covs_b @ w.T
-    else:
-        w = np.eye(d)
-
-    geo_a = geometric_mean(covs_a).matrix
-    geo_b = geometric_mean(covs_b).matrix
-    b = pham_ajd(np.stack([geo_a, geo_b]))
-    diag_a = np.diag(b @ geo_a @ b.T)
-    diag_b = np.diag(b @ geo_b @ b.T)
+        w = csp_gevd(*map(arithmetic_mean, sets.values()), STAGE1_DIM).matrix
+        sets = {c: w @ s @ w.T for c, s in sets.items()}
+    geo = []
+    for c, s in sets.items():
+        with _in_class(c):
+            geo.append(geometric_mean(s).matrix)
+    b = pham_ajd(np.stack(geo))
+    diag_a, diag_b = (np.diag(b @ g @ b.T) for g in geo)
     ratios = diag_a / (diag_a + diag_b)
     rows = _alternate_extremes(ratios, STAGE2_DIM)
     return SpatialFilter(b[rows, :] @ w)

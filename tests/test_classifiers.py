@@ -659,7 +659,10 @@ class TestStackScoring:
         model, score, probes = fitted_scorer(name, 2, rng)
         probes[2] = np.diag([1.0, 2.0, -1.0])
         probes[7] = np.diag([-5.0, 2.0, 1.0])
-        with pytest.raises(InvalidInput, match="trial 2 is not"):
+        with pytest.raises(InvalidInput,
+                           match=r"^trial 2 is not positive definite "
+                                 r"\(smallest eigenvalue "
+                                 r"-\d\.\d{3}e[+-]\d{2}\)$"):
             score(model, probes)
 
     @pytest.mark.parametrize("name,where", [

@@ -222,8 +222,10 @@ class TestGeodesic:
     def test_endpoint_not_positive_definite(self):
         indefinite = np.diag([1.0, -1.0])
         with pytest.raises(InvalidInput,
-                           match="^geodesic requires positive-definite "
-                                 "endpoints$"):
+                           match=r"^a is not positive definite "
+                                 r"\(smallest eigenvalue -1\.000e\+00\)$"):
             geodesic(indefinite, np.eye(2), 0.5)
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput,
+                           match=r"^b is not positive definite "
+                                 r"\(smallest eigenvalue -1\.000e\+00\)$"):
             geodesic(np.eye(2), indefinite, 0.5)

@@ -575,11 +575,13 @@ class TestGeometricMean:
         rng = np.random.default_rng(15)
         mats = np.stack([random_spd(3, rng) for _ in range(4)])
         init = np.diag([1.0, -1.0, 1.0])
-        with pytest.raises(InvalidInput, match="init is not positive definite"):
+        refusal = (r": init is not positive definite "
+                   r"\(smallest eigenvalue -1\.000e\+00\)$")
+        with pytest.raises(InvalidInput, match="^geometric mean" + refusal):
             geometric_mean(mats, init=init)
         for h in (0.5, -0.5):
             with pytest.raises(InvalidInput,
-                               match="init is not positive definite"):
+                               match=rf"^power mean \(h={h}\)" + refusal):
                 power_mean(mats, h, init=init)
 
 
@@ -946,6 +948,13 @@ class TestMeanField:
             build_mean_field({7: mats, 8: mats}, config=cfg)
         assert "class 7" in str(err.value)
         assert "0.75" in str(err.value)
+        # the robust cleaning's own solves are named by class as well
+        with pytest.raises(ConvergenceFailure,
+                           match="^class 7: geometric mean did not "
+                                 "converge in 1 iterations") as err:
+            build_mean_field({7: mats, 8: mats}, config=cfg, robust=True)
+        assert err.value.iterations == 1
+        assert err.value.last_iterate is not None
 
     def test_non_pd_interpolant_falls_back_to_nearest_mean(self, monkeypatch):
         # seed 29: on this widely spread set (condition e^8) at least one
