@@ -24,10 +24,9 @@ from .means import (
     arithmetic_mean, build_mean_field, geometric_mean, harmonic_mean,
     power_mean, rpme_clean,
 )
-from .covariance import oas_covariance, oas_shrinkage
+from .covariance import oas_covariance
 from .spatial import (
-    SpatialFilter, adcsp_fit, apply_filter, csp_fit, csp_gevd,
-    identity_filter, pham_ajd,
+    SpatialFilter, adcsp_fit, apply_filter, csp_fit, csp_gevd, pham_ajd,
 )
 from .classifiers import (
     FieldModel, LdaModel, TsLrModel, distance_features, lda_fit, mdm_fit,
@@ -36,7 +35,7 @@ from .classifiers import (
 )
 from .evaluation import (
     EvalConfig, PipelineScoreTable, ScoreRow, TrialSet, auc_roc,
-    parse_pipeline, run_pipeline, stratified_kfold,
+    parse_pipeline, run_pipeline,
 )
 from .stats import (
     DatasetComparison, MetaReport, SmdResult, exact_permutation_test,

@@ -13,9 +13,9 @@ geometric mean.
 Every ``*_score`` takes one ``(d, d)`` trial and returns ``(label,
 score)``, or an ``(n, d, d)`` stack and returns ``(labels, scores)``
 arrays, and raises :class:`InvalidInput` naming the first trial with a
-non-finite entry. Binary decision scores are oriented so that higher
-means the class with the larger label index; ties in predicted labels
-resolve to the lower class index.
+non-finite entry or that is not symmetric. Binary decision scores are
+oriented so that higher means the class with the larger label index;
+ties in predicted labels resolve to the lower class index.
 """
 
 import numpy as np
@@ -25,8 +25,8 @@ from .exceptions import (
     ConvergenceFailure, InvalidInput, NumericalFailure,
 )
 from .geometry import (
-    _check_finite, _spectral, _sq_distances, _sym, check_spd, invsqrtm,
-    sqrtm,
+    _check_finite, _check_symmetric, _spectral, _sq_distances, _sym,
+    check_spd, invsqrtm, sqrtm,
 )
 from .means import (
     DEFAULT_H_GRID, MeanField, _labelled_set, _solve_field,
@@ -35,7 +35,7 @@ from .means import (
 
 __all__ = [
     "FieldModel", "mdm_fit", "mdm_score", "mdmf_fit",
-    "LdaModel", "lda_fit", "lda_discriminants",
+    "LdaModel", "lda_fit",
     "mf_fit", "mf_score", "distance_features",
     "tangent_map", "TsLrModel", "ts_lr_fit", "ts_lr_score",
 ]
@@ -54,15 +54,16 @@ TS_SPREAD_FLOOR = 1e-12
 
 
 def _trials(covs, dim):
-    """A ``(d, d)`` trial or ``(n, d, d)`` stack as a finite stack, and
-    whether it was a single trial."""
+    """A ``(d, d)`` trial or ``(n, d, d)`` stack as a finite, symmetric
+    stack, and whether it was a single trial."""
     covs = np.asarray(covs, dtype=np.float64)
     if (covs.ndim not in (2, 3) or covs.shape[-2:] != (dim, dim)
             or covs.size == 0):
         raise InvalidInput(
             f"expected a ({dim}, {dim}) trial or a non-empty "
             f"(n, {dim}, {dim}) stack, got shape {covs.shape}")
-    return _check_finite(covs.reshape(-1, dim, dim), "trial"), covs.ndim == 2
+    stack = _check_finite(covs.reshape(-1, dim, dim), "trial")
+    return _check_symmetric(stack, "trial"), covs.ndim == 2
 
 
 def _decide(classes, evidence, single):
@@ -218,13 +219,6 @@ def lda_fit(features, labels):
     return LdaModel(tuple(members), priors, coef, intercept)
 
 
-def lda_discriminants(model, features):
-    """Per-class discriminant values ``x S^{-1} mu_c - mu_c S^{-1} mu_c / 2
-    + log prior_c`` for a feature matrix."""
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    return x @ model._coef.T + model._intercept
-
-
 def distance_features(model, covs):
     """Squared distances from trials to every mean of a model's field.
 
@@ -284,13 +278,14 @@ def mf_score(model, covs):
     """Classify trials from their distance features.
 
     Binary decision score is the discriminant difference
-    ``g_1(x) - g_0(x)``; multiclass returns the discriminant vector.
+    ``g_1(x) - g_0(x)``, with ``g_c(x) = x S^{-1} mu_c - mu_c S^{-1} mu_c
+    / 2 + log prior_c``; multiclass returns the discriminant vector.
     Ties go to the lower class index. Returns ``(label, score)``, or
     ``(labels, scores)`` arrays for a stack.
     """
-    feats = distance_features(model, covs)
-    return _decide(model.lda.classes, lda_discriminants(model.lda, feats),
-                   np.ndim(covs) == 2)
+    x = np.atleast_2d(distance_features(model, covs))
+    return _decide(model.lda.classes, x @ model.lda._coef.T
+                   + model.lda._intercept, np.ndim(covs) == 2)
 
 
 # ---------------------------------------------------------------------------

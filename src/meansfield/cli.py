@@ -343,9 +343,10 @@ def _selftest_checks():
         return all(same)
 
     def check_oas():
+        # S = [[1.5, 0.5], [0.5, 0.5]] gives rho = 1: the full shrink to
+        # tr(S)/2 I = I
         data = np.array([[1.0, 2.0, 4.0, 1.0], [2.0, 1.0, 3.0, 2.0]])
-        cov = oas_covariance(data)
-        return np.all(np.linalg.eigvalsh(cov) > 0)
+        return np.array_equal(oas_covariance(data), np.eye(2))
 
     return [
         ("affine-invariant distance closed form", check_distance),
@@ -358,7 +359,7 @@ def _selftest_checks():
         ("AUC vs brute-force pair counting", check_auc),
         ("adaptive filter dimension contract", check_adcsp_dims),
         ("archive round-trip byte identity", check_archive_roundtrip),
-        ("shrunk covariance positive definite", check_oas),
+        ("shrinkage closed form", check_oas),
     ]
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from .exceptions import DegenerateInput, InvalidInput
 from .geometry import _check_finite, check_spd
 
-__all__ = ["oas_covariance", "oas_shrinkage"]
+__all__ = ["oas_covariance"]
 
 
 def _check_trials(data):
@@ -38,7 +38,7 @@ def _check_trials(data):
     return data
 
 
-def oas_shrinkage(sample_cov, n_samples):
+def _oas_shrinkage(s, n_samples):
     """Closed-form shrinkage intensity toward the scaled identity.
 
     ``rho = [(1 - 2/p) tr(S^2) + tr(S)^2]
@@ -47,7 +47,6 @@ def oas_shrinkage(sample_cov, n_samples):
     number of samples behind ``S``. A vanishing denominator (``S``
     exactly proportional to the identity) yields 1, the full shrink.
     """
-    s = np.asarray(sample_cov, dtype=np.float64)
     p = s.shape[0]
     tr_s = float(np.trace(s))
     tr_s2 = float(np.sum(s * s))
@@ -71,9 +70,9 @@ def oas_covariance(data):
     Returns
     -------
     cov : ndarray, shape (channels, channels) or (n, channels, channels)
-        ``(1 - rho) S + rho (tr(S)/p) I`` per trial, validated positive
-        definite by one check over the stack. The intensity ``rho`` of
-        a trial is :func:`oas_shrinkage` of its sample covariance ``S``.
+        ``(1 - rho) S + rho (tr(S)/p) I`` per trial, with ``rho`` the
+        closed-form OAS intensity of its sample covariance ``S``,
+        validated positive definite by one check over the stack.
 
     Raises
     ------
@@ -93,7 +92,7 @@ def oas_covariance(data):
             where = f"trial {i}: all" if data.ndim == 3 else "all"
             raise DegenerateInput(
                 f"{where} channels are constant; covariance is zero")
-        rho = oas_shrinkage(s, n)
+        rho = _oas_shrinkage(s, n)
         covs[i] = (1.0 - rho) * s
         covs[i][np.diag_indices(p)] += rho * mu
     return check_spd(covs if data.ndim == 3 else covs[0],

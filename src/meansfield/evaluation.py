@@ -20,12 +20,12 @@ from .classifiers import (
 )
 from .covariance import oas_covariance
 from .exceptions import InvalidInput, NumericalFailure, UndefinedMetric
-from .spatial import adcsp_fit, apply_filter, csp_fit, identity_filter
+from .spatial import SpatialFilter, adcsp_fit, apply_filter, csp_fit
 from .stats import _tied_ranks
 
 __all__ = [
     "EvalConfig", "ScoreRow", "PipelineScoreTable", "TrialSet",
-    "stratified_kfold", "auc_roc", "run_pipeline", "parse_pipeline",
+    "auc_roc", "run_pipeline", "parse_pipeline",
     "PIPELINE_CLASSIFIERS", "PIPELINE_FILTERS",
 ]
 
@@ -35,24 +35,23 @@ PIPELINE_FILTERS = ("CSP", "ADCSP")
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Evaluation settings: pipeline name, fold count, and fold seed."""
+    """Evaluation settings: pipeline name, fold count, and fold seed.
+
+    ``k`` must be an integer of at least 2 and ``seed`` an unsigned
+    64-bit integer; numpy integers pass.
+    """
 
     pipeline: str
     seed: int
     k: int = 5
 
     def __post_init__(self):
-        _check_folds(self.k, self.seed)
+        if not isinstance(self.k, numbers.Integral) or self.k < 2:
+            raise InvalidInput("k must be an integer of at least 2")
+        if not (isinstance(self.seed, numbers.Integral)
+                and 0 <= self.seed < 2**64):
+            raise InvalidInput("seed must be an unsigned 64-bit integer")
         parse_pipeline(self.pipeline)
-
-
-def _check_folds(k, seed):
-    """Refuse a fold count that is not an integer of at least 2 or a
-    seed that is not an unsigned 64-bit integer; numpy integers pass."""
-    if not isinstance(k, numbers.Integral) or k < 2:
-        raise InvalidInput("k must be an integer of at least 2")
-    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
-        raise InvalidInput("seed must be an unsigned 64-bit integer")
 
 
 @dataclass(frozen=True)
@@ -164,8 +163,9 @@ def parse_pipeline(name):
     )
 
 
-def stratified_kfold(labels, k, seed):
-    """Deterministic stratified fold assignment.
+def _stratified_kfold(labels, k, seed):
+    """Deterministic stratified fold assignment, for the ``k`` and
+    ``seed`` of an :class:`EvalConfig`.
 
     Per class, trial indices are shuffled by a PCG64 generator seeded
     with ``SeedSequence([seed, class_position])`` (class position in
@@ -181,11 +181,8 @@ def stratified_kfold(labels, k, seed):
     Raises
     ------
     InvalidInput
-        When ``k`` and ``seed`` break the rules of :class:`EvalConfig`
-        (an integer ``k >= 2``, an unsigned 64-bit integer ``seed``) or
-        a class has fewer than ``k`` trials.
+        When a class has fewer than ``k`` trials.
     """
-    _check_folds(k, seed)
     labels = np.asarray(labels)
     folds = [[] for _ in range(k)]
     for pos, c in enumerate(np.unique(labels)):
@@ -266,20 +263,20 @@ def _take(a, idx):
 def run_pipeline(trialset, config, workers=1):
     """Evaluate one pipeline on a dataset.
 
-    Per (subject, session) group the trials are split by
-    :func:`stratified_kfold`; per fold, the spatial filter and the
-    classifier are fit on the training folds only and the held-out
-    fold is scored with AUC-ROC and wall-clock timing. Failures are
-    recorded in the affected row and the run continues; a group with
+    Per (subject, session) group the trials are split into stratified
+    folds, a pure function of (labels, k, seed); per fold, the spatial
+    filter and the classifier are fit on the training folds only and the
+    held-out fold is scored with AUC-ROC and wall-clock timing. Failures
+    are recorded in the affected row and the run continues; a group with
     fewer than ``k`` trials of a class gets ``k`` error rows, and so
-    does a group of a covariance set with a trial that is not finite
-    or not SPD: each group passes through the identity stage once,
-    before its folds. A time-series group has its covariances
-    estimated once, before its folds, and a non-finite or degenerate
-    trial (every channel constant, say) likewise fails only its group.
-    The error names a bad trial by its index within the group.
-    ``fold_time_seconds`` covers a fold's filter and classifier fit,
-    its scoring and its AUC, not that validation or estimation.
+    does a group of a covariance set with a trial that is not finite or
+    not SPD: each group passes through the identity stage once, before
+    its folds. A time-series group has its covariances estimated once,
+    before its folds, and a non-finite or degenerate trial (every
+    channel constant, say) likewise fails only its group. The error
+    names a bad trial by its index within the group.
+    ``fold_time_seconds`` covers a fold's filter and classifier fit, its
+    scoring and its AUC, not that validation or estimation.
 
     Parameters
     ----------
@@ -310,12 +307,12 @@ def run_pipeline(trialset, config, workers=1):
     for subject, session, idx in trialset.groups():
         labels = y[idx]
         try:
-            folds = stratified_kfold(labels, config.k, config.seed)
+            folds = _stratified_kfold(labels, config.k, config.seed)
             covs = _take(trialset.trials, idx)
             if trialset.kind == "time-series":
                 covs = oas_covariance(covs)
             else:  # identity stage, once
-                apply_filter(identity_filter(covs.shape[-1]), covs)
+                apply_filter(SpatialFilter(np.eye(covs.shape[-1])), covs)
         except InvalidInput as exc:
             rows += [ScoreRow(trialset.dataset_id, subject, session, f, None,
                               0.0, f"{type(exc).__name__}: {exc}")

@@ -1,12 +1,13 @@
 """Geometry of symmetric positive-definite (SPD) matrices.
 
-All matrix functions share a single backend: the symmetric
-eigendecomposition. Matrices are plain ``float64`` ndarrays; every
-function accepts stacks of matrices in the leading dimensions and
-broadcasts the spectral transform over them. The distance is the
-affine-invariant one, computed from the eigenvalues of the symmetric
-similarity ``A^{-1/2} B A^{-1/2}`` (never from the non-symmetric
-``A^{-1} B``).
+The matrix functions are spectral transforms through the symmetric
+eigendecomposition; :func:`check_spd` decides positive definiteness
+by eigenvalues alone (``eigvalsh``), and the means factor trials by
+Cholesky. Matrices are plain ``float64`` ndarrays; every function
+accepts stacks of matrices in the leading dimensions and broadcasts
+over them. The distance is the affine-invariant one, computed from the
+eigenvalues of the symmetric similarity ``A^{-1/2} B A^{-1/2}`` (never
+from the non-symmetric ``A^{-1} B``).
 """
 
 import numbers
@@ -78,10 +79,22 @@ def is_symmetric(a):
     return bool(_symmetric_each(a).all())
 
 
+def _check_symmetric(stack, name):
+    """``stack`` when each of its matrices passes :func:`is_symmetric`;
+    else :class:`InvalidInput` naming the first that does not as
+    ``"{name} {i} is not symmetric"``, the wording of :func:`check_spd`."""
+    symmetric = _symmetric_each(stack)
+    if not symmetric.all():
+        raise InvalidInput(f"{name} {np.argmin(symmetric)} is not symmetric")
+    return stack
+
+
 def _symmetric_each(a):
     a = np.asarray(a, dtype=np.float64)
     scale = np.abs(a).max(axis=(-2, -1))
-    gap = np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1))
+    # a - a^T holds x and exactly -x for each pair, so its max is its
+    # largest magnitude, found without another temporary
+    gap = (a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1))
     return gap <= SYMMETRY_RTOL * scale
 
 

@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 from .exceptions import ConvergenceFailure, InvalidInput
 from .geometry import (
-    SolverConfig, _as_square, _check_finite, _eigh_stack, _not_pd, _sym,
-    frobenius, is_symmetric,
+    SolverConfig, _as_square, _check_finite, _check_symmetric, _eigh_stack,
+    _not_pd, _sym, frobenius, is_symmetric,
 )
 
 __all__ = [
@@ -121,8 +121,9 @@ class MeanField:
 
 
 def _check_set(mats, name="trial"):
-    """The set as a checked float stack; a message names the set as
-    ``"{name} set"`` and its first non-finite trial as ``"{name} {i}"``."""
+    """The set as a checked float stack of finite, symmetric trials; a
+    message names the set as ``"{name} set"`` and its first non-finite
+    or non-symmetric trial as ``"{name} {i}"``."""
     mats = np.asarray(mats, dtype=np.float64)
     if mats.ndim != 3 or mats.shape[-1] != mats.shape[-2]:
         raise InvalidInput(
@@ -130,7 +131,7 @@ def _check_set(mats, name="trial"):
             f"{mats.shape}")
     if mats.shape[0] == 0:
         raise InvalidInput(f"{name} set is empty")
-    return _check_finite(mats, name)
+    return _check_symmetric(_check_finite(mats, name), name)
 
 
 def _labelled_set(trials, labels, trial_ndim=2):
@@ -188,8 +189,8 @@ def harmonic_mean(mats):
     Raises
     ------
     InvalidInput
-        When the set is malformed or a trial is not positive definite;
-        the message names the first such trial.
+        When the set is malformed or a trial is not finite, symmetric
+        and positive definite; the message names the first such trial.
     """
     return _harmonic(_check_set(mats), "harmonic mean")
 
@@ -390,11 +391,11 @@ def power_mean(mats, h, init=None, config=None):
     ------
     InvalidInput
         When ``|h|`` is above 1 or below ``tiny``, ``init`` is not a
-        finite symmetric ``(d, d)`` matrix, a trial is not positive
-        definite (at every ``h``, the closed forms included; the message
-        names the first such trial), or the iteration's start is not
-        (``init is not positive definite``); the closed forms ignore a
-        well-formed ``init``.
+        finite symmetric ``(d, d)`` matrix, a trial is not finite,
+        symmetric and positive definite (at every ``h``, the closed
+        forms included; the message names the first such trial), or the
+        iteration's start is not (``init is not positive definite``);
+        the closed forms ignore a well-formed ``init``.
     ConvergenceFailure
         When the budget runs out, the step length stalls or an iterate
         loses positive definiteness; the message says which.
@@ -411,11 +412,11 @@ def power_mean(mats, h, init=None, config=None):
     name = f"power mean (h={h})"
     if h == 1.0:
         _trial_factors(mats, name)
-        return MeanResult(arithmetic_mean(mats), 0, 0.0)
+        return MeanResult(_average(mats), 0, 0.0)
     if h == -1.0:
         return MeanResult(_harmonic(mats, name), 0, 0.0)
     if init is None:
-        init = arithmetic_mean(mats) if h > 0 else _harmonic(mats, name)
+        init = _average(mats) if h > 0 else _harmonic(mats, name)
     return _mpm(mats, h, init, config)
 
 
@@ -438,8 +439,8 @@ def geometric_mean(mats, init=None, config=None):
     Raises
     ------
     InvalidInput
-        When ``init`` is not a finite symmetric ``(d, d)`` matrix, or
-        a trial or ``init`` is not positive definite.
+        When ``init`` or a trial is not a finite symmetric ``(d, d)``
+        matrix, or is not positive definite.
     ConvergenceFailure
         When the budget runs out, the step length stalls or an iterate
         loses positive definiteness; the message says which.
@@ -447,7 +448,7 @@ def geometric_mean(mats, init=None, config=None):
     mats = _check_set(mats)
     config = config or SolverConfig()
     if init is None:
-        init = arithmetic_mean(mats)
+        init = _average(mats)
     else:
         init = _check_init(init, mats.shape[-1])
     return _mpm(mats, 0.0, init, config)

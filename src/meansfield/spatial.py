@@ -14,8 +14,8 @@ from .geometry import SolverConfig, _eigh_stack, check_spd
 from .means import _in_class, _labelled_set, arithmetic_mean, geometric_mean
 
 __all__ = [
-    "SpatialFilter", "csp_gevd", "csp_fit", "pham_ajd", "ajd_criterion",
-    "adcsp_fit", "apply_filter", "identity_filter",
+    "SpatialFilter", "csp_gevd", "csp_fit", "pham_ajd", "adcsp_fit",
+    "apply_filter",
     "STAGE1_DIM", "STAGE2_DIM", "CSP_FILTERS_PER_CLASS",
 ]
 
@@ -55,11 +55,6 @@ class SpatialFilter:
     @property
     def output_dim(self):
         return self.matrix.shape[0]
-
-
-def identity_filter(dim):
-    """The no-op filter of a given dimension."""
-    return SpatialFilter(np.eye(dim))
 
 
 def apply_filter(f, cov):
@@ -167,20 +162,6 @@ def csp_fit(trial_covs, labels):
     return csp_gevd(mean_a, mean_b, 2 * CSP_FILTERS_PER_CLASS)
 
 
-def ajd_criterion(b, mats):
-    """Pham's joint-diagonalization criterion of a demixing matrix:
-    ``(1/n) sum_i [log det diag(B C_i B^T) - log det (B C_i B^T)]``.
-
-    Zero exactly when every transformed matrix is diagonal; a
-    transformed matrix that is not SPD raises :class:`InvalidInput`.
-    """
-    t = check_spd(b @ np.asarray(mats, dtype=np.float64) @ b.T,
-                  "transformed matrix")
-    logdet = np.linalg.slogdet(t)[1]
-    diag = np.diagonal(t, axis1=1, axis2=2)
-    return float(np.mean(np.sum(np.log(diag), axis=1) - logdet))
-
-
 def _round_robin(d):
     """The ``(i, j)`` index arrays, ``i > j``, of each round of a sweep:
     the circle method on ``m`` slots (slot ``d`` a dummy if ``d`` is
@@ -213,15 +194,16 @@ def _pham_round(c, b, i, j, weights):
     return t @ c @ t.T, t @ b, float(np.sum(g_ij * h12 + g_ji * h21) / 2)
 
 
-def pham_ajd(mats, return_info=False):
+def pham_ajd(mats):
     """Approximate joint diagonalization of SPD matrices, weighted
     equally.
 
-    Minimizes Pham's criterion by sweeps of pairwise (2x2) invertible
-    transformations; no pair step can increase the criterion, and
-    iteration stops when a sweep's decrement falls to the default
-    :class:`SolverConfig` tolerance (1e-7), within its budget of 150
-    sweeps. A sweep visits each index pair once, in the round-robin
+    Minimizes Pham's criterion, the mean over ``i`` of ``log det
+    diag(B C_i B^T) - log det (B C_i B^T)``, by sweeps of pairwise
+    (2x2) invertible transformations; no pair step can increase the
+    criterion, and iteration stops when a sweep's decrement falls to
+    the default :class:`SolverConfig` tolerance (1e-7), within its
+    budget of 150 sweeps. A sweep visits each index pair once, in the round-robin
     order of parallel Jacobi methods: d - 1 rounds (d if d is odd) of
     disjoint pairs. A pair step reads only its pair's entries of each
     ``C_i``, which the round's other steps leave alone, and steps on
@@ -232,10 +214,6 @@ def pham_ajd(mats, return_info=False):
     ----------
     mats : ndarray, shape (n, d, d)
         At least two SPD matrices.
-    return_info : bool, default False
-        Also return a dict with ``sweeps`` and the per-sweep
-        ``criterion`` history (criterion value after each sweep), which
-        is computed only then.
 
     Returns
     -------
@@ -264,18 +242,14 @@ def pham_ajd(mats, return_info=False):
     n, d, _ = mats.shape
     weights = np.full(n, 1.0 / n)
 
-    c, b, history = mats, np.eye(d), []
+    c, b = mats, np.eye(d)
     rounds = _round_robin(d)
-    for sweep in range(config.max_iterations):
+    for _ in range(config.max_iterations):
         decrement = 0.0
         for i, j in rounds:
             c, b, step = _pham_round(c, b, i, j, weights)
             decrement += step
-        if return_info:
-            history.append(ajd_criterion(b, mats))
         if abs(decrement) <= config.tolerance:
-            if return_info:
-                return b, {"sweeps": sweep + 1, "criterion": history}
             return b
     raise ConvergenceFailure(
         f"joint diagonalization did not converge in "
@@ -322,7 +296,7 @@ def adcsp_fit(trial_covs, labels):
                            f"classes, got {len(members)}")
     d = covs.shape[-1]
     if d < STAGE2_DIM:
-        return identity_filter(d)
+        return SpatialFilter(np.eye(d))
 
     sets = {c: covs[i] for c, i in members.items()}
     w = np.eye(d)

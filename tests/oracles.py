@@ -249,6 +249,16 @@ def lda_reference_binary(x, y, ridge_rel=1e-9):
     return score
 
 
+def ajd_criterion(b, mats):
+    """Pham's joint-diagonalization criterion of a demixing matrix ``b``:
+    ``(1/n) sum_i [log det diag(B C_i B^T) - log det (B C_i B^T)]``,
+    zero exactly when every transformed matrix is diagonal."""
+    t = b @ np.asarray(mats, dtype=np.float64) @ b.T
+    diag = np.diagonal(t, axis1=1, axis2=2)
+    return float(np.mean(np.sum(np.log(diag), axis=1)
+                         - np.linalg.slogdet(t)[1]))
+
+
 def random_spd(dim, rng, log_spread=1.0):
     """Random SPD matrix: random orthogonal basis, log-uniform spectrum
     of total spread ``log_spread`` (condition number e**log_spread)."""

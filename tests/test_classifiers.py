@@ -10,9 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from meansfield import classifiers, geometry
 from meansfield.classifiers import (
-    FieldModel, distance_features, lda_discriminants, lda_fit, mdm_fit,
-    mdm_score, mdmf_fit, mf_fit, mf_score, tangent_map,
-    ts_lr_fit, ts_lr_score,
+    FieldModel, distance_features, lda_fit, mdm_fit, mdm_score, mdmf_fit,
+    mf_fit, mf_score, tangent_map, ts_lr_fit, ts_lr_score,
 )
 from meansfield.evaluation import auc_roc
 from meansfield.exceptions import InvalidInput, NumericalFailure
@@ -212,7 +211,7 @@ class TestLda:
         model = lda_fit(x, y)
         reference = lda_reference_binary(x, y)
         for probe in x:
-            g = lda_discriminants(model, probe)[0]
+            g = probe @ model._coef.T + model._intercept
             assert abs((g[1] - g[0]) - reference(probe)) <= 1e-6
 
     def test_priors_from_frequencies(self):
@@ -234,7 +233,7 @@ class TestLda:
         x = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         y = np.array([0, 0, 1, 1])
         model = lda_fit(x, y)
-        g = lda_discriminants(model, np.zeros(2))[0]
+        g = np.zeros(2) @ model._coef.T + model._intercept
         assert abs(g[1] - g[0]) <= 1e-12
 
 
@@ -298,7 +297,8 @@ class TestMf:
         model = mf_fit(trials, labels)
         probe = trials[3]
         feats = distance_features(model, probe)
-        g = lda_discriminants(model.lda, feats)[0]
+        g = (np.atleast_2d(feats) @ model.lda._coef.T
+             + model.lda._intercept)[0]
         _, score = mf_score(model, probe)
         assert score == float(g[1] - g[0])
 
@@ -543,8 +543,9 @@ class TestStackScoring:
             # relative to its discriminants, before their difference
             scale = 0.0
             if name == "MF":
-                scale = np.abs(lda_discriminants(
-                    model.lda, distance_features(model, probes))).max()
+                feats = distance_features(model, probes)
+                scale = np.abs(feats @ model.lda._coef.T
+                               + model.lda._intercept).max()
             np.testing.assert_allclose(scores, expected, rtol=1e-9,
                                        atol=1e-9 * scale)
 

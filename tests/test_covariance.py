@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from meansfield.covariance import oas_covariance, oas_shrinkage
+from meansfield.covariance import _oas_shrinkage, oas_covariance
 from meansfield.exceptions import DegenerateInput, InvalidInput
 
 from oracles import oas_reference
@@ -20,10 +20,10 @@ HAND_RHO = 0.11641774006894158
 
 
 def shrinkage_of(trial):
-    """``oas_shrinkage`` of a trial's 1/n sample covariance."""
+    """``_oas_shrinkage`` of a trial's 1/n sample covariance."""
     centered = trial - trial.mean(axis=1, keepdims=True)
     n = trial.shape[1]
-    return oas_shrinkage(centered @ centered.T / n, n)
+    return _oas_shrinkage(centered @ centered.T / n, n)
 
 
 class TestOasCovariance:
@@ -69,7 +69,7 @@ class TestOasCovariance:
 
     def test_full_shrink_reproduces_scaled_identity(self):
         s = np.diag([2.0, 3.0])
-        assert oas_shrinkage(np.eye(2) * 2.5, 4) == 1.0
+        assert _oas_shrinkage(np.eye(2) * 2.5, 4) == 1.0
         # rho = 1 means the output is exactly tr(S)/p * I
         data = np.array([[1.0, -1.0, 1.0, -1.0],
                          [2.0, 2.0, -2.0, -2.0]])

@@ -5,8 +5,8 @@ import pytest
 
 from meansfield import evaluation
 from meansfield.evaluation import (
-    EvalConfig, TrialSet, auc_roc, parse_pipeline, run_pipeline,
-    stratified_kfold,
+    EvalConfig, TrialSet, _stratified_kfold, auc_roc, parse_pipeline,
+    run_pipeline,
 )
 from meansfield.exceptions import InvalidInput, UndefinedMetric
 
@@ -90,7 +90,7 @@ class TestParsePipeline:
 class TestStratifiedKfold:
     def test_exact_divisibility(self):
         labels = np.array([0] * 5 + [1] * 5)
-        folds = stratified_kfold(labels, 5, seed=0)
+        folds = _stratified_kfold(labels, 5, seed=0)
         for fold in folds:
             assert len(fold) == 2
             assert labels[fold].sum() == 1  # one of each class
@@ -100,22 +100,22 @@ class TestStratifiedKfold:
         labels = rng.integers(0, 2, 37)
         labels[:10] = 0
         labels[10:20] = 1
-        folds = stratified_kfold(labels, 5, seed=9)
+        folds = _stratified_kfold(labels, 5, seed=9)
         joined = np.sort(np.concatenate(folds))
         np.testing.assert_array_equal(joined, np.arange(37))
 
     def test_determinism(self):
         labels = np.array([0] * 11 + [1] * 9)
-        a = stratified_kfold(labels, 5, seed=123)
-        b = stratified_kfold(labels, 5, seed=123)
+        a = _stratified_kfold(labels, 5, seed=123)
+        b = _stratified_kfold(labels, 5, seed=123)
         for fa, fb in zip(a, b):
             np.testing.assert_array_equal(fa, fb)
-        c = stratified_kfold(labels, 5, seed=124)
+        c = _stratified_kfold(labels, 5, seed=124)
         assert any(not np.array_equal(fa, fc) for fa, fc in zip(a, c))
 
     def test_near_balance_11_9(self):
         labels = np.array([0] * 11 + [1] * 9)
-        folds = stratified_kfold(labels, 5, seed=5)
+        folds = _stratified_kfold(labels, 5, seed=5)
         for cls, total in ((0, 11), (1, 9)):
             counts = [int(np.sum(labels[f] == cls)) for f in folds]
             assert sum(counts) == total
@@ -124,23 +124,24 @@ class TestStratifiedKfold:
     def test_small_class_rejected(self):
         labels = np.array([0] * 8 + [1] * 4)
         with pytest.raises(InvalidInput):
-            stratified_kfold(labels, 5, seed=0)
+            _stratified_kfold(labels, 5, seed=0)
 
     @pytest.mark.parametrize("k, seed", [
         (2.5, 0), (5.0, 0), (1, 0), (5, -1), (5, 1.7), (5, 2**64),
     ])
     def test_fold_arguments_follow_eval_config(self, k, seed):
-        # 2.5 raised TypeError from range, -1 numpy's ValueError, and
-        # 1.7 gave the folds of seed 1
-        labels = np.array([0] * 6 + [1] * 6)
+        # the folds take k and seed from an EvalConfig, the one place
+        # they are checked
         with pytest.raises(InvalidInput):
-            stratified_kfold(labels, k, seed)
+            EvalConfig(pipeline="MDM", seed=seed, k=k)
 
     def test_numpy_integer_arguments_accepted(self):
         labels = np.array([0] * 6 + [1] * 6)
-        for got, want in zip(stratified_kfold(labels, np.int32(3),
-                                              np.uint64(2**64 - 1)),
-                             stratified_kfold(labels, 3, 2**64 - 1)):
+        numpy_ints = EvalConfig(pipeline="MDM", seed=np.uint64(2**64 - 1),
+                                k=np.int32(3))
+        for got, want in zip(
+                _stratified_kfold(labels, numpy_ints.k, numpy_ints.seed),
+                _stratified_kfold(labels, 3, 2**64 - 1)):
             np.testing.assert_array_equal(got, want)
 
 

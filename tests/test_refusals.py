@@ -1,6 +1,7 @@
 """The one refusal of a matrix that is not positive definite: every
 public entry point names the first bad matrix, not the most negative
-one, in the same format."""
+one, in the same format; and the one refusal of a trial that is not
+symmetric, by the means, the fits and the scorers."""
 
 import re
 
@@ -9,16 +10,17 @@ import pytest
 
 from meansfield.archive import TrialArchive
 from meansfield.classifiers import (
-    mdm_fit, mdm_score, mdmf_fit, mf_fit, mf_score, ts_lr_fit, ts_lr_score,
+    distance_features, mdm_fit, mdm_score, mdmf_fit, mf_fit, mf_score,
+    ts_lr_fit, ts_lr_score,
 )
 from meansfield.exceptions import InvalidInput
 from meansfield.geometry import (
     airm_distance, check_spd, geodesic, invsqrtm, logm, powm, sqrtm,
 )
 from meansfield.means import (
-    geometric_mean, harmonic_mean, power_mean, rpme_clean,
+    arithmetic_mean, geometric_mean, harmonic_mean, power_mean, rpme_clean,
 )
-from meansfield.spatial import adcsp_fit, apply_filter, identity_filter
+from meansfield.spatial import SpatialFilter, adcsp_fit, apply_filter
 
 from oracles import spd_cloud
 
@@ -66,7 +68,7 @@ ENTRY_POINTS = {
     "mf_score": (lambda: mf_score(_fitted(mf_fit), STACK), "trial", 2),
     "ts_lr_score": (lambda: ts_lr_score(_fitted(ts_lr_fit), STACK),
                     "trial", 2),
-    "apply_filter": (lambda: apply_filter(identity_filter(3), STACK),
+    "apply_filter": (lambda: apply_filter(SpatialFilter(EYE), STACK),
                      "filtered matrix", 2),
     "TrialArchive": (lambda: TrialArchive(
         kind="covariance", trials=STACK, labels=np.zeros(4, dtype=int),
@@ -106,3 +108,52 @@ def test_training_trial_named_within_its_class(name):
     with pytest.raises(InvalidInput,
                        match=refusal(f"class 1: {solver}: trial", 3)):
         fit(trials, np.repeat([0, 1], 5))
+
+
+# matrices 2 and 3 are positive definite but not symmetric, 3 the
+# further from it
+SKEW = np.stack([4.0 * EYE] * 4)
+SKEW[2, 0, 1] = 1.0
+SKEW[3, 2, 0] = 3.0
+
+
+def _skewed_training_set():
+    # global trial 8 is trial 3 of class 1
+    rng = np.random.default_rng(33)
+    trials = spd_cloud(np.eye(4), 0.3, 10, rng)
+    trials[8, 0, 1] += 0.5
+    return trials, np.repeat([0, 1], 5)
+
+
+SYMMETRY_ENTRY_POINTS = {
+    **{f"power_mean h={h}": (lambda h=h: power_mean(SKEW, h), "trial 2")
+       for h in (-1.0, -0.5, 0.5, 1.0)},
+    "arithmetic_mean": (lambda: arithmetic_mean(SKEW), "trial 2"),
+    "harmonic_mean": (lambda: harmonic_mean(SKEW), "trial 2"),
+    "geometric_mean": (lambda: geometric_mean(SKEW), "trial 2"),
+    "rpme_clean": (lambda: rpme_clean(SKEW), "trial 2"),
+    **{name: (lambda fit=fit: fit(*_skewed_training_set()), "class 1 trial 3")
+       for name, fit in (("mdm_fit", mdm_fit), ("mdmf_fit", mdmf_fit),
+                         ("mf_fit", mf_fit))},
+    "ts_lr_fit": (lambda: ts_lr_fit(*_skewed_training_set()), "trial 8"),
+    "mdm_score": (lambda: mdm_score(_fitted(mdm_fit), SKEW), "trial 2"),
+    "mf_score": (lambda: mf_score(_fitted(mf_fit), SKEW), "trial 2"),
+    "ts_lr_score": (lambda: ts_lr_score(_fitted(ts_lr_fit), SKEW),
+                    "trial 2"),
+    "distance_features": (lambda: distance_features(_fitted(mf_fit), SKEW),
+                          "trial 2"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SYMMETRY_ENTRY_POINTS))
+def test_first_non_symmetric_trial_named(entry):
+    call, where = SYMMETRY_ENTRY_POINTS[entry]
+    with pytest.raises(InvalidInput,
+                       match=f"^{re.escape(where)} is not symmetric$"):
+        call()
+
+
+def test_skewed_trials_are_positive_definite():
+    # x^T C x > 0 for every x: only symmetry is refused
+    for m in (SKEW, _skewed_training_set()[0]):
+        assert np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m, 1, 2))).min() > 0
