@@ -16,8 +16,8 @@ from .exceptions import (
     NumericalFailure, RoutedElsewhere, UndefinedMetric, UnsupportedFormat,
 )
 from .geometry import (
-    SolverConfig, airm_distance, check_spd, expm, geodesic, invsqrtm,
-    is_symmetric, logm, powm, sqrtm,
+    SolverConfig, airm_distance, check_spd, expm, geodesic, invsqrtm, logm,
+    powm, sqrtm,
 )
 from .means import (
     DEFAULT_H_GRID, MeanField, MeanFieldEntry, MeanResult, RpmeResult,

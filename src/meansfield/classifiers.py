@@ -25,11 +25,10 @@ from .exceptions import (
     ConvergenceFailure, InvalidInput, NumericalFailure,
 )
 from .geometry import (
-    _check_finite, _check_symmetric, _spectral, _sq_distances, _sym,
-    check_spd, invsqrtm, sqrtm,
+    _spectral, _sq_distances, _sym, check_spd, invsqrtm, sqrtm,
 )
 from .means import (
-    DEFAULT_H_GRID, MeanField, _labelled_set, _solve_field,
+    DEFAULT_H_GRID, MeanField, _check_set, _labelled_set, _solve_field,
     build_mean_field, geometric_mean,
 )
 
@@ -57,13 +56,10 @@ def _trials(covs, dim):
     """A ``(d, d)`` trial or ``(n, d, d)`` stack as a finite, symmetric
     stack, and whether it was a single trial."""
     covs = np.asarray(covs, dtype=np.float64)
-    if (covs.ndim not in (2, 3) or covs.shape[-2:] != (dim, dim)
-            or covs.size == 0):
-        raise InvalidInput(
-            f"expected a ({dim}, {dim}) trial or a non-empty "
-            f"(n, {dim}, {dim}) stack, got shape {covs.shape}")
-    stack = _check_finite(covs.reshape(-1, dim, dim), "trial")
-    return _check_symmetric(stack, "trial"), covs.ndim == 2
+    if covs.ndim not in (2, 3) or covs.shape[-2:] != (dim, dim):
+        raise InvalidInput(f"expected a ({dim}, {dim}) trial or an (n, "
+                           f"{dim}, {dim}) stack, got shape {covs.shape}")
+    return _check_set(covs.reshape(-1, dim, dim)), covs.ndim == 2
 
 
 def _decide(classes, evidence, single):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .exceptions import InvalidInput, NumericalFailure
 
 __all__ = [
-    "SolverConfig", "check_spd", "is_symmetric",
+    "SolverConfig", "check_spd",
     "logm", "expm", "sqrtm", "invsqrtm", "powm",
     "airm_distance", "geodesic", "frobenius",
 ]
@@ -72,21 +72,15 @@ def _check_finite(a, name):
     return a
 
 
-def is_symmetric(a):
-    """True when every matrix of ``a`` (one matrix or a stack) has
-    ``max |a - a.T|`` at most ``SYMMETRY_RTOL`` times its own
-    ``max |a|``."""
-    return bool(_symmetric_each(a).all())
-
-
-def _check_symmetric(stack, name):
-    """``stack`` when each of its matrices passes :func:`is_symmetric`;
-    else :class:`InvalidInput` naming the first that does not as
-    ``"{name} {i} is not symmetric"``, the wording of :func:`check_spd`."""
-    symmetric = _symmetric_each(stack)
+def _check_symmetric(a, name):
+    """``a``, one matrix or a stack, when each matrix is symmetric as
+    :func:`check_spd` requires; else :class:`InvalidInput` naming the
+    first that is not as :func:`_check_finite` names its matrix."""
+    symmetric = _symmetric_each(a)
     if not symmetric.all():
-        raise InvalidInput(f"{name} {np.argmin(symmetric)} is not symmetric")
-    return stack
+        where = name if a.ndim == 2 else f"{name} {np.argmin(symmetric)}"
+        raise InvalidInput(f"{where} is not symmetric")
+    return a
 
 
 def _symmetric_each(a):

@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .exceptions import ConvergenceFailure, InvalidInput
 from .geometry import (
     SolverConfig, _as_square, _check_finite, _check_symmetric, _eigh_stack,
-    _not_pd, _sym, frobenius, is_symmetric,
+    _not_pd, _sym, frobenius,
 )
 
 __all__ = [
@@ -120,18 +120,18 @@ class MeanField:
         return np.stack([e.matrix for e in self.entries[label]])
 
 
-def _check_set(mats, name="trial"):
-    """The set as a checked float stack of finite, symmetric trials; a
-    message names the set as ``"{name} set"`` and its first non-finite
-    or non-symmetric trial as ``"{name} {i}"``."""
+def _check_set(mats):
+    """The one check of a trial stack: the set as a float stack of
+    finite, symmetric trials, else a refusal naming its first bad trial
+    as ``"trial {i}"``."""
     mats = np.asarray(mats, dtype=np.float64)
     if mats.ndim != 3 or mats.shape[-1] != mats.shape[-2]:
         raise InvalidInput(
-            f"{name} set must be a stack of square matrices, got shape "
+            f"trial set must be a stack of square matrices, got shape "
             f"{mats.shape}")
     if mats.shape[0] == 0:
-        raise InvalidInput(f"{name} set is empty")
-    return _check_symmetric(_check_finite(mats, name), name)
+        raise InvalidInput("trial set is empty")
+    return _check_symmetric(_check_finite(mats, "trial"), "trial")
 
 
 def _labelled_set(trials, labels, trial_ndim=2):
@@ -171,9 +171,7 @@ def _check_init(init, d):
     init = _as_square(init, name="init")
     if init.shape != (d, d):
         raise InvalidInput(f"init must have shape {(d, d)}, got {init.shape}")
-    if not is_symmetric(init):
-        raise InvalidInput("init is not symmetric")
-    return init
+    return _check_symmetric(init, "init")
 
 
 def arithmetic_mean(mats):
@@ -548,6 +546,16 @@ def build_mean_field(trials_per_class, h_grid=DEFAULT_H_GRID, config=None,
     Returns
     -------
     MeanField
+
+    Raises
+    ------
+    InvalidInput
+        On a bad grid, no class, a class of fewer than 2 trials, or a
+        trial that is not finite and symmetric (``class c: trial i ...``,
+        before any solve) or not positive definite (``class c: <solver>:
+        trial i ...``, by the class's first), ``i`` its index in the class.
+    ConvergenceFailure
+        When a solve fails, as ``class c: <solver> ...``.
     """
     grid = tuple(sorted(float(h) for h in h_grid))
     if len(grid) == 0:
@@ -569,10 +577,10 @@ def _solve_field(trials_per_class, grid, config, robust):
     config = config or SolverConfig()
     entries, kept_map, sq_map = {}, {}, {}
     for label in sorted(trials_per_class):
-        mats = _check_set(trials_per_class[label], name=f"class {label} trial")
-        if mats.shape[0] < 2:
-            raise InvalidInput(f"class {label} needs at least 2 trials")
         with _in_class(label):
+            mats = _check_set(trials_per_class[label])
+            if mats.shape[0] < 2:
+                raise InvalidInput("trial set needs at least 2 trials")
             kept = np.arange(mats.shape[0])
             if robust:
                 kept = rpme_clean(mats, config=config).kept_indices
@@ -599,9 +607,9 @@ def _solve_field(trials_per_class, grid, config, robust):
 
 @contextmanager
 def _in_class(label):
-    """Re-raise a refusal or solver failure of one class's solve with
-    the class named, as ``"class {label}: {message}"``; the message
-    indexes the class's trials within the class."""
+    """Re-raise a refusal or solver failure of one class's set with the
+    class named, as ``"class {label}: {message}"``, the one place that
+    names a class; the message indexes the trials within the class."""
     try:
         yield
     except InvalidInput as exc:

@@ -6,12 +6,15 @@ approximate joint diagonalization of a matrix set (:func:`pham_ajd`).
 The adaptive two-stage filter :func:`adcsp_fit` chains them.
 """
 
+import itertools
 import numpy as np
 from dataclasses import dataclass
 
 from .exceptions import ConvergenceFailure, InvalidInput
 from .geometry import SolverConfig, _eigh_stack, check_spd
-from .means import _in_class, _labelled_set, arithmetic_mean, geometric_mean
+from .means import (
+    _check_set, _in_class, _labelled_set, arithmetic_mean, geometric_mean,
+)
 
 __all__ = [
     "SpatialFilter", "csp_gevd", "csp_fit", "pham_ajd", "adcsp_fit",
@@ -83,27 +86,17 @@ def _alternate_extremes(ratios, k):
     Exact ties (at 1e-10 granularity) resolve by ascending index, so a
     fully non-discriminative input falls back to index order.
     """
-    ratios = np.asarray(ratios, dtype=np.float64)
     qr = _quantize(ratios)
     qhalf = _quantize(np.array(0.5))[()]
     score = np.abs(qr - qhalf)
-    order = np.lexsort((np.arange(len(ratios)), -score))
+    order = np.lexsort((np.arange(len(qr)), -score))
     chosen = np.sort(order[:k])
     high = [i for i in chosen if qr[i] >= qhalf]
     low = [i for i in chosen if qr[i] < qhalf]
     high.sort(key=lambda i: (-qr[i], i))
     low.sort(key=lambda i: (qr[i], i))
-    out = []
-    hi, lo = 0, 0
-    for pos in range(len(chosen)):
-        take_high = (pos % 2 == 0 and hi < len(high)) or lo >= len(low)
-        if take_high:
-            out.append(high[hi])
-            hi += 1
-        else:
-            out.append(low[lo])
-            lo += 1
-    return out
+    pairs = itertools.zip_longest(high, low)
+    return [i for pair in pairs for i in pair if i is not None]
 
 
 def csp_gevd(mean_a, mean_b, n_filters):
@@ -147,19 +140,35 @@ def csp_gevd(mean_a, mean_b, n_filters):
     return SpatialFilter(v[:, rows].T)
 
 
+def _two_classes(trial_covs, labels):
+    """Each of exactly two classes, ascending, to the stack of its trials."""
+    covs, members = _labelled_set(trial_covs, labels)
+    if len(members) != 2:
+        raise InvalidInput(f"spatial filter fitting supports exactly 2 "
+                           f"classes, got {len(members)}")
+    return {c: covs[i] for c, i in members.items()}
+
+
+def _per_class(fn, sets):
+    """``fn`` of each class set, refusals naming the class."""
+    out = []
+    for c, s in sets.items():
+        with _in_class(c):
+            out.append(fn(s))
+    return out
+
+
 def csp_fit(trial_covs, labels):
     """Plain two-class filter: arithmetic class means, one
     eigendecomposition, ``2 * CSP_FILTERS_PER_CLASS`` rows.
 
     Raises :class:`InvalidInput` unless ``trial_covs`` is an ``(n, d,
-    d)`` stack with one label per trial and exactly two classes.
+    d)`` stack with one label per trial and exactly two classes, or
+    naming a trial that is not finite and symmetric, before any mean,
+    as ``class c: trial i ...``, ``i`` its index within the class.
     """
-    covs, members = _labelled_set(trial_covs, labels)
-    if len(members) != 2:
-        raise InvalidInput(f"spatial filter fitting supports exactly 2 "
-                           f"classes, got {len(members)}")
-    mean_a, mean_b = (arithmetic_mean(covs[i]) for i in members.values())
-    return csp_gevd(mean_a, mean_b, 2 * CSP_FILTERS_PER_CLASS)
+    means = _per_class(arithmetic_mean, _two_classes(trial_covs, labels))
+    return csp_gevd(*means, 2 * CSP_FILTERS_PER_CLASS)
 
 
 def _round_robin(d):
@@ -270,11 +279,6 @@ def adcsp_fit(trial_covs, labels):
     eigendecomposition stage on the diagonalized means), composed with
     stage 1. Inputs of dimension < 10 pass through an identity filter.
 
-    The trials entering stage 2, filtered by stage 1 or not, are
-    checked positive definite once, by the first factorization of
-    their class's geometric-mean solve; that check names a bad trial by
-    its class and its index within the class.
-
     Returns
     -------
     SpatialFilter
@@ -284,29 +288,26 @@ def adcsp_fit(trial_covs, labels):
     ------
     InvalidInput
         Unless ``trial_covs`` is an ``(n, d, d)`` stack with one label
-        per trial and exactly two classes; or when a trial entering
-        stage 2 is not positive definite (``class c: geometric mean:
-        trial i is not positive definite (smallest eigenvalue x)``, or
-        ``class c: geometric mean: init is not positive definite (...)``
-        where the class's arithmetic mean is not either).
+        per trial and exactly two classes; at every ``d``, when a trial
+        is not finite and symmetric; or when a trial entering stage 2,
+        filtered or not, is not positive definite, decided once by the
+        first factorization of its class's geometric-mean solve (``init``
+        where the class's arithmetic mean is not either). A trial is
+        named by its class and its index within it: ``class c: trial i
+        is not symmetric``, ``class c: geometric mean: trial i is not
+        positive definite (...)``.
     """
-    covs, members = _labelled_set(trial_covs, labels)
-    if len(members) != 2:
-        raise InvalidInput(f"spatial filter fitting supports exactly 2 "
-                           f"classes, got {len(members)}")
-    d = covs.shape[-1]
+    sets = _two_classes(trial_covs, labels)
+    d = next(iter(sets.values())).shape[-1]
     if d < STAGE2_DIM:
+        _per_class(_check_set, sets)
         return SpatialFilter(np.eye(d))
 
-    sets = {c: covs[i] for c, i in members.items()}
     w = np.eye(d)
     if d >= STAGE1_DIM:
-        w = csp_gevd(*map(arithmetic_mean, sets.values()), STAGE1_DIM).matrix
+        w = csp_gevd(*_per_class(arithmetic_mean, sets), STAGE1_DIM).matrix
         sets = {c: w @ s @ w.T for c, s in sets.items()}
-    geo = []
-    for c, s in sets.items():
-        with _in_class(c):
-            geo.append(geometric_mean(s).matrix)
+    geo = _per_class(lambda s: geometric_mean(s).matrix, sets)
     b = pham_ajd(np.stack(geo))
     diag_a, diag_b = (np.diag(b @ g @ b.T) for g in geo)
     ratios = diag_a / (diag_a + diag_b)

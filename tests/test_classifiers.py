@@ -667,15 +667,18 @@ class TestStackScoring:
             score(model, probes)
 
     @pytest.mark.parametrize("name,where", [
-        ("MDM", "class 1 trial 3"), ("MF", "class 1 trial 3"),
+        ("MDM", "class 1: trial 3"), ("MF", "class 1: trial 3"),
+        ("CSP", "class 1: trial 3"), ("ADCSP", "class 1: trial 3"),
         ("TS+LR", "trial 9"),
     ])
     def test_non_finite_training_trial_named(self, name, where):
-        # trial 9 of the training stack, trial 3 of class 1: the field
-        # fits name it within its class, TS+LR within the stack
+        # trial 9 of the training stack, trial 3 of class 1: the per-class
+        # fits name it within its class, TS+LR within the stack; at d = 3
+        # ADCSP takes its identity path
         trials, labels = dispersion_classes(np.random.default_rng(28), n=6)
         trials[9, 1, 0] = np.nan
-        fit, _ = SCORERS[name]
+        fit = ({"CSP": csp_fit, "ADCSP": adcsp_fit}.get(name)
+               or SCORERS[name][0])
         with pytest.raises(InvalidInput,
                            match=f"^{where} contains non-finite entries$"):
             fit(trials, labels)

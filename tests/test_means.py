@@ -510,15 +510,17 @@ class TestGeometricMean:
             assert len(calls) == per_step * res.iterations + 1, h
 
     @pytest.mark.parametrize("h", [0.0, 0.5, -1.0])
-    @pytest.mark.parametrize("init", [
-        np.eye(3), np.eye(4)[None], np.diag([1.0, np.inf, 1.0, 1.0]),
-        np.eye(4) + np.triu(np.full((4, 4), 0.1), 1),
+    @pytest.mark.parametrize("init,message", [
+        (np.eye(3), r"must have shape \(4, 4\), got \(3, 3\)"),
+        (np.eye(4)[None], r"must have shape \(4, 4\), got \(1, 4, 4\)"),
+        (np.diag([1.0, np.inf, 1.0, 1.0]), "contains non-finite entries"),
+        (np.eye(4) + np.triu(np.full((4, 4), 0.1), 1), "is not symmetric"),
     ], ids=["shape", "stack", "non-finite", "non-symmetric"])
-    def test_malformed_init_rejected(self, h, init):
+    def test_malformed_init_rejected(self, h, init, message):
         # before any solve, also where the closed form ignores the start
         rng = np.random.default_rng(17)
         mats = np.stack([random_spd(4, rng) for _ in range(5)])
-        with pytest.raises(InvalidInput, match="^init "):
+        with pytest.raises(InvalidInput, match=f"^init {message}$"):
             if h == 0.0:
                 geometric_mean(mats, init=init)
             else:
@@ -567,7 +569,7 @@ class TestGeometricMean:
         with pytest.raises(InvalidInput,
                            match="^trial 3 contains non-finite entries$"):
             geometric_mean(mats) if h == 0.0 else power_mean(mats, h)
-        with pytest.raises(InvalidInput, match="^class 1 trial 3 contains "
+        with pytest.raises(InvalidInput, match="^class 1: trial 3 contains "
                                                "non-finite entries$"):
             build_mean_field({0: mats[:3], 1: mats}, h_grid=(h,))
 
@@ -922,7 +924,8 @@ class TestMeanField:
 
     def test_minimum_trials_per_class(self):
         mats = np.stack([np.eye(2)] * 3)
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="^class 1: trial set needs "
+                                               "at least 2 trials$"):
             build_mean_field({0: mats, 1: mats[:1]})
 
     def test_grid_with_small_exponents(self):

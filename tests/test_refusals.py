@@ -20,7 +20,7 @@ from meansfield.geometry import (
 from meansfield.means import (
     arithmetic_mean, geometric_mean, harmonic_mean, power_mean, rpme_clean,
 )
-from meansfield.spatial import SpatialFilter, adcsp_fit, apply_filter
+from meansfield.spatial import SpatialFilter, adcsp_fit, apply_filter, csp_fit
 
 from oracles import spd_cloud
 
@@ -117,12 +117,17 @@ SKEW[2, 0, 1] = 1.0
 SKEW[3, 2, 0] = 3.0
 
 
-def _skewed_training_set():
+def _skewed_training_set(d=4):
     # global trial 8 is trial 3 of class 1
     rng = np.random.default_rng(33)
-    trials = spd_cloud(np.eye(4), 0.3, 10, rng)
+    trials = spd_cloud(np.eye(d), 0.3, 10, rng)
     trials[8, 0, 1] += 0.5
     return trials, np.repeat([0, 1], 5)
+
+
+# ADCSP takes its identity path at d = 4, enters stage 2 at d = 12 and
+# stage 1 at d = 32
+ADCSP_DIMS = (4, 12, 32)
 
 
 SYMMETRY_ENTRY_POINTS = {
@@ -132,9 +137,15 @@ SYMMETRY_ENTRY_POINTS = {
     "harmonic_mean": (lambda: harmonic_mean(SKEW), "trial 2"),
     "geometric_mean": (lambda: geometric_mean(SKEW), "trial 2"),
     "rpme_clean": (lambda: rpme_clean(SKEW), "trial 2"),
-    **{name: (lambda fit=fit: fit(*_skewed_training_set()), "class 1 trial 3")
+    **{name: (lambda fit=fit: fit(*_skewed_training_set()),
+              "class 1: trial 3")
        for name, fit in (("mdm_fit", mdm_fit), ("mdmf_fit", mdmf_fit),
-                         ("mf_fit", mf_fit))},
+                         ("mf_fit", mf_fit), ("csp_fit", csp_fit))},
+    "mf_fit robust": (lambda: mf_fit(*_skewed_training_set(), robust=True),
+                      "class 1: trial 3"),
+    **{f"adcsp_fit d={d}": (lambda d=d: adcsp_fit(*_skewed_training_set(d)),
+                            "class 1: trial 3")
+       for d in ADCSP_DIMS},
     "ts_lr_fit": (lambda: ts_lr_fit(*_skewed_training_set()), "trial 8"),
     "mdm_score": (lambda: mdm_score(_fitted(mdm_fit), SKEW), "trial 2"),
     "mf_score": (lambda: mf_score(_fitted(mf_fit), SKEW), "trial 2"),
@@ -155,5 +166,5 @@ def test_first_non_symmetric_trial_named(entry):
 
 def test_skewed_trials_are_positive_definite():
     # x^T C x > 0 for every x: only symmetry is refused
-    for m in (SKEW, _skewed_training_set()[0]):
+    for m in (SKEW, *(_skewed_training_set(d)[0] for d in ADCSP_DIMS)):
         assert np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m, 1, 2))).min() > 0
