@@ -36,9 +36,9 @@ class SolverConfig:
     Parameters
     ----------
     tolerance : float, default 1e-7
-        Convergence threshold; its exact meaning (relative error
-        estimate, stationarity norm, criterion decrement) is documented
-        by each solver.
+        Convergence threshold on a solver's residual, which each mean
+        documents: a relative error estimate for a power mean, a
+        stationarity norm for the geometric mean.
     max_iterations : int, default 150
         Hard cap on update steps before :class:`ConvergenceFailure`.
     """

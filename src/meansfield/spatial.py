@@ -1,17 +1,18 @@
 """Dimensionality-reducing spatial filters for covariance trials.
 
-Two building blocks: two-class filters from the generalized
-eigendecomposition of the class means (:func:`csp_gevd`), and
-approximate joint diagonalization of a matrix set (:func:`pham_ajd`).
-The adaptive two-stage filter :func:`adcsp_fit` chains them.
+Both building blocks are one generalized eigendecomposition of two SPD
+matrices: :func:`csp_gevd` keeps the most discriminative eigenvectors
+of the two class means as filter rows, and :func:`pham_ajd` returns all
+of them as the exact joint diagonalizer of a pair. The adaptive
+two-stage filter :func:`adcsp_fit` chains them.
 """
 
 import itertools
 import numpy as np
 from dataclasses import dataclass
 
-from .exceptions import ConvergenceFailure, InvalidInput
-from .geometry import SolverConfig, _eigh_stack, check_spd
+from .exceptions import InvalidInput
+from .geometry import _eigh_stack, check_spd
 from .means import (
     _check_set, _in_class, _labelled_set, arithmetic_mean, geometric_mean,
 )
@@ -99,18 +100,33 @@ def _alternate_extremes(ratios, k):
     return [i for pair in pairs for i in pair if i is not None]
 
 
-def csp_gevd(mean_a, mean_b, n_filters):
-    """Two-class spatial filter from a generalized eigendecomposition.
+def _gevd(mean_a, mean_b):
+    """Generalized eigendecomposition ``mean_a v = lambda (mean_a +
+    mean_b) v`` of two SPD matrices, eigenvalues descending.
 
-    Solves ``mean_a v = lambda (mean_a + mean_b) v`` by the Cholesky
-    factor ``L`` of ``mean_a + mean_b``: one symmetric eigendecomposition
-    of ``L^{-1} mean_a L^{-T}``, back-substituted. The eigenvalues
-    lie in (0, 1) and measure how much of the composite variance each
-    direction assigns to the first class. The ``n_filters`` most
-    discriminative eigenvectors (largest ``|lambda - 0.5|``) become the
-    filter rows, ordered alternating between the large- and
-    small-eigenvalue extremes; rows carry the whitening normalization
-    ``v^T (mean_a + mean_b) v = 1``.
+    With ``L L^T = mean_a + mean_b`` (Cholesky) and ``L^{-1} mean_a
+    L^{-T} = U diag(lambda) U^T``, one symmetric eigendecomposition, the
+    columns of ``V = L^{-T} U`` satisfy ``V^T (mean_a + mean_b) V = I``
+    and ``V^T mean_a V = diag(lambda)``, so they diagonalize both
+    matrices exactly (Ramoser, Mueller-Gerking & Pfurtscheller, 2000).
+    The eigenvalues lie in (0, 1): the share of the composite variance
+    that each direction assigns to ``mean_a``.
+    """
+    chol = np.linalg.cholesky(mean_a + mean_b)
+    reduced = np.linalg.solve(chol, np.linalg.solve(chol, mean_a).T)
+    lam, u = _eigh_stack(reduced)
+    v = np.linalg.solve(chol.T, u)
+    return lam[::-1], v[:, ::-1]
+
+
+def csp_gevd(mean_a, mean_b, n_filters):
+    """Two-class spatial filter from the generalized eigendecomposition
+    of the class means (:func:`_gevd`).
+
+    The ``n_filters`` most discriminative eigenvectors (largest
+    ``|lambda - 0.5|``) become the filter rows, ordered alternating
+    between the large- and small-eigenvalue extremes; rows carry the
+    whitening normalization ``v^T (mean_a + mean_b) v = 1``.
 
     Parameters
     ----------
@@ -128,14 +144,7 @@ def csp_gevd(mean_a, mean_b, n_filters):
         raise InvalidInput(f"cannot retain {n_filters} filters in dimension {d}")
     if n_filters < 1 or n_filters % 2 != 0:
         raise InvalidInput("n_filters must be a positive even integer")
-    # Cholesky reduction to a standard problem: with L L^T = mean_a +
-    # mean_b and L^{-1} mean_a L^{-T} = U diag(lam) U^T (ascending),
-    # the columns of V = L^{-T} U satisfy V^T (mean_a + mean_b) V = I
-    chol = np.linalg.cholesky(mean_a + mean_b)
-    reduced = np.linalg.solve(chol, np.linalg.solve(chol, mean_a).T)
-    lam, u = _eigh_stack(reduced)
-    v = np.linalg.solve(chol.T, u)
-    lam, v = lam[::-1], v[:, ::-1]
+    lam, v = _gevd(mean_a, mean_b)
     rows = _alternate_extremes(lam, n_filters)
     return SpatialFilter(v[:, rows].T)
 
@@ -171,100 +180,19 @@ def csp_fit(trial_covs, labels):
     return csp_gevd(*means, 2 * CSP_FILTERS_PER_CLASS)
 
 
-def _round_robin(d):
-    """The ``(i, j)`` index arrays, ``i > j``, of each round of a sweep:
-    the circle method on ``m`` slots (slot ``d`` a dummy if ``d`` is
-    odd), where round ``r`` pairs slot ``m - 1`` with ``r`` and ``r + k``
-    with ``r - k`` modulo ``m - 1``; each pair is in exactly one round."""
-    m = d + d % 2
-    r = np.arange(m - 1)[:, None]
-    k = np.arange(1, m // 2)
-    p = np.hstack([np.full_like(r, m - 1), (r + k) % (m - 1)])
-    q = np.hstack([r, (r - k) % (m - 1)])
-    i, j = np.maximum(p, q), np.minimum(p, q)
-    return [(a[a < d], b[a < d]) for a, b in zip(i, j)]
-
-
-def _pham_round(c, b, i, j, weights):
-    """Pham's 2x2 step on the disjoint pairs ``(i[k], j[k])`` at once;
-    returns the transformed ``c`` and ``b`` and the summed decrement."""
-    c_ii, c_jj, c_ij = c[:, i, i], c[:, j, j], c[:, i, j]
-    g_ij, g_ji, w_ij, w_ji = weights @ np.stack(
-        [c_ij / c_ii, c_ij / c_jj, c_jj / c_ii, c_ii / c_jj])
-    w_tilde = np.sqrt(w_ji / w_ij)
-    w_prod = np.sqrt(w_ij * w_ji)
-    t1 = (w_tilde * g_ij + g_ji) / (w_prod + 1.0)
-    t2 = (w_tilde * g_ij - g_ji) / np.maximum(w_prod - 1.0, 1e-12)
-    h12 = t1 + t2
-    h21 = (t1 - t2) / w_tilde
-    tmp = 1.0 + np.sqrt(np.maximum(1.0 - h12 * h21, 0.0))
-    t = np.eye(len(b))
-    t[i, j], t[j, i] = -h12 / tmp, -h21 / tmp
-    return t @ c @ t.T, t @ b, float(np.sum(g_ij * h12 + g_ji * h21) / 2)
-
-
 def pham_ajd(mats):
-    """Approximate joint diagonalization of SPD matrices, weighted
-    equally.
-
-    Minimizes Pham's criterion, the mean over ``i`` of ``log det
-    diag(B C_i B^T) - log det (B C_i B^T)``, by sweeps of pairwise
-    (2x2) invertible transformations; no pair step can increase the
-    criterion, and iteration stops when a sweep's decrement falls to
-    the default :class:`SolverConfig` tolerance (1e-7), within its
-    budget of 150 sweeps. A sweep visits each index pair once, in the round-robin
-    order of parallel Jacobi methods: d - 1 rounds (d if d is odd) of
-    disjoint pairs. A pair step reads only its pair's entries of each
-    ``C_i``, which the round's other steps leave alone, and steps on
-    disjoint pairs commute, so a round applies its pairs as one
-    transform and equals applying them one by one in any order.
-
-    Parameters
-    ----------
-    mats : ndarray, shape (n, d, d)
-        At least two SPD matrices.
-
-    Returns
-    -------
-    b : ndarray, shape (d, d)
-        Invertible demixing matrix; ``b @ C_i @ b.T`` is as diagonal
-        as the set allows.
-
-    Raises
-    ------
-    InvalidInput
-        When fewer than two matrices are given or one is not SPD.
-    ConvergenceFailure
-        When 150 sweeps pass without one that decreases the criterion
-        by at most ``1e-7``. The stop is absolute, and on sets of more
-        than two matrices that share no exact joint diagonalizer the
-        decrement falls only linearly: five sample covariances of 56
-        samples at d = 28 still decrease it by 1e-6 in their 150th
-        sweep. Two matrices are diagonalized exactly, within a few
-        sweeps.
+    """Exact joint diagonalizer ``b`` of a ``(2, d, d)`` stack of SPD
+    matrices ``A, B``: the rows of :func:`_gevd`'s ``V``, so ``b A b^T``
+    is diagonal, ``b (A + B) b^T = I`` and Pham's criterion is 0, its
+    minimum. Raises :class:`InvalidInput` unless given exactly two SPD
+    matrices.
     """
     mats = np.asarray(mats, dtype=np.float64)
-    if mats.ndim != 3 or mats.shape[0] < 2:
-        raise InvalidInput("joint diagonalization needs at least 2 matrices")
+    if mats.ndim != 3 or mats.shape[0] != 2:
+        raise InvalidInput(f"joint diagonalization needs exactly 2 "
+                           f"matrices, got shape {mats.shape}")
     check_spd(mats, "ajd input")
-    config = SolverConfig()
-    n, d, _ = mats.shape
-    weights = np.full(n, 1.0 / n)
-
-    c, b = mats, np.eye(d)
-    rounds = _round_robin(d)
-    for _ in range(config.max_iterations):
-        decrement = 0.0
-        for i, j in rounds:
-            c, b, step = _pham_round(c, b, i, j, weights)
-            decrement += step
-        if abs(decrement) <= config.tolerance:
-            return b
-    raise ConvergenceFailure(
-        f"joint diagonalization did not converge in "
-        f"{config.max_iterations} sweeps (last decrement {decrement:.3e})",
-        last_iterate=b, residual=decrement, iterations=config.max_iterations,
-    )
+    return _gevd(*mats)[1].T
 
 
 def adcsp_fit(trial_covs, labels):
@@ -274,10 +202,12 @@ def adcsp_fit(trial_covs, labels):
     means, eigendecomposition-based filter to 28 rows. Stage 2
     (entered iff the current dimension is >= 10): geometric class
     means of the stage-1-filtered trials on the default
-    :class:`SolverConfig` budget, joint diagonalization of the
-    two means, and the 10 most discriminative rows (scored like the
-    eigendecomposition stage on the diagonalized means), composed with
-    stage 1. Inputs of dimension < 10 pass through an identity filter.
+    :class:`SolverConfig` budget, their exact joint diagonalization
+    ``b``, and the 10 rows of ``b`` chosen and ordered as
+    :func:`csp_gevd` chooses its rows, by the ratios ``diag(b A b^T) /
+    diag(b (A + B) b^T)``, which are the generalized eigenvalues,
+    composed with stage 1. Inputs of dimension < 10 pass through an
+    identity filter.
 
     Returns
     -------

@@ -259,6 +259,62 @@ def ajd_criterion(b, mats):
                          - np.linalg.slogdet(t)[1]))
 
 
+def round_robin(d):
+    """Rounds of disjoint index pairs ``(i, j)``, ``i > j``, covering each
+    pair once: the circle method on ``m = d + d % 2`` slots (slot ``d`` a
+    dummy when ``d`` is odd), round ``r`` pairing slot ``m - 1`` with
+    ``r`` and ``r + k`` with ``r - k`` modulo ``m - 1``."""
+    m = d + d % 2
+    rounds = []
+    for r in range(m - 1):
+        slots = [(m - 1, r)] + [((r + k) % (m - 1), (r - k) % (m - 1))
+                                for k in range(1, m // 2)]
+        rounds.append([(max(p), min(p)) for p in slots if max(p) < d])
+    return rounds
+
+
+def pham_pair_step(c, b, i, j):
+    """Pham's (2001) 2x2 step on the pair ``(i, j)`` of the stack ``c``
+    and demixing matrix ``b``, weights equal, applied in place; returns
+    the pair's decrement of :func:`ajd_criterion`."""
+    g_ij = np.mean(c[:, i, j] / c[:, i, i])
+    g_ji = np.mean(c[:, i, j] / c[:, j, j])
+    w_ij = np.mean(c[:, j, j] / c[:, i, i])
+    w_ji = np.mean(c[:, i, i] / c[:, j, j])
+    w_tilde = math.sqrt(w_ji / w_ij)
+    w_prod = math.sqrt(w_ij * w_ji)
+    t1 = (w_tilde * g_ij + g_ji) / (w_prod + 1.0)
+    t2 = (w_tilde * g_ij - g_ji) / max(w_prod - 1.0, 1e-12)
+    h12 = t1 + t2
+    h21 = (t1 - t2) / w_tilde
+    tmp = 1.0 + math.sqrt(max(1.0 - h12 * h21, 0.0))
+    pair = [i, j]
+    t = np.array([[1.0, -h12 / tmp], [-h21 / tmp, 1.0]])
+    c[:, pair, :] = np.einsum("xy,kyl->kxl", t, c[:, pair, :])
+    c[:, :, pair] = np.einsum("kly,xy->klx", c[:, :, pair], t)
+    b[pair, :] = t @ b[pair, :]
+    return (g_ij * h12 + g_ji * h21) / 2.0
+
+
+def pham_sweeps(mats, tol=1e-7, max_sweeps=150):
+    """Pham's approximate joint diagonalization of any number of SPD
+    matrices by sweeps of pair steps in :func:`round_robin` order, up to
+    the first sweep whose summed decrement is at most ``tol``; returns
+    the demixing matrix before the first sweep (the identity) and after
+    each."""
+    c = np.array(mats, dtype=np.float64)
+    b = np.eye(c.shape[-1])
+    iterates = [b.copy()]
+    for _ in range(max_sweeps):
+        decrement = sum(pham_pair_step(c, b, i, j)
+                        for pairs in round_robin(c.shape[-1])
+                        for i, j in pairs)
+        iterates.append(b.copy())
+        if abs(decrement) <= tol:
+            break
+    return iterates
+
+
 def random_spd(dim, rng, log_spread=1.0):
     """Random SPD matrix: random orthogonal basis, log-uniform spectrum
     of total spread ``log_spread`` (condition number e**log_spread)."""

@@ -6,6 +6,8 @@ import importlib
 import json
 import os
 import pkgutil
+import shlex
+import shutil
 import struct
 import subprocess
 import sys
@@ -459,6 +461,39 @@ loaded = sorted(m for m, mod in sys.modules.items()
                 if m.split(".")[0] == "scipy" and mod is not None)
 print(json.dumps({"codes": codes, "scipy": loaded}))
 """
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def readme_cli_commands():
+    """The ``meansfield`` commands of README's command-line block, in
+    order, with their line continuations joined."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Command-line interface", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("meansfield ")]
+
+
+class TestReadme:
+    def test_cli_block_runs_in_order(self, tmp_path, monkeypatch, capsys):
+        # run where README's paths resolve: its example configs beside
+        # the outputs; ADCSP+MF at d = 12 reaches the stage-2 filter
+        shutil.copytree(REPO / "docs" / "examples",
+                        tmp_path / "docs" / "examples")
+        monkeypatch.chdir(tmp_path)
+        commands = readme_cli_commands()
+        assert [c[0] for c in commands] == [
+            "gen", "gen", "mean", "eval", "eval", "compare", "selftest"]
+        for argv in commands:
+            assert main(argv) == 0, (argv, capsys.readouterr().err)
+        tables = [load_score_table(tmp_path / name)
+                  for name in ("mdm.json", "mf.json")]
+        assert [t.pipeline for t in tables] == ["ADCSP+MDM", "ADCSP+MF"]
+        assert all(r.error is None for t in tables for r in t.rows)
+        assert (tmp_path / "report.json").exists()
 
 
 class TestNumpyOnlyRuntime:

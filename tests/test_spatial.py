@@ -6,14 +6,18 @@ import pytest
 import scipy.linalg
 
 from meansfield import spatial
-from meansfield.exceptions import ConvergenceFailure, InvalidInput
-from meansfield.geometry import SolverConfig, airm_distance
+from meansfield.exceptions import InvalidInput
+from meansfield.geometry import airm_distance
+from meansfield.means import geometric_mean
 from meansfield.spatial import (
-    SpatialFilter, _pham_round, _round_robin, adcsp_fit, apply_filter,
-    csp_fit, csp_gevd, pham_ajd,
+    STAGE1_DIM, STAGE2_DIM, SpatialFilter, adcsp_fit, apply_filter, csp_fit,
+    csp_gevd, pham_ajd,
 )
 
-from oracles import ajd_criterion, random_gl, random_spd, spd_cloud
+from oracles import (
+    ajd_criterion, pham_pair_step, pham_sweeps, random_gl, random_spd,
+    round_robin, spd_cloud,
+)
 
 
 def two_class_covs(dim, n_per_class, rng, spread=0.1):
@@ -89,28 +93,6 @@ class TestCspGevd:
         assert f.output_dim == 8  # 4 filters per class, 2 classes
 
 
-def pham_pair_step(c, b, i, j):
-    """Reference: Pham's 2x2 step on one pair, equal weights, applied
-    in place; returns the pair's decrement."""
-    g_ij = np.mean(c[:, i, j] / c[:, i, i])
-    g_ji = np.mean(c[:, i, j] / c[:, j, j])
-    w_ij = np.mean(c[:, j, j] / c[:, i, i])
-    w_ji = np.mean(c[:, i, i] / c[:, j, j])
-    w_tilde = np.sqrt(w_ji / w_ij)
-    w_prod = np.sqrt(w_ij * w_ji)
-    t1 = (w_tilde * g_ij + g_ji) / (w_prod + 1.0)
-    t2 = (w_tilde * g_ij - g_ji) / max(w_prod - 1.0, 1e-12)
-    h12 = t1 + t2
-    h21 = (t1 - t2) / w_tilde
-    tmp = 1.0 + np.sqrt(max(1.0 - h12 * h21, 0.0))
-    pair = np.array([i, j])
-    t = np.array([[1.0, -h12 / tmp], [-h21 / tmp, 1.0]])
-    c[:, pair, :] = np.einsum("xy,kyl->kxl", t, c[:, pair, :])
-    c[:, :, pair] = np.einsum("kly,xy->klx", c[:, :, pair], t)
-    b[pair, :] = t @ b[pair, :]
-    return (g_ij * h12 + g_ji * h21) / 2.0
-
-
 def mixed_diagonal_set(dim, n, seed):
     """``n`` matrices ``M D_k M^T`` sharing one mixing matrix ``M``."""
     rng = np.random.default_rng(seed)
@@ -119,12 +101,33 @@ def mixed_diagonal_set(dim, n, seed):
     return np.stack([m @ d @ m.T for d in base])
 
 
+def assert_scaled_permutation(p, atol):
+    """Each row and each column of ``p`` has one entry above ``atol``
+    times its row's largest."""
+    p = np.abs(p) / np.abs(p).max(axis=1, keepdims=True)
+    assert ((p > atol).sum(axis=1) == 1).all()
+    assert (p.max(axis=0) == 1.0).all()
+
+
 class TestPhamAjd:
-    def test_diagonal_set_is_fixed_point(self):
+    @pytest.mark.parametrize("dim", [2, 5, 12, 28])
+    def test_random_pairs_diagonalized_and_whitened(self, dim):
+        rng = np.random.default_rng(20 + dim)
+        for log_spread in (1.0, np.log(1e3), np.log(1e6)):
+            mats = np.stack([random_spd(dim, rng, log_spread),
+                             random_spd(dim, rng, log_spread)])
+            b = pham_ajd(mats)
+            assert ajd_criterion(b, mats) <= 1e-10
+            np.testing.assert_allclose(b @ mats.sum(axis=0) @ b.T,
+                                       np.eye(dim), rtol=0, atol=1e-10)
+
+    def test_diagonal_pair_gives_scaled_permutation(self):
         mats = np.stack([np.diag([1.0, 2.0, 3.0]), np.diag([3.0, 1.0, 0.5])])
         b = pham_ajd(mats)
-        off = b - np.diag(np.diag(b))
-        assert np.abs(off).max() <= 1e-12
+        assert_scaled_permutation(b, atol=1e-12)
+        # rows ordered by descending generalized eigenvalue
+        # a / (a + b) = 0.25, 2/3, 6/7
+        assert [int(np.argmax(np.abs(r))) for r in b] == [2, 1, 0]
         assert ajd_criterion(b, mats) <= 1e-12
 
     def test_two_matrices_exactly_diagonalized(self):
@@ -148,74 +151,18 @@ class TestPhamAjd:
         # distinct eigenvalue ratios keep every direction identifiable
         d2 = np.diag([2.3, 0.7, 5.1, 1.9, 3.7])
         b = pham_ajd(np.stack([q @ d1 @ q.T, q @ d2 @ q.T]))
-        bq = np.abs(b @ q)
-        bq = bq / bq.max(axis=1, keepdims=True)
         # each row of B Q hits exactly one coordinate
-        assert ((bq > 1e-6).sum(axis=1) == 1).all()
-        assert (bq.max(axis=0) == 1.0).all()
+        assert_scaled_permutation(b @ q, atol=1e-6)
 
-    @staticmethod
-    def assert_criterion_non_increasing(mats):
-        """Replay ``pham_ajd``'s sweeps, checking the criterion after
-        each; returns the number of sweeps."""
-        n, d, _ = mats.shape
-        weights = np.full(n, 1.0 / n)
-        config = SolverConfig()
-        c, b = mats, np.eye(d)
-        hist = [ajd_criterion(b, mats)]
-        for _ in range(config.max_iterations):
-            decrement = 0.0
-            for i, j in _round_robin(d):
-                c, b, step = _pham_round(c, b, i, j, weights)
-                decrement += step
-            hist.append(ajd_criterion(b, mats))
-            if abs(decrement) <= config.tolerance:
-                break
-        assert all(b <= a + 1e-12 for a, b in zip(hist[:-1], hist[1:]))
-        np.testing.assert_array_equal(pham_ajd(mats), b)
-        return len(hist) - 1
-
-    def test_criterion_non_increasing(self):
-        self.assert_criterion_non_increasing(mixed_diagonal_set(6, 5, seed=5))
-
-    def test_odd_dimension_criterion_non_increasing(self):
-        # odd d: every round leaves one index paired with the dummy slot
-        sweeps = self.assert_criterion_non_increasing(
-            mixed_diagonal_set(7, 5, seed=15))
-        assert sweeps >= 2
-
-    @pytest.mark.parametrize("dim", range(2, 30))
-    def test_rounds_cover_every_pair_once(self, dim):
-        rounds = _round_robin(dim)
-        assert len(rounds) == (dim - 1 if dim % 2 == 0 else dim)
-        seen = []
-        for i, j in rounds:
-            assert len(i) == dim // 2
-            assert (i > j).all()
-            assert len(set(i) | set(j)) == 2 * len(i)
-            seen += zip(i.tolist(), j.tolist())
-        expected = [(i, j) for i in range(dim) for j in range(i)]
-        assert sorted(seen) == expected
-
-    @pytest.mark.parametrize("dim", [6, 7])
-    def test_round_equals_its_pairs_one_at_a_time(self, dim):
-        mats = mixed_diagonal_set(dim, 4, seed=16)
-        mats /= np.abs(mats).max()
-        weights = np.full(4, 0.25)
-        c, b = mats.copy(), np.eye(dim)
-        # a few rounds in, so every pair carries a nonzero step
-        for i, j in _round_robin(dim)[:3]:
-            c, b, _ = _pham_round(c, b, i, j, weights)
-        for i, j in _round_robin(dim):
-            c_ref, b_ref = c.copy(), b.copy()
-            dec_ref = sum(pham_pair_step(c_ref, b_ref, p, q)
-                          for p, q in zip(i, j))
-            c_new, b_new, dec = _pham_round(c, b, i, j, weights)
-            np.testing.assert_allclose(c_new, c_ref, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(b_new, b_ref, rtol=0, atol=1e-12)
-            assert abs(dec - dec_ref) <= 1e-12
-            assert abs(dec) > 0
-            c, b = c_new, b_new
+    def test_pair_matches_sweep_reference(self):
+        # Pham's sweeps reach the same diagonalizer, up to the scale and
+        # order of its rows
+        mats = mixed_diagonal_set(6, 2, seed=21)
+        b_ref = pham_sweeps(mats)[-1]
+        b = pham_ajd(mats)
+        assert ajd_criterion(b_ref, mats) <= 1e-10
+        assert ajd_criterion(b, mats) <= 1e-12
+        assert_scaled_permutation(b @ np.linalg.inv(b_ref), atol=1e-8)
 
     def test_two_matrices_match_generalized_eigenvalues(self):
         # the adaptive filter's stage-2 case: two SPD matrices at d = 28
@@ -231,6 +178,86 @@ class TestPhamAjd:
         np.testing.assert_allclose(np.sort(ratios), np.sort(lam),
                                    rtol=0, atol=1e-8)
 
+    def test_off_diagonal_energy_shrinks(self):
+        rng = np.random.default_rng(6)
+        base = [np.diag(rng.uniform(0.5, 4.0, 5)) for _ in range(2)]
+        m = random_gl(5, rng, max_cond=10.0)
+        mats = np.stack([m @ d @ m.T for d in base])
+
+        def off_energy(b):
+            t = b @ mats @ b.T
+            return np.sum((t - t * np.eye(5)) ** 2)
+
+        assert off_energy(pham_ajd(mats)) < 1e-20 * off_energy(np.eye(5))
+
+    def test_needs_two_matrices(self):
+        for n in (1, 3):
+            with pytest.raises(InvalidInput,
+                               match=rf"^joint diagonalization needs exactly "
+                                     rf"2 matrices, got shape \({n}, 3, 3\)$"):
+                pham_ajd(np.stack([np.eye(3)] * n))
+
+    # The sweep solver of oracles.pham_sweeps, the independent route of
+    # test_pair_matches_sweep_reference, on sets of any size.
+
+    def test_diagonal_set_is_fixed_point(self):
+        mats = np.stack([np.diag([1.0, 2.0, 3.0]), np.diag([3.0, 1.0, 0.5]),
+                         np.diag([2.0, 2.0, 1.0])])
+        iterates = pham_sweeps(mats)
+        assert len(iterates) == 2
+        np.testing.assert_array_equal(iterates[-1], np.eye(3))
+
+    @staticmethod
+    def assert_criterion_non_increasing(mats):
+        """Checks the criterion after each sweep; returns the number of
+        sweeps."""
+        hist = [ajd_criterion(b, mats) for b in pham_sweeps(mats)]
+        assert all(b <= a + 1e-12 for a, b in zip(hist[:-1], hist[1:]))
+        return len(hist) - 1
+
+    def test_criterion_non_increasing(self):
+        self.assert_criterion_non_increasing(mixed_diagonal_set(6, 5, seed=5))
+
+    def test_odd_dimension_criterion_non_increasing(self):
+        # odd d: every round leaves one index paired with the dummy slot
+        sweeps = self.assert_criterion_non_increasing(
+            mixed_diagonal_set(7, 5, seed=15))
+        assert sweeps >= 2
+
+    @pytest.mark.parametrize("dim", range(2, 30))
+    def test_rounds_cover_every_pair_once(self, dim):
+        rounds = round_robin(dim)
+        assert len(rounds) == (dim - 1 if dim % 2 == 0 else dim)
+        seen = []
+        for pairs in rounds:
+            assert len(pairs) == dim // 2
+            assert all(i > j for i, j in pairs)
+            assert len({k for pair in pairs for k in pair}) == 2 * len(pairs)
+            seen += pairs
+        expected = [(i, j) for i in range(dim) for j in range(i)]
+        assert sorted(seen) == expected
+
+    @pytest.mark.parametrize("dim", [6, 7])
+    def test_round_equals_its_pairs_one_at_a_time(self, dim):
+        # the steps of a round touch disjoint pairs, so they commute:
+        # taking them in reverse order gives the same round
+        mats = mixed_diagonal_set(dim, 4, seed=16)
+        mats /= np.abs(mats).max()
+        c, b = mats.copy(), np.eye(dim)
+        # a few rounds in, so every pair carries a nonzero step
+        for pairs in round_robin(dim)[:3]:
+            for i, j in pairs:
+                pham_pair_step(c, b, i, j)
+        for pairs in round_robin(dim):
+            c_rev, b_rev = c.copy(), b.copy()
+            dec_rev = [pham_pair_step(c_rev, b_rev, i, j)
+                       for i, j in reversed(pairs)]
+            dec = [pham_pair_step(c, b, i, j) for i, j in pairs]
+            np.testing.assert_allclose(c, c_rev, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(b, b_rev, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dec, dec_rev[::-1], rtol=0, atol=1e-12)
+            assert all(abs(x) > 0 for x in dec)
+
     def test_criterion_matches_per_matrix_sum(self):
         mats = mixed_diagonal_set(5, 4, seed=18)
         b = random_gl(5, np.random.default_rng(19), max_cond=10.0)
@@ -240,36 +267,6 @@ class TestPhamAjd:
             total += (np.sum(np.log(np.diag(t)))
                       - np.linalg.slogdet(t)[1]) / len(mats)
         assert abs(ajd_criterion(b, mats) - total) <= 1e-14
-
-    def test_off_diagonal_energy_shrinks(self):
-        rng = np.random.default_rng(6)
-        base = [np.diag(rng.uniform(0.5, 4.0, 5)) for _ in range(4)]
-        m = random_gl(5, rng, max_cond=10.0)
-        mats = np.stack([m @ d @ m.T for d in base])
-
-        def off_energy(b):
-            total = 0.0
-            for c in mats:
-                t = b @ c @ b.T
-                total += np.sum((t - np.diag(np.diag(t))) ** 2)
-            return total
-
-        b = pham_ajd(mats)
-        assert off_energy(b) < off_energy(np.eye(5))
-
-    def test_needs_two_matrices(self):
-        with pytest.raises(InvalidInput):
-            pham_ajd(np.eye(3)[None])
-
-    def test_absolute_stop_fails_on_inexact_sets(self):
-        # five d = 28 sample covariances share no joint diagonalizer, and
-        # their sweep decrement is still about 1e-6 after 150 sweeps
-        a = np.random.default_rng(0).standard_normal((5, 28, 56))
-        mats = a @ a.transpose(0, 2, 1) / 56 + 0.1 * np.eye(28)
-        with pytest.raises(ConvergenceFailure, match="150 sweeps") as err:
-            pham_ajd(mats)
-        assert err.value.iterations == 150
-        assert err.value.residual > 1e-7
 
 
 class TestAdcsp:
@@ -324,6 +321,22 @@ class TestAdcsp:
         assert [c for c in checked if c[1][-1] == 28] == [
             ("ajd input", (2, 28, 28))]
         assert [c[1] for c in checked if c[1][-1] == 32] == [(32, 32)] * 2
+
+    @pytest.mark.parametrize("dim", [12, 32])
+    def test_stage2_is_the_two_class_filter(self, dim):
+        # stage 2 picks and orders its rows as csp_gevd does on the
+        # geometric means of the stage-1-projected classes
+        rng = np.random.default_rng(14)
+        covs, labels = two_class_covs(dim, 8, rng)
+        w = np.eye(dim)
+        if dim >= STAGE1_DIM:
+            w = csp_gevd(covs[labels == 0].mean(axis=0),
+                         covs[labels == 1].mean(axis=0), STAGE1_DIM).matrix
+        geo = [geometric_mean(w @ covs[labels == c] @ w.T).matrix
+               for c in (0, 1)]
+        expected = csp_gevd(*geo, STAGE2_DIM).matrix @ w
+        np.testing.assert_allclose(adcsp_fit(covs, labels).matrix, expected,
+                                   rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("dim", [12, 32])
     def test_indefinite_trial_named_within_its_class(self, dim):
