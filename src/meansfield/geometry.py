@@ -1,13 +1,13 @@
 """Geometry of symmetric positive-definite (SPD) matrices.
 
 The matrix functions are spectral transforms through the symmetric
-eigendecomposition; :func:`check_spd` decides positive definiteness
-by eigenvalues alone (``eigvalsh``), and the means factor trials by
-Cholesky. Matrices are plain ``float64`` ndarrays; every function
-accepts stacks of matrices in the leading dimensions and broadcasts
-over them. The distance is the affine-invariant one, computed from the
-eigenvalues of the symmetric similarity ``A^{-1/2} B A^{-1/2}`` (never
-from the non-symmetric ``A^{-1} B``).
+eigendecomposition. :func:`check_spd` decides positive definiteness by
+``eigvalsh``; the means and the OAS estimate decide it by one batched
+Cholesky (:func:`_cholesky`). Matrices are plain ``float64`` ndarrays;
+every function accepts stacks of matrices in the leading dimensions and
+broadcasts over them. The distance is the affine-invariant one, computed
+from the eigenvalues of the symmetric similarity ``A^{-1/2} B A^{-1/2}``
+(never from the non-symmetric ``A^{-1} B``).
 """
 
 import numbers
@@ -84,7 +84,6 @@ def _check_symmetric(a, name):
 
 
 def _symmetric_each(a):
-    a = np.asarray(a, dtype=np.float64)
     scale = np.abs(a).max(axis=(-2, -1))
     # a - a^T holds x and exactly -x for each pair, so its max is its
     # largest magnitude, found without another temporary
@@ -157,6 +156,16 @@ def _not_pd(low, noun):
     where = noun if np.ndim(low) == 0 else f"{noun} {i}"
     return InvalidInput(f"{where} is not positive definite "
                         f"(smallest eigenvalue {flat[i]:.3e})")
+
+
+def _cholesky(a, noun):
+    """Lower Cholesky factors of ``a``, one matrix or a stack, by one
+    call; where one has none, ``eigvalsh`` names it (see :func:`_not_pd`)."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        low = np.linalg.eigvalsh(a)[..., 0]
+    raise _not_pd(low, noun)
 
 
 def _eigh_stack(s):

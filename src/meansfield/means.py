@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 from .exceptions import ConvergenceFailure, InvalidInput
 from .geometry import (
-    SolverConfig, _as_square, _check_finite, _check_symmetric, _eigh_stack,
-    _not_pd, _sym, frobenius,
+    SolverConfig, _as_square, _check_finite, _check_symmetric, _cholesky,
+    _eigh_stack, _not_pd, _sym, frobenius,
 )
 
 __all__ = [
@@ -193,23 +193,12 @@ def harmonic_mean(mats):
     return _harmonic(_check_set(mats), "harmonic mean")
 
 
-def _trial_factors(mats, name):
-    """Lower Cholesky factors of the trials. Where a trial has none, one
-    ``eigvalsh`` of the set finds the trial to refuse (see
-    :func:`_not_pd`)."""
-    try:
-        return np.linalg.cholesky(mats)
-    except np.linalg.LinAlgError:
-        low = np.linalg.eigvalsh(mats)[:, 0]
-    raise _not_pd(low, f"{name}: trial")
-
-
 def _harmonic(mats, name):
     """:func:`harmonic_mean` of a checked set. With ``C_i = L_i L_i^T``,
     ``(1/n) sum_i C_i^{-1} = R^T R`` for the triangular factor ``R`` of
     the QR of the stacked ``sqrt(1/n) L_i^{-1}``, so the mean is
     ``R^{-1} R^{-T}``."""
-    li = np.linalg.inv(_trial_factors(mats, name))
+    li = np.linalg.inv(_cholesky(mats, f"{name}: trial"))
     stacked = np.sqrt(1.0 / mats.shape[0]) * li
     ri = np.linalg.inv(np.linalg.qr(stacked.reshape(-1, mats.shape[-1]),
                                     mode="r"))
@@ -311,10 +300,7 @@ def _mpm(mats, h, init, config):
         name, scale, bound = "geometric mean", 1.0, tol * d
     else:
         name, scale, bound = f"power mean (h={h})", np.sqrt(d), tol
-    try:
-        x = np.linalg.inv(np.linalg.cholesky(init))
-    except np.linalg.LinAlgError:
-        raise _not_pd(np.linalg.eigvalsh(init)[0], f"{name}: init") from None
+    x = np.linalg.inv(_cholesky(init, f"{name}: init"))
     nu, prev = 1.0, np.inf
     for it in range(config.max_iterations + 1):
         lam, u = _eigh_stack(x @ mats @ x.T)
@@ -409,7 +395,7 @@ def power_mean(mats, h, init=None, config=None):
     config = config or SolverConfig()
     name = f"power mean (h={h})"
     if h == 1.0:
-        _trial_factors(mats, name)
+        _cholesky(mats, f"{name}: trial")
         return MeanResult(_average(mats), 0, 0.0)
     if h == -1.0:
         return MeanResult(_harmonic(mats, name), 0, 0.0)
@@ -445,10 +431,8 @@ def geometric_mean(mats, init=None, config=None):
     """
     mats = _check_set(mats)
     config = config or SolverConfig()
-    if init is None:
-        init = _average(mats)
-    else:
-        init = _check_init(init, mats.shape[-1])
+    init = (_average(mats) if init is None
+            else _check_init(init, mats.shape[-1]))
     return _mpm(mats, 0.0, init, config)
 
 

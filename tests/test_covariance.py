@@ -1,10 +1,14 @@
 """Shrunk covariance estimation."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meansfield.covariance import _oas_shrinkage, oas_covariance
 from meansfield.exceptions import DegenerateInput, InvalidInput
+from meansfield.geometry import _cholesky, check_spd
 
 from oracles import oas_reference
 
@@ -127,3 +131,44 @@ class TestOasStack:
             oas_covariance(np.ones((0, 3, 10)))
         with pytest.raises(InvalidInput):
             oas_covariance(np.ones((2, 2, 3, 10)))
+
+    def test_overflowing_estimate_refused_without_warning(self):
+        # the finite trial 1 overflows its covariance; Cholesky would
+        # return non-finite factors for it without raising
+        rng = np.random.default_rng(7)
+        stack = rng.standard_normal((3, 4, 20))
+        stack[1] *= 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="^shrunk covariance 1 "
+                               "contains non-finite entries$"):
+                oas_covariance(stack)
+
+
+@st.composite
+def recordings(draw):
+    """A stack of 1 to 4 trials of 2 to 64 channels and 2 to twice as
+    many samples, fewer than channels included, with channel powers
+    spread over six decades."""
+    p = draw(st.integers(2, 64))
+    n = draw(st.integers(2, 2 * p))
+    count = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    power = 10.0 ** rng.uniform(-3.0, 3.0, (count, p, 1))
+    return power * rng.standard_normal((count, p, n))
+
+
+class TestOasPositiveDefinite:
+    """OAS output is positive definite by construction: for ``p >= 2``,
+    ``rho >= 1/(n + 1)``, so both deciders accept every estimate."""
+
+    @settings(max_examples=30)
+    @given(recordings())
+    def test_both_deciders_accept(self, data):
+        n = data.shape[-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # n < p
+            covs = oas_covariance(data)
+        assert min(shrinkage_of(trial) for trial in data) >= 1.0 / (n + 1)
+        check_spd(covs, "shrunk covariance")
+        _cholesky(covs, "shrunk covariance")

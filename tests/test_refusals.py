@@ -15,7 +15,8 @@ from meansfield.classifiers import (
 )
 from meansfield.exceptions import InvalidInput
 from meansfield.geometry import (
-    airm_distance, check_spd, geodesic, invsqrtm, logm, powm, sqrtm,
+    _cholesky, airm_distance, check_spd, geodesic, invsqrtm, logm, powm,
+    sqrtm,
 )
 from meansfield.means import (
     arithmetic_mean, geometric_mean, harmonic_mean, power_mean, rpme_clean,
@@ -87,6 +88,23 @@ def test_first_bad_matrix_is_not_the_most_negative():
     low = np.linalg.eigvalsh(STACK)[:, 0]
     assert low[3] < low[2] <= 0.0 < low[1]
     assert np.linalg.eigvalsh(STACK.mean(axis=0))[0] > 0.0
+
+
+
+@pytest.mark.parametrize("a, index", [(STACK, 2), (STACK[3], None)],
+                         ids=["stack", "lone"])
+def test_cholesky_refuses_as_check_spd_does(a, index):
+    # a stack by its first bad matrix, 2, not the more negative 3; a
+    # lone matrix by its noun alone
+    with pytest.raises(InvalidInput, match=refusal("trial", index)) as spd:
+        check_spd(a, "trial")
+    with pytest.raises(InvalidInput, match=f"^{re.escape(str(spd.value))}$"):
+        _cholesky(a, "trial")
+
+
+def test_cholesky_returns_the_lower_factors():
+    np.testing.assert_array_equal(_cholesky(STACK[:2], "trial"),
+                                  np.linalg.cholesky(STACK[:2]))
 
 
 FITS = {
