@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .exceptions import (
     ConvergenceFailure, CorruptArchive, DegenerateInput, InvalidInput,
-    NumericalFailure, RoutedElsewhere, UndefinedMetric, UnsupportedFormat,
+    NumericalFailure, UndefinedMetric, UnsupportedFormat,
 )
 from .geometry import (
     SolverConfig, airm_distance, check_spd, expm, geodesic, invsqrtm, logm,
@@ -39,8 +39,7 @@ from .evaluation import (
 )
 from .stats import (
     DatasetComparison, MetaReport, SmdResult, exact_permutation_test,
-    liptak_combine, meta_compare, normal_cdf, normal_quantile, smd,
-    wilcoxon_signed_rank,
+    liptak_combine, meta_compare, smd, wilcoxon_signed_rank,
 )
 from .archive import TrialArchive, read_archive, write_archive
 from .synth import (

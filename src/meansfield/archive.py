@@ -89,12 +89,6 @@ class TrialArchive:
     def n_trials(self):
         return self.trials.shape[0]
 
-    @property
-    def dim(self):
-        if self.kind != "covariance":
-            raise InvalidInput("dim is only defined for covariance archives")
-        return self.trials.shape[1]
-
 
 def _first_problem(kind, trials, labels, n_classes):
     """The first label, then value, then covariance trial that breaks

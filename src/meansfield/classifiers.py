@@ -408,10 +408,6 @@ class TsLrModel:
     weights: np.ndarray
     intercepts: np.ndarray
 
-    @property
-    def dim(self):
-        return self.reference.shape[0]
-
 
 def ts_lr_fit(train_covs, labels):
     """Fit logistic regression on tangent coordinates.

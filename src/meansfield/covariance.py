@@ -5,6 +5,7 @@ rank-deficient; shrinking it toward the scaled identity restores
 positive definiteness with a closed-form, data-driven intensity.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -47,13 +48,19 @@ def _oas_shrinkage(s, n_samples):
     number of samples behind ``S``. A vanishing denominator (``S``
     exactly proportional to the identity) yields 1, the full shrink.
     For ``p >= 2``, ``rho >= 1/(n + 1)`` (Chen, Wiesel, Eldar & Hero,
-    IEEE TSP 2010), so the estimate is positive definite.
+    IEEE TSP 2010), so the estimate is positive definite. NaN where the
+    denominator overflows float64, so that the estimate is not finite.
     """
     p = s.shape[0]
     tr_s = float(np.trace(s))
     tr_s2 = float(np.sum(s * s))
-    num = (1.0 - 2.0 / p) * tr_s2 + tr_s**2
-    den = (n_samples + 1.0 - 2.0 / p) * (tr_s2 - tr_s**2 / p)
+    try:
+        num = (1.0 - 2.0 / p) * tr_s2 + tr_s**2
+        den = (n_samples + 1.0 - 2.0 / p) * (tr_s2 - tr_s**2 / p)
+    except OverflowError:  # a float power raises where numpy gives inf
+        return math.nan
+    if not math.isfinite(den):  # the ratio is unknown, not 0
+        return math.nan
     if den <= 0.0:
         return 1.0
     return float(min(1.0, max(0.0, num / den)))
@@ -82,6 +89,10 @@ def oas_covariance(data):
     DegenerateInput
         When every channel of a trial is constant (zero total
         variance); for a stack, the message names the trial's index.
+    InvalidInput
+        When a trial's covariance, or the denominator of its shrinkage
+        intensity, overflows float64, as ``shrunk covariance i contains
+        non-finite entries``.
     """
     data = _check_trials(data)
     trials = data if data.ndim == 3 else data[None]

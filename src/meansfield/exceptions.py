@@ -2,8 +2,8 @@
 
 __all__ = [
     "InvalidInput", "DegenerateInput", "NumericalFailure",
-    "ConvergenceFailure", "UndefinedMetric", "RoutedElsewhere",
-    "UnsupportedFormat", "CorruptArchive",
+    "ConvergenceFailure", "UndefinedMetric", "UnsupportedFormat",
+    "CorruptArchive",
 ]
 
 
@@ -37,10 +37,6 @@ class ConvergenceFailure(NumericalFailure):
 
 class UndefinedMetric(InvalidInput):
     """The requested metric is undefined for this input (e.g. one class)."""
-
-
-class RoutedElsewhere(InvalidInput):
-    """The input belongs to a companion routine (soft routing error)."""
 
 
 class UnsupportedFormat(ValueError):

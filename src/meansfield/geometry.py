@@ -84,7 +84,8 @@ def _check_symmetric(a, name):
 
 
 def _symmetric_each(a):
-    scale = np.abs(a).max(axis=(-2, -1))
+    # the largest magnitude, without a stack-sized temporary
+    scale = np.maximum(a.max(axis=(-2, -1)), -a.min(axis=(-2, -1)))
     # a - a^T holds x and exactly -x for each pair, so its max is its
     # largest magnitude, found without another temporary
     gap = (a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1))

@@ -1,12 +1,12 @@
 """Paired statistical comparison of pipeline score tables.
 
 Per dataset, the per-subject paired difference in mean AUC is tested
-one-sided (second pipeline better): by exhaustive sign-flip
-enumeration for fewer than 20 subjects (an exact test) and by the
-signed-rank normal approximation otherwise. Per-dataset p-values
-combine across datasets through the weighted inverse-normal (Liptak)
-function and effect sizes through a weighted arithmetic mean, both
-with weights equal to the square root of the number of subjects.
+one-sided (second pipeline better), by the exact sign-flip test or the
+signed-rank normal approximation as :func:`meta_compare` routes it by
+the number of subjects. Per-dataset p-values combine across datasets
+through the weighted inverse-normal (Liptak) function and effect sizes
+through a weighted arithmetic mean, both with weights equal to the
+square root of the number of subjects.
 """
 
 import math
@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidInput, RoutedElsewhere
+from .exceptions import InvalidInput
 
 __all__ = [
-    "normal_cdf", "normal_quantile", "exact_permutation_test",
-    "wilcoxon_signed_rank", "liptak_combine", "smd", "SmdResult",
-    "DatasetComparison", "MetaReport", "meta_compare",
+    "exact_permutation_test", "wilcoxon_signed_rank", "liptak_combine",
+    "smd", "SmdResult", "DatasetComparison", "MetaReport", "meta_compare",
 ]
 
 # Exact-test routing threshold on the number of subjects.
@@ -35,6 +34,7 @@ _STANDARD_NORMAL = statistics.NormalDist()
 
 
 def _ndtr(z):
+    """Standard normal CDF of a float (absolute error well below 1e-9)."""
     x = z * _SQRT1_2
     if abs(x) < _SQRT1_2:
         return 0.5 + 0.5 * math.erf(x)
@@ -43,30 +43,13 @@ def _ndtr(z):
 
 
 def _ndtri(p):
+    """Standard normal quantile of a float (absolute error well below
+    1e-9): -inf at 0, +inf at 1, NaN outside [0, 1]."""
     if 0.0 < p < 1.0:
         return _STANDARD_NORMAL.inv_cdf(p)
     if p == 0.0:
         return -math.inf
     return math.inf if p == 1.0 else math.nan
-
-
-def _elementwise(fn, x):
-    """``fn`` over a scalar (returned as ``np.float64``) or an array;
-    NaN passes through without a floating-point warning."""
-    with np.errstate(invalid="ignore"):
-        return np.vectorize(fn, otypes=[np.float64])(x)[()]
-
-
-def normal_cdf(z):
-    """Standard normal CDF of a scalar or array (absolute error well
-    below 1e-9); NaN maps to NaN."""
-    return _elementwise(_ndtr, z)
-
-
-def normal_quantile(p):
-    """Standard normal quantile of a scalar or array (absolute error
-    well below 1e-9): -inf at 0, +inf at 1, NaN outside [0, 1]."""
-    return _elementwise(_ndtri, p)
 
 
 def _tied_ranks(x):
@@ -100,12 +83,12 @@ def exact_permutation_test(diffs):
     (the observed assignment is included, so ``p >= 2^-n``).
 
     Requires ``2 <= n < 20``; larger samples raise
-    :class:`RoutedElsewhere` and belong to the signed-rank test.
+    :class:`InvalidInput`.
     """
     d = _check_diffs(diffs)
     n = d.size
     if n >= EXACT_TEST_MAX_N:
-        raise RoutedElsewhere(
+        raise InvalidInput(
             f"{n} >= {EXACT_TEST_MAX_N} subjects: use the signed-rank test"
         )
     # A sign assignment's mean is >= the observed mean exactly when the
@@ -122,26 +105,20 @@ def wilcoxon_signed_rank(diffs):
 
     Zero differences are dropped first; ranks of tied magnitudes are
     averaged. Small p favors positive differences (second pipeline
-    better).
-
-    Returns
-    -------
-    p : float
-    degenerate : bool
-        True when every difference is zero (p is then 1).
+    better). Returns p, which is 1 when every difference is zero.
     """
     d = _check_diffs(diffs)
     d = d[d != 0.0]
     n = d.size
     if n == 0:
-        return 1.0, True
+        return 1.0
     ranks, ties = _tied_ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     mu = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0
     var -= int(np.sum(ties**3 - ties)) / 48.0  # at least n (n + 1)^2 / 16
     z = (w_plus - 0.5 - mu) / np.sqrt(var)
-    return float(1.0 - normal_cdf(z)), False
+    return float(1.0 - _ndtr(z))
 
 
 def liptak_combine(p_values, weights):
@@ -160,9 +137,9 @@ def liptak_combine(p_values, weights):
     if np.any(w <= 0):
         raise InvalidInput("weights must be positive")
     p = np.clip(p, _P_CLAMP, 1.0 - _P_CLAMP)
-    z = normal_quantile(1.0 - p)
+    z = np.array([_ndtri(q) for q in (1.0 - p).tolist()])
     t = float(w @ z / np.sqrt(w @ w))
-    return float(1.0 - normal_cdf(t))
+    return float(1.0 - _ndtr(t))
 
 
 @dataclass(frozen=True)
@@ -297,7 +274,7 @@ def meta_compare(table_a, table_b):
             p = exact_permutation_test(diffs)
             test = "exact-permutation"
         else:
-            p, _ = wilcoxon_signed_rank(diffs)
+            p = wilcoxon_signed_rank(diffs)
             test = "signed-rank"
         effect = smd(scores_a, scores_b)
         rows.append(DatasetComparison(

@@ -111,17 +111,18 @@ class MixedSourcesSpec:
         return self.profiles[0].size
 
 
-def _symmetric_gaussian(dim, sigma, rng):
-    """Symmetric matrix with N(0, sigma^2) diagonal and N(0, sigma^2/2)
-    off-diagonal entries, drawn in fixed row-major upper-tri order."""
-    s = np.zeros((dim, dim))
-    diag = rng.normal(0.0, sigma, dim)
-    n_off = dim * (dim - 1) // 2
-    off = rng.normal(0.0, sigma / np.sqrt(2.0), n_off)
-    iu = np.triu_indices(dim, k=1)
-    s[iu] = off
-    s = s + s.T
-    s[np.diag_indices(dim)] = diag
+def _symmetric_gaussians(dim, sigma, rngs):
+    """Symmetric matrices, one per generator, with N(0, sigma^2)
+    diagonal and N(0, sigma^2/2) off-diagonal entries, each drawn from
+    its generator in fixed row-major upper-tri order."""
+    draws = [(rng.normal(0.0, sigma, dim),
+              rng.normal(0.0, sigma / np.sqrt(2.0), dim * (dim - 1) // 2))
+             for rng in rngs]
+    rows, cols = np.triu_indices(dim, k=1)
+    s = np.zeros((len(draws), dim, dim))
+    s[:, rows, cols] = [off for _, off in draws]
+    s = s + np.swapaxes(s, 1, 2)
+    s[:, np.arange(dim), np.arange(dim)] = [diag for diag, _ in draws]
     return s
 
 
@@ -129,21 +130,19 @@ def synth_riemannian_gaussian(spec):
     """Draw SPD trials ``M^{1/2} exp(S) M^{1/2}`` per class.
 
     ``S`` is the symmetric Gaussian perturbation of
-    :func:`_symmetric_gaussian`; dispersion 0 would reproduce the
+    :func:`_symmetric_gaussians`; dispersion 0 would reproduce the
     center exactly. Trials are ordered class-major.
     """
+    n = spec.trials_per_class
     trials = []
-    labels = []
     for c, (sigma, center) in enumerate(zip(spec.sigmas, spec.centers)):
         root = sqrtm(center)
-        for t in range(spec.trials_per_class):
-            rng = _trial_rng(spec.seed, c, t)
-            s = _symmetric_gaussian(spec.dim, sigma, rng)
-            trials.append(root @ expm(s) @ root)
-            labels.append(c)
+        s = _symmetric_gaussians(spec.dim, sigma, [
+            _trial_rng(spec.seed, c, t) for t in range(n)])
+        trials.append(root @ expm(s) @ root)
     return TrialArchive(
-        kind="covariance", trials=np.stack(trials),
-        labels=np.array(labels, dtype=np.uint32),
+        kind="covariance", trials=np.concatenate(trials),
+        labels=np.repeat(np.arange(spec.n_classes, dtype=np.uint32), n),
         n_classes=spec.n_classes,
     )
 

@@ -265,7 +265,7 @@ def test_08_statistics_exactness():
     rng = np.random.default_rng(1000)
     for _ in range(20):
         diffs = rng.normal(0.1, 0.5, 25)
-        p, _ = wilcoxon_signed_rank(diffs)
+        p = wilcoxon_signed_rank(diffs)
         assert abs(p - wilcoxon_reference_p(diffs)) <= 1e-6
 
     x = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 4.0], [2.0, 3.0],

@@ -85,7 +85,6 @@ class TestByteOracle:
         path.write_bytes(blob)
         archive = read_archive(path)
         assert archive.n_trials == 1
-        assert archive.dim == 2
         np.testing.assert_array_equal(archive.trials[0],
                                       [[2.0, 1.0], [1.0, 2.0]])
         assert archive.labels.tolist() == [0]
@@ -290,11 +289,6 @@ class TestHeaderContract:
                            match="^covariance trials must be square$"):
             TrialArchive("covariance", np.ones((2, 2, 3)), np.array([0, 0]),
                          1)
-
-    def test_dim_of_time_series_archive(self, ts_archive):
-        with pytest.raises(InvalidInput,
-                           match="only defined for covariance archives"):
-            ts_archive.dim
 
 
 @st.composite

@@ -144,6 +144,26 @@ class TestOasStack:
                                "contains non-finite entries$"):
                 oas_covariance(stack)
 
+    @pytest.mark.parametrize("samples, powers, scale", [
+        # tr(S)^2 overflows: a float power would raise OverflowError
+        (20, (1.0, 1.0, 1.0), 1e150),
+        # only the denominator overflows: the ratio would read 0, an
+        # unshrunk estimate, where the intensity is about 1e-3
+        (2000, (1.0, 0.1, 0.01), 1e77),
+    ])
+    def test_overflowing_intensity_refused_without_warning(
+            self, samples, powers, scale):
+        # the finite trial 1 has a finite covariance
+        rng = np.random.default_rng(7)
+        stack = rng.standard_normal((2, 3, samples))
+        stack *= np.array(powers)[:, None]
+        stack[1] *= scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="^shrunk covariance 1 "
+                               "contains non-finite entries$"):
+                oas_covariance(stack)
+
 
 @st.composite
 def recordings(draw):

@@ -2,11 +2,14 @@
 geometric mean, robust cleaning, and the mean field with its
 interpolated starts."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from meansfield import means
+from meansfield.covariance import oas_covariance
 from meansfield.exceptions import ConvergenceFailure, InvalidInput
 from meansfield.geometry import (
     SolverConfig, airm_distance, frobenius, geodesic,
@@ -146,6 +149,23 @@ def domain_sets(draw):
         mats[i] = e @ mats[0] @ e.T
     h = draw(st.floats(1e-3, 1.0)) * draw(st.sampled_from([-1.0, 1.0]))
     return mats, h
+
+
+@st.composite
+def short_recording_fields(draw):
+    """OAS estimates of two classes of 2-12 time series each: 2-64
+    channels, 2 to channels - 1 samples (2 at 2 channels), channel
+    powers spread over six decades."""
+    p = draw(st.integers(2, 64) | st.just(64))
+    n = draw(st.integers(2, max(2, p - 1)))
+    counts = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    power = 10.0 ** rng.uniform(-3.0, 3.0, (sum(counts), p, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # n < p
+        covs = oas_covariance(power * rng.standard_normal(
+            (sum(counts), p, n)))
+    return {0: covs[:counts[0]], 1: covs[counts[0]:]}
 
 
 def rpme_by_distance(mats):
@@ -724,6 +744,18 @@ class TestDocumentedDomain:
         assert res.residual <= cfg.tolerance
         res = geometric_mean(mats, config=cfg)
         assert res.residual <= cfg.tolerance * mats.shape[-1]
+
+    @settings(max_examples=10)
+    @given(short_recording_fields())
+    def test_fields_of_short_recordings_meet_their_bounds(self, sets):
+        # shrinkage bounds an OAS estimate's condition by about
+        # channels * (samples + 1), inside the domain
+        tol = SolverConfig().tolerance
+        dim = sets[0].shape[-1]
+        field = build_mean_field(sets)
+        for c in sets:
+            for e in field.entries[c]:
+                assert e.residual <= tol * (dim if e.h == 0.0 else 1), (c, e.h)
 
     def test_copies_of_one_trial_leave_the_domain(self):
         # 101 of 109 trials (d = 26) are copies of one trial of
