@@ -1,8 +1,7 @@
 """Classifiers for SPD covariance trials.
 
-MDM, MDMF and MF fit one model type, :class:`FieldModel`: a per-class
-field of power means from the one field solver of :mod:`.means`, the
-whiteners of its means and a head. MDM's field is the single exponent
+MDM, MDMF and MF fit one model type, :class:`FieldModel`, on the one
+field solver of :mod:`.means`. MDM's field is the single exponent
 ``h = 0`` (one geometric mean per class), MDMF's the full field; both
 take the nearest-mean head of :func:`mdm_score`. MF puts a linear
 discriminant head on the squared distances to every mean of the field.
@@ -10,12 +9,15 @@ All three score with one distance kernel. TS+LR (``ts_lr_*``) is
 logistic regression on tangent-space coordinates at the global
 geometric mean.
 
-Every ``*_score`` takes one ``(d, d)`` trial and returns ``(label,
-score)``, or an ``(n, d, d)`` stack and returns ``(labels, scores)``
-arrays, and raises :class:`InvalidInput` naming the first trial with a
-non-finite entry or that is not symmetric. Binary decision scores are
-oriented so that higher means the class with the larger label index;
-ties in predicted labels resolve to the lower class index.
+The fits of trials (MDM, MDMF, MF, TS+LR) raise :class:`InvalidInput`
+unless their training set is an ``(n, d, d)`` stack with one label per
+trial and at least two classes. Every ``*_score`` takes one ``(d, d)``
+trial and returns ``(label, score)``, or an ``(n, d, d)`` stack and
+returns ``(labels, scores)`` arrays, and raises :class:`InvalidInput`
+naming the first trial with a non-finite entry or that is not
+symmetric. Binary decision scores are oriented so that higher means the
+class with the larger label index; ties in predicted labels resolve to
+the lower class index.
 """
 
 import numpy as np
@@ -63,10 +65,9 @@ def _trials(covs, dim):
 
 
 def _decide(classes, evidence, single):
-    """Label and score from per-class evidence ``(n, classes)``, higher
-    meaning likelier: the argmax label (ties to the lower index) and,
-    as score, ``evidence_1 - evidence_0`` for two classes, else the
-    evidence row. ``(label, score)`` for one trial, else arrays."""
+    """The scorers' return from per-class evidence ``(n, classes)``,
+    higher meaning likelier: the argmax label and, as score,
+    ``evidence_1 - evidence_0`` for two classes, else the evidence row."""
     best = np.argmax(evidence, axis=1)
     scores = (evidence[:, 1] - evidence[:, 0] if len(classes) == 2
               else evidence)
@@ -113,36 +114,24 @@ def _field_model(field):
 
 def mdm_fit(train_covs, labels, config=None):
     """Learn one geometric mean per class: the field of the single
-    exponent ``h = 0``, equal to ``mdmf_fit(..., h_grid=(0.0,))``.
-
-    Raises :class:`InvalidInput` unless ``train_covs`` is an ``(n, d,
-    d)`` stack with one label per trial and at least two classes.
-    """
+    exponent ``h = 0``, equal to ``mdmf_fit(..., h_grid=(0.0,))``."""
     covs, members = _labelled_set(train_covs, labels)
     return _field_model(_solve_field({c: covs[i] for c, i in members.items()},
                                      (0.0,), config, robust=False))
 
 
-def mdmf_fit(train_covs, labels, h_grid=DEFAULT_H_GRID, config=None,
-             robust=False):
-    """Learn the full power-mean field per class.
-
-    Raises :class:`InvalidInput` unless ``train_covs`` is an ``(n, d,
-    d)`` stack with one label per trial and at least two classes.
-    """
+def mdmf_fit(train_covs, labels, h_grid=DEFAULT_H_GRID, config=None):
+    """Learn the full power-mean field per class."""
     covs, members = _labelled_set(train_covs, labels)
     return _field_model(build_mean_field(
         {c: covs[i] for c, i in members.items()}, h_grid=h_grid,
-        config=config, robust=robust))
+        config=config))
 
 
 def mdm_score(model, covs):
-    """Classify trials by their nearest mean: the scorer of MDM and
-    MDMF models alike.
-
-    Per class the evidence is the smallest distance from the trial to
-    the class's means (MDM has one per class); the trial goes to the
-    class with the smallest, ties to the lower class index.
+    """Classify trials by their nearest mean, the scorer of MDM and
+    MDMF models: per class the evidence is the smallest distance from
+    the trial to the class's means (MDM has one per class).
 
     Returns
     -------
@@ -229,13 +218,9 @@ def distance_features(model, covs):
 
 def _training_features(model, covs, members):
     """:func:`distance_features` of a field model's own training trials,
-    ``members`` mapping each class to the indices of its trials.
-
-    The field solver leaves the squared distances of each class's kept
-    trials to the class's iterative means (``MeanField.sq_distances``);
-    the kernel computes the rest: the other classes' trials, the trials
-    robust cleaning dropped, and the closed-form ``h = +-1`` means.
-    """
+    ``members`` mapping each class to the indices of its trials: each
+    class's own distances from ``MeanField.sq_distances``, the rest
+    from the kernel."""
     field = model.field
     k = len(field.h_grid)
     feats = np.empty((len(covs), model.n_features))
@@ -256,12 +241,8 @@ def _training_features(model, covs, members):
 
 def mf_fit(train_covs, labels, h_grid=DEFAULT_H_GRID, config=None,
            robust=False):
-    """Learn the mean field and a discriminant on its squared distances.
-
-    The field and the discriminant are trained on the same trials.
-    Raises :class:`InvalidInput` unless ``train_covs`` is an ``(n, d,
-    d)`` stack with one label per trial and at least two classes.
-    """
+    """Learn the mean field and a discriminant on its squared distances,
+    both on the same trials."""
     covs, members = _labelled_set(train_covs, labels)
     model = _field_model(build_mean_field(
         {c: covs[i] for c, i in members.items()}, h_grid=h_grid,
@@ -276,8 +257,6 @@ def mf_score(model, covs):
     Binary decision score is the discriminant difference
     ``g_1(x) - g_0(x)``, with ``g_c(x) = x S^{-1} mu_c - mu_c S^{-1} mu_c
     / 2 + log prior_c``; multiclass returns the discriminant vector.
-    Ties go to the lower class index. Returns ``(label, score)``, or
-    ``(labels, scores)`` arrays for a stack.
     """
     x = np.atleast_2d(distance_features(model, covs))
     return _decide(model.lda.classes, x @ model.lda._coef.T
@@ -294,11 +273,9 @@ def tangent_map(cov, reference):
     ``S = log(R^{-1/2} C R^{-1/2})`` vectorized as the row-major upper
     triangle with off-diagonal entries scaled by ``sqrt(2)``, so the
     Euclidean norm of the vector equals the affine-invariant distance
-    from ``C`` to ``R``. ``cov`` is one ``(d, d)`` trial, mapped to one
-    vector, or an ``(n, d, d)`` stack, mapped to one row per trial, of
-    the reference's dimension ``d``; :class:`InvalidInput` names the
-    first trial with a non-finite entry, or the first that is not
-    positive definite.
+    from ``C`` to ``R``. ``cov`` is a trial or a stack, as the scorers
+    take it, of the reference's dimension; :class:`InvalidInput` names
+    the first trial that is not finite, symmetric and positive definite.
     """
     reference = check_spd(reference, "reference")
     covs, single = _trials(cov, reference.shape[0])
@@ -345,8 +322,10 @@ def _logistic_objective(params, x, y01, penalty):
 
 
 def _fit_binary_lr(x, y01):
-    """Newton's method from zero with Armijo backtracking, to gradient
-    norm ``LR_GRAD_TOL``. Where the loss no longer resolves the
+    """Weights and intercept of a binary logistic regression by damped
+    Newton steps from zero, Armijo backtracking on the strictly convex
+    objective, to gradient norm ``LR_GRAD_TOL``; failing that,
+    :class:`ConvergenceFailure`. Where the loss no longer resolves the
     decrease (within rounding of the optimum), a step is also accepted
     if it shrinks the gradient."""
     beta = np.zeros(x.shape[1] + 1)
@@ -395,11 +374,8 @@ def _logistic_hessian(params, x, penalty):
 
 @dataclass(frozen=True)
 class TsLrModel:
-    """Tangent-space logistic regression at the training geometric mean.
-
-    Features are z-scored with training statistics; one weight vector
-    per class beyond the first (one-vs-rest for multiclass).
-    """
+    """Tangent-space logistic regression of :func:`ts_lr_fit`: one
+    weight vector per class beyond the first (one-vs-rest)."""
 
     classes: tuple
     reference: np.ndarray
@@ -418,13 +394,10 @@ def ts_lr_fit(train_covs, labels):
     the training fold). A coordinate whose spread is at most
     ``TS_SPREAD_FLOOR`` (1e-12; tangent coordinates are dimensionless,
     so the bound is absolute) holds only rounding and is neutralized:
-    its training column is zero and its weight exactly 0. The
-    L2 penalty weight is fixed at 1 with an unpenalized intercept. Each
-    weight vector is found by damped Newton steps from zero (Armijo
-    backtracking on the strictly convex objective) to gradient norm
-    ``1e-8``; failing that raises :class:`ConvergenceFailure`.
-    Raises :class:`InvalidInput` unless ``train_covs`` is an ``(n, d,
-    d)`` stack with one label per trial and at least two classes.
+    its training column is zero and its weight exactly 0. The L2
+    penalty weight is fixed at 1 with an unpenalized intercept. Each
+    weight vector is fitted by :func:`_fit_binary_lr`, which raises
+    :class:`ConvergenceFailure` where it does not converge.
     """
     covs, members = _labelled_set(train_covs, labels)
     classes = tuple(members)
@@ -454,9 +427,7 @@ def ts_lr_score(model, covs):
     """Classify trials by their tangent-space logits.
 
     Binary score is the logit of the second class; multiclass returns
-    the one-vs-rest logit vector and predicts its argmax (ties to the
-    lower class index). Returns ``(label, score)``, or
-    ``(labels, scores)`` arrays for a stack.
+    the one-vs-rest logit vector and predicts its argmax.
     """
     feats = np.atleast_2d(tangent_map(covs, model.reference))
     x = (feats - model.feature_mean) / model.feature_scale

@@ -299,8 +299,6 @@ def _selftest_checks():
         rng = np.random.default_rng(0)
         scores = rng.choice([0.1, 0.3, 0.5, 0.7], size=30)
         labels = rng.integers(0, 2, size=30)
-        if len(set(labels.tolist())) < 2:
-            return False
         brute = wins = ties = 0
         pos = scores[labels == 1]
         neg = scores[labels == 0]

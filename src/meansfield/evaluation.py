@@ -8,7 +8,6 @@ per-trial covariance estimation happens once per group, before
 folding.
 """
 
-import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,6 +19,7 @@ from .classifiers import (
 )
 from .covariance import oas_covariance
 from .exceptions import InvalidInput, NumericalFailure, UndefinedMetric
+from .geometry import _is_integer
 from .spatial import SpatialFilter, adcsp_fit, apply_filter, csp_fit
 from .stats import _tied_ranks
 
@@ -38,7 +38,7 @@ class EvalConfig:
     """Evaluation settings: pipeline name, fold count, and fold seed.
 
     ``k`` must be an integer of at least 2 and ``seed`` an unsigned
-    64-bit integer; numpy integers pass.
+    64-bit integer; numpy integers pass, bools do not.
     """
 
     pipeline: str
@@ -46,10 +46,9 @@ class EvalConfig:
     k: int = 5
 
     def __post_init__(self):
-        if not isinstance(self.k, numbers.Integral) or self.k < 2:
+        if not _is_integer(self.k) or self.k < 2:
             raise InvalidInput("k must be an integer of at least 2")
-        if not (isinstance(self.seed, numbers.Integral)
-                and 0 <= self.seed < 2**64):
+        if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):
             raise InvalidInput("seed must be an unsigned 64-bit integer")
         parse_pipeline(self.pipeline)
 

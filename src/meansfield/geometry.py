@@ -2,12 +2,12 @@
 
 The matrix functions are spectral transforms through the symmetric
 eigendecomposition. :func:`check_spd` decides positive definiteness by
-``eigvalsh``; the means and the OAS estimate decide it by one batched
-Cholesky (:func:`_cholesky`). Matrices are plain ``float64`` ndarrays;
-every function accepts stacks of matrices in the leading dimensions and
-broadcasts over them. The distance is the affine-invariant one, computed
-from the eigenvalues of the symmetric similarity ``A^{-1/2} B A^{-1/2}``
-(never from the non-symmetric ``A^{-1} B``).
+``eigvalsh``; the means, the geodesic and the OAS estimate decide it by
+one batched Cholesky (:func:`_cholesky`). Matrices are plain ``float64``
+ndarrays; every function accepts stacks of matrices in the leading
+dimensions, empty ones included, and broadcasts over them. A refusal
+names the first bad matrix of a stack, over its flattened leading axes,
+as ``"{name} {i}"``, and a lone matrix as ``name``.
 """
 
 import numbers
@@ -29,6 +29,12 @@ SYMMETRY_RTOL = 1e-10
 KERNEL_BLOCK = 1 << 21
 
 
+def _is_integer(value):
+    """Whether a config value is an integer; a bool is not one."""
+    return (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool))
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Convergence budget shared by all iterative solvers.
@@ -36,20 +42,22 @@ class SolverConfig:
     Parameters
     ----------
     tolerance : float, default 1e-7
-        Convergence threshold on a solver's residual, which each mean
-        documents: a relative error estimate for a power mean, a
-        stationarity norm for the geometric mean.
+        Threshold on a solver's residual, which each mean documents;
+        finite and positive.
     max_iterations : int, default 150
-        Hard cap on update steps before :class:`ConvergenceFailure`.
+        Hard cap on update steps before :class:`ConvergenceFailure`; a
+        positive integer, not a bool.
+
+    Raises :class:`InvalidInput` on any other value.
     """
 
     tolerance: float = 1e-7
     max_iterations: int = 150
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise InvalidInput("tolerance must be positive")
-        if not (isinstance(self.max_iterations, numbers.Integral)
+        if isinstance(self.tolerance, bool) or not 0 < self.tolerance < np.inf:
+            raise InvalidInput("tolerance must be positive and finite")
+        if not (_is_integer(self.max_iterations)
                 and self.max_iterations >= 1):
             raise InvalidInput("max_iterations must be a positive integer")
 
@@ -63,8 +71,7 @@ def _as_square(a, name="matrix"):
 
 def _check_finite(a, name):
     """``a``, one matrix or a stack, when all its entries are finite;
-    else :class:`InvalidInput` naming the first matrix with a non-finite
-    entry as ``"{name} {i}"`` (``name`` alone for one matrix)."""
+    else :class:`InvalidInput` naming the first that is not."""
     if not np.isfinite(a).all():
         finite = np.isfinite(a).all(axis=(-2, -1)).ravel()
         where = name if a.ndim == 2 else f"{name} {np.argmin(finite)}"
@@ -75,7 +82,7 @@ def _check_finite(a, name):
 def _check_symmetric(a, name):
     """``a``, one matrix or a stack, when each matrix is symmetric as
     :func:`check_spd` requires; else :class:`InvalidInput` naming the
-    first that is not as :func:`_check_finite` names its matrix."""
+    first that is not."""
     symmetric = _symmetric_each(a)
     if not symmetric.all():
         where = name if a.ndim == 2 else f"{name} {np.argmin(symmetric)}"
@@ -109,8 +116,7 @@ def check_spd(a, name="matrix"):
     :class:`InvalidInput` when a matrix is not symmetric within
     ``SYMMETRY_RTOL`` of its own largest entry or its smallest
     eigenvalue is not strictly positive, naming the first such matrix
-    of a stack as ``"{name} {i}"`` (see :func:`_not_pd`). Nothing is
-    repaired or clamped.
+    (see :func:`_not_pd`). Nothing is repaired or clamped.
     """
     a = _as_square(a, name)
     bad = _first_not_spd(a, name)
@@ -120,10 +126,9 @@ def check_spd(a, name="matrix"):
 
 
 def _first_not_spd(a, name):
-    """Index, over the flattened leading axes, and message of the first
-    matrix of a square stack that is not SPD, named as in
-    :func:`check_spd`, or ``None`` when all are; one ``eigvalsh`` call
-    covers the stack."""
+    """Index and message of the first matrix of a square stack that is
+    not SPD, as :func:`check_spd` names it, or ``None`` when all are;
+    one ``eigvalsh`` call covers the stack."""
     stack = a.reshape((-1,) + a.shape[-2:])
     symmetric = _symmetric_each(stack)
     low = np.linalg.eigvalsh(stack)[:, 0]
@@ -140,8 +145,7 @@ def _first_not_spd(a, name):
 def _not_pd(low, noun):
     """The one refusal of a matrix that is not positive definite, as an
     :class:`InvalidInput` to raise: ``"{noun} {i} is not positive
-    definite (smallest eigenvalue {x:.3e})"``, ``noun`` alone for one
-    matrix.
+    definite (smallest eigenvalue {x:.3e})"``.
 
     ``low`` holds the smallest eigenvalue of each matrix, shaped like the
     input's leading axes, as the caller's own decomposition found it.
@@ -183,7 +187,7 @@ def _spectral(s, fn, noun="matrix", require_pd=True):
     refused as ``noun`` (see :func:`_not_pd`)."""
     s = _as_square(s, noun)
     w, v = _eigh_stack(s)
-    if require_pd and np.min(w) <= 0.0:
+    if require_pd and (w[..., 0] <= 0.0).any():
         raise _not_pd(w[..., 0], noun)
     fw = fn(w)
     return _sym((v * fw[..., None, :]) @ np.swapaxes(v, -1, -2))
@@ -226,10 +230,8 @@ def _check_same_dim(a, b):
 
 
 def airm_distance(a, b):
-    """Affine-invariant distance between SPD matrices.
-
-    ``d(a, b) = || log(a^{-1/2} b a^{-1/2}) ||_F``, i.e. the root sum
-    of squared log-eigenvalues of the whitened matrix.
+    """Affine-invariant distance ``|| log(a^{-1/2} b a^{-1/2}) ||_F``
+    between SPD matrices (see :func:`_sq_distances`).
 
     Parameters
     ----------
@@ -254,16 +256,17 @@ def _sq_distances(whiteners, covs, noun="trial"):
     """Squared affine-invariant distances, shape ``(n, K)``, from the
     ``n`` trials of ``covs`` (one ``(d, d)`` matrix or a stack, flattened
     over its leading axes) to the ``K`` means whose whiteners
-    ``M^{-1/2}`` are stacked: summed squared log-eigenvalues of
-    ``M^{-1/2} C M^{-1/2}``, from one batched ``eigh`` per
+    ``M^{-1/2}`` are stacked: summed squared log-eigenvalues of the
+    symmetric ``M^{-1/2} C M^{-1/2}`` (never of the non-symmetric
+    ``M^{-1} C``), from one batched ``eigh`` per
     ``KERNEL_BLOCK`` whitened entries. A trial that is not positive
     definite is refused as ``noun`` (see :func:`_not_pd`)."""
     flat = covs.reshape((-1,) + covs.shape[-2:])
     step = max(1, KERNEL_BLOCK // whiteners.size)
     lam = np.concatenate([
         _eigh_stack(whiteners @ flat[i:i + step, None] @ whiteners)[0]
-        for i in range(0, len(flat), step)])
-    if np.min(lam) <= 0.0:
+        for i in range(0, max(len(flat), 1), step)])
+    if (lam[..., 0] <= 0.0).any():
         raise _not_pd(lam[..., 0].min(axis=1).reshape(covs.shape[:-2]), noun)
     return np.sum(np.log(lam) ** 2, axis=-1)
 
@@ -271,24 +274,21 @@ def _sq_distances(whiteners, covs, noun="trial"):
 def geodesic(a, b, t):
     """Point at parameter ``t`` on the geodesic from ``a`` to ``b``.
 
-    ``a^{1/2} (a^{-1/2} b a^{-1/2})^t a^{1/2}`` with ``t`` in [0, 1];
-    ``t = 0`` returns ``a`` exactly and ``t = 1`` returns ``b``. For
-    ``t`` strictly inside, an endpoint that is not positive definite is
-    refused as ``a`` or ``b`` (see :func:`_not_pd`).
+    ``L (L^{-1} b L^{-T})^t L^T`` for the Cholesky factor ``a = L L^T``,
+    with ``t`` in [0, 1]; ``t = 0`` returns ``a`` exactly and ``t = 1``
+    returns ``b``. For ``t`` strictly inside, an endpoint that is not
+    positive definite is refused as ``a`` or ``b`` (see :func:`_not_pd`).
     """
     a = _as_square(a, "a")
     b = _as_square(b, "b")
     _check_same_dim(a, b)
     if not 0.0 <= t <= 1.0:
         raise InvalidInput(f"geodesic parameter must lie in [0, 1], got {t}")
-    if t == 0.0:
-        return a.copy()
-    if t == 1.0:
-        return np.broadcast_to(b, np.broadcast_shapes(a.shape, b.shape)).copy()
-    w, v = _eigh_stack(a)
-    if np.min(w) <= 0.0:
-        raise _not_pd(w[..., 0], "a")
-    vt = np.swapaxes(v, -1, -2)
-    r = (v * (1.0 / np.sqrt(w))[..., None, :]) @ vt
-    rh = (v * np.sqrt(w)[..., None, :]) @ vt
-    return _sym(rh @ _spectral(r @ b @ r, lambda w: np.power(w, t), "b") @ rh)
+    if t == 0.0 or t == 1.0:
+        return np.broadcast_to(b if t == 1.0 else a,
+                               np.broadcast_shapes(a.shape, b.shape)).copy()
+    chol = _cholesky(a, "a")
+    li = np.linalg.inv(chol)
+    inner = _spectral(li @ b @ np.swapaxes(li, -1, -2),
+                      lambda w: np.power(w, t), "b")
+    return _sym(chol @ inner @ np.swapaxes(chol, -1, -2))

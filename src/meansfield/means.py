@@ -9,6 +9,12 @@ the duality ``P_{-h}(C) = P_h(C^{-1})^{-1}`` for negative exponents;
 in (-1, 1); ``h = 1`` and ``h = -1`` are the closed-form arithmetic and
 harmonic means. A mean field collects the means over a grid of
 exponents per class (:func:`build_mean_field`).
+
+The iterative means support sets whose trials are of condition number
+up to ``1e10`` (``1e9`` above ``d = 32``), alone and whitened by the
+mean (``docs/determinism.md``). They raise :class:`ConvergenceFailure`
+when the budget runs out, the step length stalls or an iterate loses
+positive definiteness; the message says which.
 """
 
 import math
@@ -65,8 +71,8 @@ class _FinalStep(MeanResult):
     per trial the eigenvectors ``u`` and log-eigenvalues ``loglam`` of
     ``x C_i x^T``. A row of ``loglam`` is the log-spectrum of
     ``matrix^{-1/2} C_i matrix^{-1/2}``, so :attr:`sq_distances` are the
-    squared distances of the trials to the mean. Only the library reads
-    these attributes: the field solver, robust cleaning and TS+LR."""
+    kernel's squared distances of the trials to the mean, to rounding,
+    which the field solver, robust cleaning and TS+LR read."""
 
     @property
     def sq_distances(self):
@@ -97,12 +103,10 @@ class MeanField:
 
     ``kept`` maps each class to the trial indices that survived robust
     cleaning (all indices when cleaning was disabled): the trials the
-    means were solved on. ``sq_distances`` holds, per class, the squared
-    distances of those kept trials to its means, shape ``(kept,
-    h_grid)``, read from each solve's last step (see :class:`_FinalStep`)
-    so that ``mf_fit`` need not recompute them; ``nan`` for the
-    closed-form ``h = +-1`` means, which take no step. ``classes`` is the
-    sorted tuple of class labels.
+    means were solved on. ``sq_distances`` holds, per class, the
+    :class:`_FinalStep` distances of those trials, shape ``(kept,
+    h_grid)``, ``nan`` for the closed-form ``h = +-1`` means. ``classes``
+    is the sorted tuple of class labels.
     """
 
     h_grid: tuple
@@ -180,9 +184,8 @@ def arithmetic_mean(mats):
 
 
 def harmonic_mean(mats):
-    """Harmonic mean ``((1/n) sum_i C_i^{-1})^{-1}``, inverted through
-    triangular factors: the trials' Cholesky factors and the QR factor
-    of their stacked inverses, so no ``eigh`` runs.
+    """Harmonic mean ``((1/n) sum_i C_i^{-1})^{-1}`` (exact, no
+    iteration; see :func:`_harmonic`).
 
     Raises
     ------
@@ -197,7 +200,8 @@ def _harmonic(mats, name):
     """:func:`harmonic_mean` of a checked set. With ``C_i = L_i L_i^T``,
     ``(1/n) sum_i C_i^{-1} = R^T R`` for the triangular factor ``R`` of
     the QR of the stacked ``sqrt(1/n) L_i^{-1}``, so the mean is
-    ``R^{-1} R^{-T}``."""
+    ``R^{-1} R^{-T}``, inverted through triangular factors alone: no
+    ``eigh`` runs."""
     li = np.linalg.inv(_cholesky(mats, f"{name}: trial"))
     stacked = np.sqrt(1.0 / mats.shape[0]) * li
     ri = np.linalg.inv(np.linalg.qr(stacked.reshape(-1, mats.shape[-1]),
@@ -207,13 +211,16 @@ def _harmonic(mats, name):
 
 def _newton_step(m, u, loglam, h):
     """Eigenvalues and eigenvectors of the inexact Newton step ``G``
-    with ``J[G] = F``, where ``F = log(I + h M)/h`` is the plain MPM
-    step (see :func:`_mpm`). At ``h = 0``, ``F = M`` is taken as it is,
-    in the standard basis, so that ``M`` needs no eigendecomposition;
-    otherwise the step is built in the eigenbasis ``V`` of ``M``, where
-    ``F = diag(f)``. ``J[D]`` is minus the derivative of ``F`` along
-    the step ``X <- exp(-D/2) X``. With the whitened trials'
-    eigenvectors ``u`` and log-eigenvalues ``loglam``, ``M`` moves by
+    with ``J[G] = F`` at the field ``M`` of :func:`_mpm`, where
+    ``F = log(I + h M)/h`` is the plain MPM step. Correcting ``F`` rather
+    than ``M`` keeps the plain step exact on a lone trial; a correction
+    of ``M`` stepped uphill from starts far from the mean. At ``h = 0``,
+    ``F = M`` is taken as it is, in the standard basis, so that ``M``
+    needs no eigendecomposition; otherwise the step is built in the
+    eigenbasis ``V`` of ``M``, where ``F = diag(f)``. ``J[D]`` is minus
+    the derivative of ``F`` along the step ``X <- exp(-D/2) X``. With
+    the whitened trials' eigenvectors ``u`` and log-eigenvalues
+    ``loglam``, ``M`` moves by
     ``-(1/n) sum_i U_i (K_i o (U_i^T D U_i)) U_i^T``, where ``K_i[a, b]``
     is the divided difference of ``f_h`` at a pair of eigenvalues ``g``
     apart in log times their mean (``theta(g/2)`` at ``h = 0``), and
@@ -276,19 +283,13 @@ def _mpm(mats, h, init, config):
     matters, so the start takes no eigendecomposition. One batched
     eigendecomposition of ``X C_i X^T`` per step gives
     ``M = (1/n) sum_i f_h(X C_i X^T)``, with ``f_h(l) = (l^h - 1)/h`` and
-    ``f_0 = log``, which vanishes at the mean; one more, of ``M``, gives
-    the plain MPM step ``F = log(I + h M)/h`` (``F = M`` at ``h = 0``).
-    The update is ``X <- exp(-nu G/2) X`` along the inexact Newton step
-    ``G`` with ``J[G] = F``, which conjugate gradients solve on every
-    set, however widely spread (:func:`_newton_step`). It costs one more
-    ``d x d`` eigendecomposition, of ``G``; at ``h = 0`` the step takes
-    ``F = M`` as it is, and ``M`` needs none. A cold solve takes one to
-    three steps on a concentrated set and two to eight on sets of
-    condition up to ``1e10``. Correcting ``F`` rather than ``M`` keeps
-    the plain step exact on a lone trial; a correction of ``M`` stepped
-    uphill from starts far from the mean. ``nu`` starts at 1 and halves
-    whenever the residual, a scaled ``||M||_F``, fails to decrease;
-    below ``1e-12`` the solve stops as stalled.
+    ``f_0 = log``, which vanishes at the mean. The update is
+    ``X <- exp(-nu G/2) X`` along the inexact Newton step ``G`` of
+    :func:`_newton_step`. A cold solve takes one to three steps on a
+    concentrated set and two to eight on sets of condition up to
+    ``1e10``. ``nu`` starts at 1 and halves whenever the residual, a
+    scaled ``||M||_F``, fails to decrease; below ``1e-12`` the solve
+    stops as stalled.
 
     The loop tests the residual before it updates ``X``, so its last
     decomposition belongs to the returned mean; the result is a
@@ -347,10 +348,7 @@ def _mpm(mats, h, init, config):
 def power_mean(mats, h, init=None, config=None):
     """Power mean of an SPD set for an exponent ``h`` with
     ``tiny <= |h| <= 1``, where ``tiny = np.finfo(float).tiny`` (about
-    2.2e-308) is the smallest normal float. The supported domain is
-    sets whose trials are of condition number up to ``1e10`` (``1e9``
-    above ``d = 32``), alone and whitened by the mean
-    (``docs/determinism.md``).
+    2.2e-308) is the smallest normal float.
 
     Parameters
     ----------
@@ -381,8 +379,7 @@ def power_mean(mats, h, init=None, config=None):
         iteration's start is not (``init is not positive definite``);
         the closed forms ignore a well-formed ``init``.
     ConvergenceFailure
-        When the budget runs out, the step length stalls or an iterate
-        loses positive definiteness; the message says which.
+        When the solve fails, as the module docstring says.
     """
     mats = _check_set(mats)
     if not (_MIN_ABS_H <= abs(h) <= 1.0):
@@ -407,10 +404,7 @@ def power_mean(mats, h, init=None, config=None):
 def geometric_mean(mats, init=None, config=None):
     """Geometric (Karcher) mean of an SPD set: the ``h = 0`` member of
     the MPM iteration (see :func:`_mpm`), started at ``init``, which
-    defaults to the arithmetic mean. The supported domain is sets whose
-    trials are of condition number up to ``1e10`` (``1e9`` above
-    ``d = 32``), alone and whitened by the mean
-    (``docs/determinism.md``).
+    defaults to the arithmetic mean.
 
     Returns
     -------
@@ -426,8 +420,7 @@ def geometric_mean(mats, init=None, config=None):
         When ``init`` or a trial is not a finite symmetric ``(d, d)``
         matrix, or is not positive definite.
     ConvergenceFailure
-        When the budget runs out, the step length stalls or an iterate
-        loses positive definiteness; the message says which.
+        When the solve fails, as the module docstring says.
     """
     mats = _check_set(mats)
     config = config or SolverConfig()
@@ -440,12 +433,11 @@ def rpme_clean(mats, config=None):
     """Iteratively drop outlying trials before mean estimation.
 
     Each round computes the geometric mean of the surviving trials,
-    standardizes their distances to it (sample standard deviation),
-    which the solver's last step yields (see :func:`_mpm`), and
-    removes every trial with a z-score above ``RPME_Z_THRESHOLD``
-    (2.5). Rounds stop when nothing is removed or ``RPME_MAX_ROUNDS``
-    (4) mean computations have been spent. Sets of fewer than 3 trials
-    are returned unmodified (z-scores are undefined).
+    standardizes their distances to it (sample standard deviation) and
+    removes every trial with a z-score above ``RPME_Z_THRESHOLD``.
+    Rounds stop when nothing is removed or ``RPME_MAX_ROUNDS`` mean
+    computations have been spent. Sets of fewer than 3 trials are
+    returned unmodified (z-scores are undefined).
 
     Returns
     -------
@@ -483,8 +475,10 @@ def rpme_clean(mats, config=None):
 
 
 def _field_start(h, solved):
-    """Start of the field solve at ``h`` (see :func:`build_mean_field`),
-    ``None`` for the solver's default init while nothing is solved."""
+    """Start of the field solve at ``h``: the Lagrange interpolant in
+    ``h`` through the (at most) ``_START_NODES`` nearest means already
+    solved, or the nearest of them where the interpolant is not positive
+    definite; ``None``, the solver's default init, while none is."""
     if not solved:
         return None
     nodes = sorted(solved, key=lambda g: (abs(g - h), g))[:_START_NODES]
@@ -501,26 +495,17 @@ def _field_start(h, solved):
 
 def build_mean_field(trials_per_class, h_grid=DEFAULT_H_GRID, config=None,
                      robust=False):
-    """Solve the full mean field: one mean per grid exponent per class.
-
-    The exponents are solved in the order ``|h|`` descending, the
-    positive one first on ties: on the default grid ``1, -1, 0.75,
-    -0.75, ..., 0.1, -0.1, 0``. The first solve of a class starts at the
-    solver's default init; every later one at the Lagrange interpolant
-    in ``h`` through the (at most) 8 nearest means of that class already
-    solved, or at the nearest of them when the interpolant is not
-    positive definite. An entry whose start already meets the tolerance
-    reports 0 iterations.
+    """Solve the full mean field: one mean per grid exponent per class,
+    in the order and from the starts of :func:`_solve_field`.
 
     Parameters
     ----------
     trials_per_class : mapping
         Class label -> stack of SPD matrices, at least 2 per class.
     h_grid : sequence of float
-        Distinct exponents, each 0 or with ``tiny <= |h| <= 1``, where
-        ``tiny = np.finfo(float).tiny`` is the smallest normal float
-        (see :func:`power_mean`); checked before any solve starts.
-        Default is the eleven-point grid ``DEFAULT_H_GRID``.
+        Distinct exponents, each 0 or one that :func:`power_mean`
+        takes, checked before any solve starts; ``DEFAULT_H_GRID`` by
+        default.
     config : SolverConfig, optional
     robust : bool, default False
         When true, each class is cleaned once with :func:`rpme_clean`
@@ -557,7 +542,14 @@ def build_mean_field(trials_per_class, h_grid=DEFAULT_H_GRID, config=None,
 
 def _solve_field(trials_per_class, grid, config, robust):
     """The field of :func:`build_mean_field` on an ascending, checked
-    ``grid``; ``h = 0`` is solved by :func:`geometric_mean`."""
+    ``grid``; ``h = 0`` is solved by :func:`geometric_mean`.
+
+    Per class the exponents are solved in the order ``|h|`` descending,
+    the positive one first on ties: on the default grid ``1, -1, 0.75,
+    -0.75, ..., 0.1, -0.1, 0``. The first solve starts at the solver's
+    default init, every later one at :func:`_field_start`. An entry
+    whose start already meets the tolerance reports 0 iterations.
+    """
     config = config or SolverConfig()
     entries, kept_map, sq_map = {}, {}, {}
     for label in sorted(trials_per_class):

@@ -5,6 +5,11 @@ matrices: :func:`csp_gevd` keeps the most discriminative eigenvectors
 of the two class means as filter rows, and :func:`pham_ajd` returns all
 of them as the exact joint diagonalizer of a pair. The adaptive
 two-stage filter :func:`adcsp_fit` chains them.
+
+The fits raise :class:`InvalidInput` unless their training set is an
+``(n, d, d)`` stack with one label per trial and exactly two classes,
+and name a training trial that is not finite and symmetric, before any
+mean, by its class and its index within it: ``class c: trial i ...``.
 """
 
 import itertools
@@ -62,11 +67,8 @@ class SpatialFilter:
 
 
 def apply_filter(f, cov):
-    """Apply a spatial filter to an SPD matrix or stack: ``W C W^T``.
-
-    Every output matrix is validated positive definite, a stack by one
-    :func:`check_spd` call.
-    """
+    """Apply a spatial filter to an SPD matrix or stack, ``W C W^T``,
+    each output checked by one :func:`check_spd` call."""
     cov = np.asarray(cov, dtype=np.float64)
     if cov.shape[-1] != f.input_dim:
         raise InvalidInput(
@@ -82,11 +84,8 @@ def _quantize(x):
 def _alternate_extremes(ratios, k):
     """Pick ``k`` indices by extremeness of ``|ratio - 0.5|`` and order
     them alternating between the high side (ratio >= 0.5, descending)
-    and the low side (ratio < 0.5, ascending), high side first.
-
-    Exact ties (at 1e-10 granularity) resolve by ascending index, so a
-    fully non-discriminative input falls back to index order.
-    """
+    and the low side (ratio < 0.5, ascending), high side first; exact
+    ties (see ``_TIE_RESOLUTION``) resolve by ascending index."""
     qr = _quantize(ratios)
     qhalf = _quantize(np.array(0.5))[()]
     score = np.abs(qr - qhalf)
@@ -125,8 +124,7 @@ def csp_gevd(mean_a, mean_b, n_filters):
 
     The ``n_filters`` most discriminative eigenvectors (largest
     ``|lambda - 0.5|``) become the filter rows, ordered alternating
-    between the large- and small-eigenvalue extremes; rows carry the
-    whitening normalization ``v^T (mean_a + mean_b) v = 1``.
+    between the large- and small-eigenvalue extremes.
 
     Parameters
     ----------
@@ -168,25 +166,17 @@ def _per_class(fn, sets):
 
 
 def csp_fit(trial_covs, labels):
-    """Plain two-class filter: arithmetic class means, one
-    eigendecomposition, ``2 * CSP_FILTERS_PER_CLASS`` rows.
-
-    Raises :class:`InvalidInput` unless ``trial_covs`` is an ``(n, d,
-    d)`` stack with one label per trial and exactly two classes, or
-    naming a trial that is not finite and symmetric, before any mean,
-    as ``class c: trial i ...``, ``i`` its index within the class.
-    """
+    """Plain two-class filter: :func:`csp_gevd` of the arithmetic class
+    means, ``2 * CSP_FILTERS_PER_CLASS`` rows."""
     means = _per_class(arithmetic_mean, _two_classes(trial_covs, labels))
     return csp_gevd(*means, 2 * CSP_FILTERS_PER_CLASS)
 
 
 def pham_ajd(mats):
-    """Exact joint diagonalizer ``b`` of a ``(2, d, d)`` stack of SPD
-    matrices ``A, B``: the rows of :func:`_gevd`'s ``V``, so ``b A b^T``
-    is diagonal, ``b (A + B) b^T = I`` and Pham's criterion is 0, its
-    minimum. Raises :class:`InvalidInput` unless given exactly two SPD
-    matrices.
-    """
+    """Exact joint diagonalizer of a ``(2, d, d)`` stack of SPD
+    matrices: the rows of :func:`_gevd`'s ``V``, where Pham's criterion
+    is 0, its minimum. Raises :class:`InvalidInput` unless given exactly
+    two SPD matrices."""
     mats = np.asarray(mats, dtype=np.float64)
     if mats.ndim != 3 or mats.shape[0] != 2:
         raise InvalidInput(f"joint diagonalization needs exactly 2 "
@@ -198,16 +188,13 @@ def pham_ajd(mats):
 def adcsp_fit(trial_covs, labels):
     """Two-stage adaptive spatial filter for two-class covariance sets.
 
-    Stage 1 (entered iff the dimension is >= 28): arithmetic class
-    means, eigendecomposition-based filter to 28 rows. Stage 2
-    (entered iff the current dimension is >= 10): geometric class
-    means of the stage-1-filtered trials on the default
-    :class:`SolverConfig` budget, their exact joint diagonalization
-    ``b``, and the 10 rows of ``b`` chosen and ordered as
-    :func:`csp_gevd` chooses its rows, by the ratios ``diag(b A b^T) /
-    diag(b (A + B) b^T)``, which are the generalized eigenvalues,
-    composed with stage 1. Inputs of dimension < 10 pass through an
-    identity filter.
+    Stage 1 (entered iff the dimension is >= 28): :func:`csp_gevd` of
+    the arithmetic class means, 28 rows. Stage 2 (entered iff the
+    current dimension is >= 10): geometric class means of the
+    stage-1-filtered trials on the default :class:`SolverConfig` budget,
+    their exact joint diagonalizer :func:`pham_ajd`, and 10 of its rows,
+    chosen as :func:`csp_gevd` chooses, composed with stage 1. Inputs of
+    dimension < 10 pass through an identity filter.
 
     Returns
     -------
@@ -217,14 +204,11 @@ def adcsp_fit(trial_covs, labels):
     Raises
     ------
     InvalidInput
-        Unless ``trial_covs`` is an ``(n, d, d)`` stack with one label
-        per trial and exactly two classes; at every ``d``, when a trial
-        is not finite and symmetric; or when a trial entering stage 2,
-        filtered or not, is not positive definite, decided once by the
-        first factorization of its class's geometric-mean solve (``init``
-        where the class's arithmetic mean is not either). A trial is
-        named by its class and its index within it: ``class c: trial i
-        is not symmetric``, ``class c: geometric mean: trial i is not
+        As the module docstring says, at every ``d``; or when a trial
+        entering stage 2, filtered or not, is not positive definite,
+        decided once by the first factorization of its class's
+        geometric-mean solve (``init`` where the class's arithmetic mean
+        is not either), as ``class c: geometric mean: trial i is not
         positive definite (...)``.
     """
     sets = _two_classes(trial_covs, labels)

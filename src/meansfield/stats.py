@@ -126,7 +126,9 @@ def liptak_combine(p_values, weights):
 
     ``T = sum_i w_i Phi^{-1}(1 - p_i) / sqrt(sum_i w_i^2)`` and the
     combined p is ``1 - Phi(T)``. Inputs are clamped to
-    ``[1e-15, 1 - 1e-15]`` before the quantile transform.
+    ``[1e-15, 1 - 1e-15]`` before the quantile transform. Raises
+    :class:`InvalidInput` unless there is one finite, positive weight
+    per finite p-value.
     """
     p = np.asarray(p_values, dtype=np.float64).ravel()
     w = np.asarray(weights, dtype=np.float64).ravel()
@@ -134,8 +136,10 @@ def liptak_combine(p_values, weights):
         raise InvalidInput("no p-values to combine")
     if w.shape != p.shape:
         raise InvalidInput("need one weight per p-value")
-    if np.any(w <= 0):
-        raise InvalidInput("weights must be positive")
+    if not np.all(np.isfinite(p)):
+        raise InvalidInput("p-values contain non-finite values")
+    if not np.all((w > 0) & (w < np.inf)):
+        raise InvalidInput("weights must be positive and finite")
     p = np.clip(p, _P_CLAMP, 1.0 - _P_CLAMP)
     z = np.array([_ndtri(q) for q in (1.0 - p).tolist()])
     t = float(w @ z / np.sqrt(w @ w))
@@ -158,12 +162,15 @@ def smd(scores_a, scores_b):
     Positive values favor the second pipeline. The standard deviation
     uses the n-1 normalization; the 95% CI is ``value +/- 1.96/sqrt(n)``.
     Zero spread of the differences yields value 0 with the degenerate
-    flag raised (no finite effect size exists).
+    flag raised (no finite effect size exists). A non-finite score
+    raises :class:`InvalidInput`.
     """
     a = np.asarray(scores_a, dtype=np.float64).ravel()
     b = np.asarray(scores_b, dtype=np.float64).ravel()
     if a.shape != b.shape or a.size < 2:
         raise InvalidInput("need two equal-length score lists, n >= 2")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise InvalidInput("scores contain non-finite values")
     d = b - a
     spread = float(np.std(d, ddof=1))
     n = d.size

@@ -14,7 +14,9 @@ from meansfield.classifiers import (
     mf_fit, mf_score, tangent_map, ts_lr_fit, ts_lr_score,
 )
 from meansfield.evaluation import auc_roc
-from meansfield.exceptions import InvalidInput, NumericalFailure
+from meansfield.exceptions import (
+    ConvergenceFailure, InvalidInput, NumericalFailure,
+)
 from meansfield.geometry import SolverConfig, airm_distance, geodesic
 from meansfield.means import DEFAULT_H_GRID, _labelled_set, geometric_mean
 from meansfield.spatial import adcsp_fit, csp_fit
@@ -229,6 +231,22 @@ class TestLda:
             warnings.simplefilter("error")
             lda_fit(x, np.array([0, 0, 0, 1, 1, 1]))
 
+    @pytest.mark.parametrize("x, message", [
+        # within-class products overflow: numpy's overflow and invalid
+        # warnings on the way are silenced here, so the refusal shows
+        (np.array([[1e200, 0.0], [-1e200, 1.0], [0.0, 1e200],
+                   [1.0, -1e200], [3.0, 4.0], [5.0, 5.0]]),
+         "pooled feature covariance is not finite"),
+        # no spread within either class: the ridge, relative to it, is 0
+        (np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0],
+                   [3.0, 4.0], [3.0, 4.0], [3.0, 4.0]]),
+         "pooled feature covariance is singular after ridge"),
+    ], ids=["overflow", "no-spread"])
+    def test_ill_posed_covariance_numerical_failure(self, x, message):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericalFailure, match=f"^{message}"):
+            lda_fit(x, np.array([0, 0, 0, 1, 1, 1]))
+
     def test_equal_class_means_score_zero(self):
         x = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         y = np.array([0, 0, 1, 1])
@@ -436,6 +454,30 @@ class TestTsLr:
             w_ref, b_ref = lbfgs_newton_logistic(x, (labels == c) * 1.0)
             np.testing.assert_allclose(w, w_ref, rtol=0.0, atol=1e-9)
             assert abs(b - b_ref) <= 1e-9
+
+    @pytest.mark.parametrize("constant, value, gnorm", [
+        # no tolerance: the last steps stay within rounding of the
+        # optimum, where no halving lowers loss or gradient
+        ("LR_GRAD_TOL", 0.0, None),
+        # no penalty on zero features: the Hessian is singular
+        ("LR_PENALTY", 0.0, 2.0),
+    ])
+    def test_unfinished_fit_is_convergence_failure(self, monkeypatch,
+                                                   constant, value, gnorm):
+        monkeypatch.setattr(classifiers, constant, value)
+        rng = np.random.default_rng(17)
+        if constant == "LR_PENALTY":  # identical trials, 4 against 8
+            trials = np.stack([random_spd(3, rng)] * 12)
+            labels = np.array([0] * 4 + [1] * 8)
+        else:
+            trials, labels = dispersion_classes(rng, n=6)
+        with pytest.raises(ConvergenceFailure,
+                           match=r"^logistic regression gradient norm "
+                                 rf"\S+ exceeds {classifiers.LR_GRAD_TOL}$"
+                           ) as failure:
+            ts_lr_fit(trials, labels)
+        if gnorm is not None:
+            assert failure.value.residual == gnorm
 
     def test_malformed_training_set_is_invalid_input(self):
         rng = np.random.default_rng(31)
@@ -791,7 +833,7 @@ class TestSolverSpectra:
     def test_mf_training_features_match_kernel(self, case):
         trials, labels, grid, outlier, identical = case
         for robust in (False, True):
-            model = mdmf_fit(trials, labels, h_grid=grid, robust=robust)
+            model = mf_fit(trials, labels, h_grid=grid, robust=robust)
             if robust and outlier:
                 assert 0 not in model.field.kept[0]
             if identical:

@@ -25,6 +25,7 @@ from meansfield.reports import (
     format_meta_table, load_score_table, meta_report_to_dict,
 )
 from meansfield.stats import DatasetComparison, MetaReport, meta_compare
+from meansfield.synth import RiemannianGaussianSpec, synth_riemannian_gaussian
 
 RG_CONFIG = """
 # two-class covariance cloud
@@ -60,6 +61,28 @@ RETYPED = {
     "not-a-score-table": ("kind", "meta-report"),
     "schema-version": ("schema_version", 2),
     "rows-not-array": ("rows", {}),
+}
+
+
+# Config files that gen refuses: text, error type, message fragment.
+MALFORMED_CONFIGS = {
+    "no-equals": ("generator riemannian-gaussian\n", "InvalidInput",
+                  "expected 'key = value'"),
+    "dim-x": (RG_CONFIG.replace("dim = 5", "dim = x"), "ValueError",
+              "invalid literal for int()"),
+    "seed-negative": (RG_CONFIG.replace("seed = 11", "seed = -1"),
+                      "ValueError", "expected non-negative integer"),
+    "profile-a": (MIX_CONFIG.replace("profile_0 = 1,1,1", "profile_0 = 1,a"),
+                  "ValueError", "could not convert string to float"),
+    "duplicate-key": (RG_CONFIG + "dim = 4\n", "InvalidInput",
+                      ":9: duplicate key 'dim'"),
+    "no-profiles": ("generator = mixed-sources\n", "InvalidInput",
+                    "config needs profile_0, profile_1, ..."),
+    "unknown-key": (RG_CONFIG + "colour = red\n", "InvalidInput",
+                    "unrecognized config keys: ['colour']"),
+    "missing-key": (RG_CONFIG.replace("trials_per_class = 16", ""),
+                    "InvalidInput",
+                    "config is missing key 'trials_per_class'"),
 }
 
 
@@ -116,19 +139,26 @@ class TestGen:
         assert "sigma" in json.loads(capsys.readouterr().err)["error"][
             "message"]
 
-    @pytest.mark.parametrize("text", [
-        "generator riemannian-gaussian\n",
-        RG_CONFIG.replace("dim = 5", "dim = x"),
-        RG_CONFIG.replace("seed = 11", "seed = -1"),
-        MIX_CONFIG.replace("profile_0 = 1,1,1", "profile_0 = 1,a"),
-    ], ids=["no-equals", "dim-x", "seed-negative", "profile-a"])
-    def test_malformed_line(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+    def test_malformed_line(self, tmp_path, capsys, case):
+        text, error, message = MALFORMED_CONFIGS[case]
         cfg = tmp_path / "syntax.cfg"
         cfg.write_text(text)
         assert main(["gen", "--config", str(cfg),
                      "--out", str(tmp_path / "x.spdt")]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "error" in json.loads(err[0])
+        assert len(err) == 1
+        assert json.loads(err[0])["error"]["type"] == error
+        assert message in json.loads(err[0])["error"]["message"]
+
+    def test_centers_parsed(self, tmp_path):
+        # center_i is "identity" or the comma-separated diagonal
+        text = RG_CONFIG + "center_0 = identity\ncenter_1 = 1,2,3,4,5\n"
+        archive = read_archive(gen_archive(tmp_path, text))
+        expected = synth_riemannian_gaussian(RiemannianGaussianSpec(
+            dim=5, sigmas=(0.15, 0.40), trials_per_class=16, seed=11,
+            centers=(np.eye(5), np.diag([1.0, 2.0, 3.0, 4.0, 5.0]))))
+        np.testing.assert_array_equal(archive.trials, expected.trials)
 
 
 class TestMean:
@@ -185,6 +215,21 @@ class TestMean:
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConvergenceFailure"
+
+    @pytest.mark.parametrize("archive, argv, message", [
+        (MIX_CONFIG, [], "mean estimation expects a covariance archive"),
+        (RG_CONFIG, ["--label", "7"], "no trials with label 7"),
+        (RG_CONFIG, ["--tolerance", "inf"],
+         "tolerance must be positive and finite"),
+    ], ids=["time-series", "absent-label", "infinite-tolerance"])
+    def test_refused_input_is_data_error(self, tmp_path, capsys, archive,
+                                         argv, message):
+        arch_path = gen_archive(tmp_path, archive)
+        capsys.readouterr()  # drop the gen output
+        assert main(["mean", "--archive", str(arch_path), "--h", "0.5",
+                     *argv]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "InvalidInput", "message": message}
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["mean", "--archive", str(tmp_path / "no.spdt"),
@@ -276,6 +321,11 @@ class TestEval:
         assert [r["subject"] for r in failed] == ["s03"] * 5
         assert all(r["auc"] is None for r in failed)
         assert all(r["auc"] is not None for r in rows if r not in failed)
+        # with the undersized subject alone, no fold has an AUC
+        assert main(["eval", "--pipeline", "MDM", "--seed", "7",
+                     "--out", str(out), str(small)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"MDM: 5 fold rows, no valid folds, 5 errors -> {out}")
 
     def test_degenerate_recording_fails_only_its_subject(self, tmp_path,
                                                          capsys):
@@ -370,6 +420,22 @@ class TestEval:
         assert err["type"] == "CorruptArchive"
         assert "byte offset" in err["message"]
 
+    @pytest.mark.parametrize("second, message", [
+        (MIX_CONFIG, "archives mix time-series and covariance kinds"),
+        (RG_CONFIG.replace("dim = 5", "dim = 4"),
+         "archives have mismatched trial shapes"),
+    ], ids=["kinds", "shapes"])
+    def test_mismatched_archives_are_data_error(self, tmp_path, capsys,
+                                                second, message):
+        paths = [gen_archive(tmp_path, RG_CONFIG, "s01.spdt"),
+                 gen_archive(tmp_path, second, "s02.spdt")]
+        capsys.readouterr()
+        assert main(["eval", "--pipeline", "MDM", "--seed", "1", "--out",
+                     str(tmp_path / "t.json"), *map(str, paths)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "InvalidInput", "message": message}
+        assert not (tmp_path / "t.json").exists()
+
     def test_unknown_pipeline_is_data_error(self, tmp_path, rg_config):
         paths = self.make_archives(tmp_path, rg_config)
         assert main(["eval", "--pipeline", "SVM", "--seed", "1",
@@ -435,6 +501,25 @@ class TestExitCodes:
         assert "FAIL" not in out
         assert out.count("PASS") >= 8
         assert "PASS geometric mean of commuting matrices" in out
+
+    @pytest.mark.parametrize("how, line", [
+        ("false", "FAIL adaptive filter dimension contract"),
+        ("raises", "FAIL inverse-normal combination: InvalidInput: broken"),
+    ])
+    def test_selftest_failure_is_numerical_error(self, monkeypatch, capsys,
+                                                 how, line):
+        if how == "false":  # the filter keeps 6 rows where 10 are due
+            monkeypatch.setattr(meansfield.spatial, "STAGE2_DIM", 6)
+        else:
+            def broken(*args):
+                raise meansfield.exceptions.InvalidInput("broken")
+            monkeypatch.setattr(meansfield.stats, "liptak_combine", broken)
+        assert main(["selftest"]) == 3
+        captured = capsys.readouterr()
+        assert [x for x in captured.out.splitlines()
+                if x.startswith("FAIL")] == [line]
+        assert json.loads(captured.err) == {"error": {
+            "type": "SelfTestFailure", "message": "1 checks failed"}}
 
 
 NO_SCIPY_RUN = """

@@ -1,12 +1,14 @@
 """Fold construction, AUC, and the cross-validated pipeline runner."""
 
+import re
+
 import numpy as np
 import pytest
 
 from meansfield import evaluation
 from meansfield.evaluation import (
-    EvalConfig, TrialSet, _stratified_kfold, auc_roc, parse_pipeline,
-    run_pipeline,
+    EvalConfig, ScoreRow, TrialSet, _stratified_kfold, auc_roc,
+    parse_pipeline, run_pipeline,
 )
 from meansfield.exceptions import InvalidInput, UndefinedMetric
 
@@ -76,8 +78,11 @@ class TestParsePipeline:
         with pytest.raises(InvalidInput):
             EvalConfig(pipeline="MDM", seed=3, k=1)
         for kwargs in ({"seed": 3, "k": 2.5}, {"seed": 1.7}, {"seed": -1},
-                       {"seed": 2**64}):
-            with pytest.raises(InvalidInput):
+                       {"seed": 2**64}, {"seed": True},
+                       {"seed": 3, "k": True}):
+            # a bool is no integer, as the score-table reader holds too
+            field = "k" if "k" in kwargs else "seed"
+            with pytest.raises(InvalidInput, match=f"^{field} must be"):
                 EvalConfig(pipeline="MDM", **kwargs)
         # numpy integers are integers
         config = EvalConfig(pipeline="MDM", seed=np.uint64(2**64 - 1),
@@ -189,6 +194,38 @@ class TestAucRoc:
     def test_non_finite_scores_rejected(self, bad):
         with pytest.raises(InvalidInput, match="non-finite"):
             auc_roc([bad, 1.0, 0.5], [0, 1, 1])
+
+
+def _trial_set(**changes):
+    fields = dict(dataset_id="d", kind="covariance",
+                  trials=np.stack([np.eye(2)] * 4), labels=[0, 0, 1, 1],
+                  subjects=["s"] * 4, sessions=["0"] * 4)
+    return TrialSet(**{**fields, **changes})
+
+
+MALFORMED_RECORDS = {
+    "auc above 1": (lambda: ScoreRow("d", "s", "0", 0, 1.5, 0.0),
+                    "auc 1.5 outside [0, 1]"),
+    "unknown kind": (lambda: _trial_set(kind="eeg"),
+                     "unknown trial kind 'eeg'"),
+    "2-d trials": (lambda: _trial_set(trials=np.eye(4)),
+                   "trials must be a 3-d stack"),
+    "labels short": (lambda: _trial_set(labels=[0, 1]),
+                     "labels must have one entry per trial"),
+    "sessions short": (lambda: _trial_set(sessions=["0"]),
+                       "sessions must have one entry per trial"),
+    "auc lengths": (lambda: auc_roc([0.1, 0.2, 0.3], [0, 1]),
+                    "need one score per label"),
+    "run config": (lambda: run_pipeline(_trial_set(), "MDM"),
+                   "config must be an EvalConfig"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
+def test_malformed_records_refused(case):
+    call, message = MALFORMED_RECORDS[case]
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def per_group_oracle(trialset):

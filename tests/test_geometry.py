@@ -6,8 +6,8 @@ import pytest
 
 from meansfield.exceptions import InvalidInput
 from meansfield.geometry import (
-    SolverConfig, airm_distance, check_spd, expm, geodesic, invsqrtm, logm,
-    powm, sqrtm,
+    SolverConfig, airm_distance, check_spd, expm, frobenius, geodesic,
+    invsqrtm, logm, powm, sqrtm,
 )
 
 from oracles import random_gl, random_spd
@@ -23,11 +23,43 @@ class TestSolverConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"tolerance": 0.0}, {"tolerance": -1e-3}, {"max_iterations": 0},
-        {"max_iterations": 2.5},
+        {"max_iterations": 2.5}, {"tolerance": np.inf},
+        {"tolerance": np.nan}, {"max_iterations": True},
+        {"tolerance": True},
     ])
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(InvalidInput):
+        # an infinite tolerance would accept any start as converged
+        with pytest.raises(InvalidInput, match=f"^{next(iter(kwargs))} must"):
             SolverConfig(**kwargs)
+
+
+EMPTY = np.empty((0, 3, 3))
+
+# Each public function on an empty stack: the call and the shape of its
+# empty result, broadcast as for any other stack.
+EMPTY_STACKS = {
+    "check_spd": (lambda: check_spd(EMPTY), (0, 3, 3)),
+    "logm": (lambda: logm(EMPTY), (0, 3, 3)),
+    "expm": (lambda: expm(EMPTY), (0, 3, 3)),
+    "sqrtm": (lambda: sqrtm(EMPTY), (0, 3, 3)),
+    "invsqrtm": (lambda: invsqrtm(EMPTY), (0, 3, 3)),
+    "powm": (lambda: powm(EMPTY, 0.5), (0, 3, 3)),
+    "frobenius": (lambda: frobenius(EMPTY), (0,)),
+    "airm_distance": (lambda: airm_distance(np.eye(3), EMPTY), (0,)),
+    "airm_distance 2-d stack": (
+        lambda: airm_distance(np.eye(3), np.empty((2, 0, 3, 3))), (2, 0)),
+    **{f"geodesic {side} t={t}": (
+        lambda side=side, t=t: geodesic(
+            *((EMPTY, np.eye(3)) if side == "a" else (np.eye(3), EMPTY)), t),
+        (0, 3, 3))
+       for side in "ab" for t in (0.0, 0.5, 1.0)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_STACKS))
+def test_empty_stack_gives_empty_result(name):
+    call, shape = EMPTY_STACKS[name]
+    assert call().shape == shape
 
 
 class TestSpdCheck:
@@ -75,6 +107,11 @@ class TestSpdCheck:
 
 
 class TestMatrixFunctions:
+    def test_non_square_rejected(self):
+        with pytest.raises(InvalidInput, match=r"^matrix must be square, "
+                           r"got shape \(2, 3\)$"):
+            logm(np.ones((2, 3)))
+
     def test_log_identity_is_zero(self):
         np.testing.assert_allclose(logm(np.eye(4)), np.zeros((4, 4)))
 

@@ -251,6 +251,11 @@ class TestClosedForms:
         with pytest.raises(InvalidInput):
             harmonic_mean(empty)
 
+    def test_lone_matrix_is_no_set(self):
+        with pytest.raises(InvalidInput, match=r"^trial set must be a stack "
+                           r"of square matrices, got shape \(3, 3\)$"):
+            arithmetic_mean(np.eye(3))
+
 
 class TestPowerMean:
     def test_h_one_is_arithmetic(self):

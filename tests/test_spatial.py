@@ -86,6 +86,11 @@ class TestCspGevd:
         with pytest.raises(InvalidInput):
             csp_gevd(np.eye(4), np.eye(4), 3)  # odd
 
+    def test_means_of_different_dimensions_rejected(self):
+        with pytest.raises(InvalidInput,
+                           match="^class means must share their dimension$"):
+            csp_gevd(np.eye(3), np.eye(4), 2)
+
     def test_csp_fit_row_budget(self):
         rng = np.random.default_rng(2)
         covs, labels = two_class_covs(12, 8, rng)

@@ -2,6 +2,7 @@
 comparison of score tables."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -210,6 +211,54 @@ class TestSmd:
         b = a + np.array([0.1, 0.12, 0.09])
         assert smd(a, b).value > 0
         assert smd(b, a).value < 0
+
+
+def _one_subject_dataset():
+    scores = {"d1": {"s1": 0.8, "s2": 0.7}, "d2": {"s1": 0.6}}
+    return (table_from_subject_scores("A", scores),
+            table_from_subject_scores("B", scores))
+
+
+def _no_complete_pair():
+    rows = [ScoreRow("d1", s, "0", 0, None, 0.0, error="x")
+            for s in ("s1", "s2")]
+    table = PipelineScoreTable("A", 1, 0, tuple(rows))
+    return table, table
+
+
+# Inputs each statistic refuses, with the message; the differences, the
+# p-values, the weights and the scores must all be finite.
+REFUSED = {
+    "exact nan difference": (
+        lambda: exact_permutation_test([np.nan, 1.0]),
+        "differences contain non-finite values"),
+    "signed-rank inf difference": (
+        lambda: wilcoxon_signed_rank([np.inf] + [1.0] * 20),
+        "differences contain non-finite values"),
+    "liptak nan p": (lambda: liptak_combine([np.nan, 0.2], [1.0, 1.0]),
+                     "p-values contain non-finite values"),
+    "liptak nan weight": (lambda: liptak_combine([0.1, 0.2], [np.nan, 1.0]),
+                          "weights must be positive and finite"),
+    "liptak inf weight": (lambda: liptak_combine([0.1, 0.2], [np.inf, 1.0]),
+                          "weights must be positive and finite"),
+    "liptak weight count": (lambda: liptak_combine([0.1, 0.2], [1.0]),
+                            "need one weight per p-value"),
+    "smd nan score": (lambda: smd([0.5, np.nan], [0.6, 0.7]),
+                      "scores contain non-finite values"),
+    "smd lengths": (lambda: smd([0.5, 0.6, 0.7], [0.6, 0.7]),
+                    "need two equal-length score lists, n >= 2"),
+    "meta one subject": (lambda: meta_compare(*_one_subject_dataset()),
+                         "paired comparison needs at least 2 subjects"),
+    "meta no pair": (lambda: meta_compare(*_no_complete_pair()),
+                     "no complete (dataset, subject) pairs to compare"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_refused_inputs(case):
+    call, message = REFUSED[case]
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestMetaCompare:

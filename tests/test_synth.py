@@ -83,6 +83,41 @@ class TestRiemannianGaussian:
                                    centers=(np.eye(3), np.eye(3)))
 
 
+RG = dict(dim=3, sigmas=(0.2, 0.3), trials_per_class=4, seed=0)
+MS = dict(channels=4, samples=32, profiles=((1.0, 1.0), (2.0, 1.0)),
+          trials_per_class=4, seed=0)
+
+# Spec fields each generator refuses: the spec, the field changed and
+# the message.
+BAD_SPECS = {
+    "rg dim": (RiemannianGaussianSpec, RG, {"dim": 0},
+               "dim must be positive"),
+    "rg trials": (RiemannianGaussianSpec, RG, {"trials_per_class": 0},
+                  "trials_per_class must be positive"),
+    "rg centers": (RiemannianGaussianSpec, RG, {"centers": (np.eye(3),)},
+                   "need one center per class"),
+    "ms classes": (MixedSourcesSpec, MS, {"profiles": ((1.0, 1.0),)},
+                   "need at least 2 classes"),
+    "ms sources": (MixedSourcesSpec, MS,
+                   {"profiles": ((1.0, 1.0), (1.0, 1.0, 1.0))},
+                   "profiles must share their source count"),
+    "ms samples": (MixedSourcesSpec, MS, {"samples": 1},
+                   "need at least 2 samples"),
+    "ms trials": (MixedSourcesSpec, MS, {"trials_per_class": 0},
+                  "trials_per_class must be positive"),
+    "ms noise": (MixedSourcesSpec, MS, {"noise_std": -0.1},
+                 "noise_std must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SPECS))
+def test_bad_spec_refused(case):
+    spec, fields, change, message = BAD_SPECS[case]
+    spec(**fields)  # the unchanged fields are valid
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        spec(**{**fields, **change})
+
+
 class TestMixedSources:
     def test_seed_determinism(self):
         spec = MixedSourcesSpec(channels=6, samples=32,
