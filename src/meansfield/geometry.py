@@ -187,7 +187,7 @@ def _spectral(s, fn, noun="matrix", require_pd=True):
     refused as ``noun`` (see :func:`_not_pd`)."""
     s = _as_square(s, noun)
     w, v = _eigh_stack(s)
-    if require_pd and (w[..., 0] <= 0.0).any():
+    if require_pd and w[..., 0].min(initial=np.inf) <= 0.0:
         raise _not_pd(w[..., 0], noun)
     fw = fn(w)
     return _sym((v * fw[..., None, :]) @ np.swapaxes(v, -1, -2))
@@ -266,7 +266,7 @@ def _sq_distances(whiteners, covs, noun="trial"):
     lam = np.concatenate([
         _eigh_stack(whiteners @ flat[i:i + step, None] @ whiteners)[0]
         for i in range(0, max(len(flat), 1), step)])
-    if (lam[..., 0] <= 0.0).any():
+    if lam[..., 0].min(initial=np.inf) <= 0.0:
         raise _not_pd(lam[..., 0].min(axis=1).reshape(covs.shape[:-2]), noun)
     return np.sum(np.log(lam) ** 2, axis=-1)
 

@@ -508,9 +508,8 @@ def build_mean_field(trials_per_class, h_grid=DEFAULT_H_GRID, config=None,
         default.
     config : SolverConfig, optional
     robust : bool, default False
-        When true, each class is cleaned once with :func:`rpme_clean`
-        and all means of that class are computed on the surviving
-        trials.
+        When true, every mean of a class is solved on the trials that
+        one :func:`rpme_clean` of the class keeps.
 
     Returns
     -------

@@ -173,10 +173,9 @@ def csp_fit(trial_covs, labels):
 
 
 def pham_ajd(mats):
-    """Exact joint diagonalizer of a ``(2, d, d)`` stack of SPD
-    matrices: the rows of :func:`_gevd`'s ``V``, where Pham's criterion
-    is 0, its minimum. Raises :class:`InvalidInput` unless given exactly
-    two SPD matrices."""
+    """Exact joint diagonalizer of a ``(2, d, d)`` stack of SPD matrices,
+    the rows of :func:`_gevd`'s ``V`` (Pham's criterion 0, its minimum);
+    :class:`InvalidInput` unless given exactly two SPD matrices."""
     mats = np.asarray(mats, dtype=np.float64)
     if mats.ndim != 3 or mats.shape[0] != 2:
         raise InvalidInput(f"joint diagonalization needs exactly 2 "

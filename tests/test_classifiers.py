@@ -455,29 +455,30 @@ class TestTsLr:
             np.testing.assert_allclose(w, w_ref, rtol=0.0, atol=1e-9)
             assert abs(b - b_ref) <= 1e-9
 
-    @pytest.mark.parametrize("constant, value, gnorm", [
-        # no tolerance: the last steps stay within rounding of the
-        # optimum, where no halving lowers loss or gradient
-        ("LR_GRAD_TOL", 0.0, None),
-        # no penalty on zero features: the Hessian is singular
-        ("LR_PENALTY", 0.0, 2.0),
-    ])
-    def test_unfinished_fit_is_convergence_failure(self, monkeypatch,
-                                                   constant, value, gnorm):
-        monkeypatch.setattr(classifiers, constant, value)
+    @pytest.mark.parametrize("name", [
+        "LR_GRAD_TOL", "LR_PENALTY", "_logistic_hessian"])
+    def test_unfinished_fit_is_convergence_failure(self, monkeypatch, name):
         rng = np.random.default_rng(17)
-        if constant == "LR_PENALTY":  # identical trials, 4 against 8
+        trials, labels = dispersion_classes(rng, n=6)
+        if name == "LR_GRAD_TOL":
+            # no tolerance: the steps within rounding of the optimum run
+            # out the loop
+            monkeypatch.setattr(classifiers, name, 0.0)
+        elif name == "LR_PENALTY":
+            # no penalty on all-zero features: the Hessian is singular
+            monkeypatch.setattr(classifiers, name, 0.0)
             trials = np.stack([random_spd(3, rng)] * 12)
             labels = np.array([0] * 4 + [1] * 8)
         else:
-            trials, labels = dispersion_classes(rng, n=6)
+            # an uphill step: no halving lowers the loss or the gradient
+            hessian = classifiers._logistic_hessian
+            monkeypatch.setattr(classifiers, name, lambda *a: -hessian(*a))
         with pytest.raises(ConvergenceFailure,
                            match=r"^logistic regression gradient norm "
                                  rf"\S+ exceeds {classifiers.LR_GRAD_TOL}$"
                            ) as failure:
             ts_lr_fit(trials, labels)
-        if gnorm is not None:
-            assert failure.value.residual == gnorm
+        assert failure.value.residual > classifiers.LR_GRAD_TOL
 
     def test_malformed_training_set_is_invalid_input(self):
         rng = np.random.default_rng(31)
