@@ -11,43 +11,15 @@ score tables.
 
 __version__ = "0.1.0"
 
-from .exceptions import (
-    ConvergenceFailure, CorruptArchive, DegenerateInput, InvalidInput,
-    NumericalFailure, UndefinedMetric, UnsupportedFormat,
-)
-from .geometry import (
-    SolverConfig, airm_distance, check_spd, expm, geodesic, invsqrtm, logm,
-    powm, sqrtm,
-)
-from .means import (
-    DEFAULT_H_GRID, MeanField, MeanFieldEntry, MeanResult, RpmeResult,
-    arithmetic_mean, build_mean_field, geometric_mean, harmonic_mean,
-    power_mean, rpme_clean,
-)
-from .covariance import oas_covariance
-from .spatial import (
-    SpatialFilter, adcsp_fit, apply_filter, csp_fit, csp_gevd, pham_ajd,
-)
-from .classifiers import (
-    FieldModel, LdaModel, TsLrModel, distance_features, lda_fit, mdm_fit,
-    mdm_score, mdmf_fit, mf_fit, mf_score, tangent_map,
-    ts_lr_fit, ts_lr_score,
-)
-from .evaluation import (
-    EvalConfig, PipelineScoreTable, ScoreRow, TrialSet, auc_roc,
-    parse_pipeline, run_pipeline,
-)
-from .stats import (
-    DatasetComparison, MetaReport, SmdResult, exact_permutation_test,
-    liptak_combine, meta_compare, smd, wilcoxon_signed_rank,
-)
-from .archive import TrialArchive, read_archive, write_archive
-from .synth import (
-    MixedSourcesSpec, RiemannianGaussianSpec, synth_mixed_sources,
-    synth_riemannian_gaussian,
-)
-from .reports import (
-    format_meta_table, load_score_table, meta_report_to_dict,
-    save_meta_report, save_score_table, score_table_from_dict,
-    score_table_to_dict,
-)
+# the public API is the union of these modules' ``__all__`` lists
+from .exceptions import *
+from .geometry import *
+from .means import *
+from .covariance import *
+from .spatial import *
+from .classifiers import *
+from .evaluation import *
+from .stats import *
+from .archive import *
+from .synth import *
+from .reports import *

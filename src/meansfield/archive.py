@@ -1,23 +1,5 @@
-"""Binary trial-archive format.
-
-Little-endian layout, checksummed:
-
-====================  =======================================
-magic                 ``b"SPDT"`` (4 bytes)
-version               u32, currently 1
-kind                  u8: 0 time-series, 1 covariance
-n_trials              u32, at least 1
-n_classes             u32, at least 1
-dims                  kind 0: channels u32, samples u32;
-                      kind 1: dim u32
-labels                n_trials x u32, each in [0, n_classes)
-payload               float64 row-major, trial-major
-crc32                 u32 over all preceding bytes
-====================  =======================================
-
-Writing then reading is the identity on the in-memory archive, and
-reading then writing reproduces the file byte for byte.
-"""
+"""Binary trial archives (``.spdt``), in the layout and with the
+checks of ``docs/archive_format.md``."""
 
 import numbers
 import struct
@@ -29,8 +11,7 @@ import numpy as np
 from .exceptions import CorruptArchive, InvalidInput, UnsupportedFormat
 from .geometry import _first_not_spd
 
-__all__ = ["TrialArchive", "read_archive", "write_archive",
-           "MAGIC", "VERSION"]
+__all__ = ["TrialArchive", "read_archive", "write_archive"]
 
 MAGIC = b"SPDT"
 VERSION = 1
@@ -48,15 +29,10 @@ _U32 = struct.Struct("<I")
 
 @dataclass(frozen=True)
 class TrialArchive:
-    """Labeled trials of one recording session.
-
-    ``trials`` is ``(n, channels, samples)`` float64 for time-series
-    archives and ``(n, dim, dim)`` SPD matrices for covariance
-    archives; ``labels`` are integers in ``[0, n_classes)``, stored as
-    ``uint32``. Dataset, subject and session identifiers live outside
-    the file format: ``meansfield eval`` takes the subject and session
-    from each archive's file name.
-    """
+    """Labeled trials of one recording session: ``trials`` is ``(n,
+    channels, samples)`` float64 for time-series archives and ``(n,
+    dim, dim)`` SPD matrices for covariance archives; ``labels`` are
+    integers in ``[0, n_classes)``, stored as ``uint32``."""
 
     kind: str
     trials: np.ndarray
@@ -93,8 +69,8 @@ class TrialArchive:
 def _first_problem(kind, trials, labels, n_classes):
     """The first label, then value, then covariance trial that breaks
     the archive contract, as its message and the byte offset of that
-    part counted from the first label byte; ``None`` when there is none.
-    Covariance trials are checked with one ``eigvalsh`` call."""
+    part counted from the first label byte; ``None`` when there is
+    none."""
     bad = np.flatnonzero((labels < 0) | (labels >= n_classes))
     if bad.size:
         i = int(bad[0])
@@ -111,7 +87,7 @@ def _first_problem(kind, trials, labels, n_classes):
 
 
 def write_archive(archive, path):
-    """Serialize an archive; see the module docstring for the layout."""
+    """Serialize an archive in the layout of ``docs/archive_format.md``."""
     code = _KIND_CODES[archive.kind]
     n_trials, rows, cols = archive.trials.shape
     dims = (rows, cols) if code == KIND_TIME_SERIES else (rows,)
@@ -124,16 +100,10 @@ def write_archive(archive, path):
 
 
 def read_archive(path):
-    """Read and validate a trial archive.
-
-    Checks run in the order of ``docs/archive_format.md``: magic and
-    version (:class:`UnsupportedFormat`), checksum, header fields, the
-    file size the header implies, then label range, finiteness and,
-    for covariance archives, the SPD check of every trial. The first
-    violation raises :class:`CorruptArchive` with its byte offset. The
-    result carries only what the file holds: no dataset, subject or
-    session identifier.
-    """
+    """Read and validate a trial archive, running the checks of
+    ``docs/archive_format.md`` in its order: the first violation raises
+    :class:`UnsupportedFormat` (magic, version) or :class:`CorruptArchive`
+    with its byte offset."""
     with open(path, "rb") as fh:
         blob = memoryview(fh.read())
     if blob[:4] != MAGIC:

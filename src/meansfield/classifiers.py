@@ -180,14 +180,16 @@ def lda_fit(features, labels):
             f"of {len(members)} classes")
     if not np.all(np.isfinite(x)):
         raise NumericalFailure("features contain non-finite entries")
-    means = np.stack([x[i].mean(axis=0) for i in members.values()])
-    pooled = np.zeros((k, k))
-    for i, mu in zip(members.values(), means):
-        centered = x[i] - mu
-        pooled += centered.T @ centered
-    pooled /= n - len(members)
-    ridge = LDA_RIDGE * np.trace(pooled) / k
-    pooled_r = pooled + ridge * np.eye(k)
+    # a covariance that overflows is refused as non-finite below
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = np.stack([x[i].mean(axis=0) for i in members.values()])
+        pooled = np.zeros((k, k))
+        for i, mu in zip(members.values(), means):
+            centered = x[i] - mu
+            pooled += centered.T @ centered
+        pooled /= n - len(members)
+        ridge = LDA_RIDGE * np.trace(pooled) / k
+        pooled_r = pooled + ridge * np.eye(k)
     if not np.all(np.isfinite(pooled_r)):
         raise NumericalFailure("pooled feature covariance is not finite")
     try:

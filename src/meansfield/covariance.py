@@ -1,9 +1,6 @@
-"""Per-trial covariance estimation with oracle-approximating shrinkage.
-
-The sample covariance of a short multichannel recording is often
-rank-deficient; shrinking it toward the scaled identity restores
-positive definiteness with a closed-form, data-driven intensity.
-"""
+"""Per-trial covariance estimation with oracle-approximating shrinkage
+toward the scaled identity, which keeps the estimate of a short,
+rank-deficient recording positive definite."""
 
 import math
 import warnings
@@ -40,8 +37,7 @@ def _check_trials(data):
 
 
 def _oas_shrinkage(s, n_samples):
-    """Closed-form shrinkage intensity toward the scaled identity.
-
+    """Closed-form shrinkage intensity
     ``rho = [(1 - 2/p) tr(S^2) + tr(S)^2]
             / [(n + 1 - 2/p) (tr(S^2) - tr(S)^2 / p)]``
     clamped to [0, 1], with ``p`` the matrix dimension and ``n`` the
@@ -80,9 +76,7 @@ def oas_covariance(data):
     -------
     cov : ndarray, shape (channels, channels) or (n, channels, channels)
         ``(1 - rho) S + rho (tr(S)/p) I`` per trial, with ``rho`` the
-        closed-form OAS intensity of its sample covariance ``S``, found
-        positive definite by one batched Cholesky of the stack
-        (``eigvalsh`` runs only to name a refused trial).
+        closed-form OAS intensity of its sample covariance ``S``.
 
     Raises
     ------

@@ -1,12 +1,5 @@
-"""Cross-validated pipeline evaluation with deterministic folds.
-
-Each (subject, session) group is scored by stratified k-fold
-cross-validation with AUC-ROC; fold assignment is a pure function of
-(labels, k, seed) so every pipeline sees identical folds. Spatial
-filters and classifiers are fit strictly on the training folds;
-per-trial covariance estimation happens once per group, before
-folding.
-"""
+"""Cross-validated AUC-ROC evaluation of pipelines, one (subject,
+session) group at a time."""
 
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +19,6 @@ from .stats import _tied_ranks
 __all__ = [
     "EvalConfig", "ScoreRow", "PipelineScoreTable", "TrialSet",
     "auc_roc", "run_pipeline", "parse_pipeline",
-    "PIPELINE_CLASSIFIERS", "PIPELINE_FILTERS",
 ]
 
 PIPELINE_CLASSIFIERS = ("MDM", "MDMF", "MF", "MF_RPME", "TS+LR")
@@ -35,11 +27,9 @@ PIPELINE_FILTERS = ("CSP", "ADCSP")
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Evaluation settings: pipeline name, fold count, and fold seed.
-
-    ``k`` must be an integer of at least 2 and ``seed`` an unsigned
-    64-bit integer; numpy integers pass, bools do not.
-    """
+    """Evaluation settings: a pipeline name, ``k`` folds (an integer of
+    at least 2) and the fold ``seed`` (an unsigned 64-bit integer);
+    numpy integers pass, bools do not."""
 
     pipeline: str
     seed: int
@@ -132,8 +122,7 @@ class TrialSet:
 
     def groups(self):
         """(subject, session) pairs, compared as strings, in sorted
-        order with their trial indices ascending; one pass over the
-        ids."""
+        order with their trial indices ascending."""
         members = {}
         for i, key in enumerate(zip(self.subjects.astype(str).tolist(),
                                     self.sessions.astype(str).tolist())):
@@ -163,25 +152,10 @@ def parse_pipeline(name):
 
 
 def _stratified_kfold(labels, k, seed):
-    """Deterministic stratified fold assignment, for the ``k`` and
-    ``seed`` of an :class:`EvalConfig`.
-
-    Per class, trial indices are shuffled by a PCG64 generator seeded
-    with ``SeedSequence([seed, class_position])`` (class position in
-    the sorted class list) and dealt round-robin to the k folds, so the
-    assignment is a pure function of (labels, k, seed) and per-class
-    fold counts differ by at most one.
-
-    Returns
-    -------
-    list of ndarray
-        ``k`` disjoint index arrays covering every trial.
-
-    Raises
-    ------
-    InvalidInput
-        When a class has fewer than ``k`` trials.
-    """
+    """``k`` disjoint, sorted index arrays covering every trial: each
+    class shuffled by its stream of ``docs/determinism.md`` and dealt
+    round-robin. :class:`InvalidInput` when a class has fewer than ``k``
+    trials."""
     labels = np.asarray(labels)
     folds = [[] for _ in range(k)]
     for pos, c in enumerate(np.unique(labels)):
@@ -262,20 +236,17 @@ def _take(a, idx):
 def run_pipeline(trialset, config, workers=1):
     """Evaluate one pipeline on a dataset.
 
-    Per (subject, session) group the trials are split into stratified
-    folds, a pure function of (labels, k, seed); per fold, the spatial
-    filter and the classifier are fit on the training folds only and the
-    held-out fold is scored with AUC-ROC and wall-clock timing. Failures
-    are recorded in the affected row and the run continues; a group with
-    fewer than ``k`` trials of a class gets ``k`` error rows, and so
-    does a group of a covariance set with a trial that is not finite or
-    not SPD: each group passes through the identity stage once, before
-    its folds. A time-series group has its covariances estimated once,
-    before its folds, and a non-finite or degenerate trial (every
-    channel constant, say) likewise fails only its group. The error
-    names a bad trial by its index within the group.
-    ``fold_time_seconds`` covers a fold's filter and classifier fit, its
-    scoring and its AUC, not that validation or estimation.
+    Each (subject, session) group is split into stratified folds, a
+    pure function of (labels, k, seed), so every pipeline sees the same
+    folds. Per fold, the spatial filter and the classifier are fit on
+    the training folds only and the held-out fold is scored by AUC-ROC.
+    A failure is recorded in its row and the run continues. A group is
+    validated (covariance sets) or has its covariances estimated
+    (time-series sets) once, before its folds; a class with fewer than
+    ``k`` trials, or a trial that is not finite, not SPD or degenerate,
+    gives the group ``k`` error rows naming the trial's index within
+    the group. ``fold_time_seconds`` covers a fold's fit, scoring and
+    AUC only.
 
     Parameters
     ----------

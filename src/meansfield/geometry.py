@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from .exceptions import InvalidInput, NumericalFailure
 
 __all__ = [
-    "SolverConfig", "check_spd",
-    "logm", "expm", "sqrtm", "invsqrtm", "powm",
-    "airm_distance", "geodesic", "frobenius",
+    "SolverConfig", "check_spd", "logm", "expm", "sqrtm", "invsqrtm", "powm",
+    "airm_distance", "geodesic",
 ]
 
 # Relative tolerance for the symmetry test of SPD inputs.

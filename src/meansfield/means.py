@@ -30,10 +30,9 @@ from .geometry import (
 )
 
 __all__ = [
-    "DEFAULT_H_GRID", "RPME_Z_THRESHOLD", "RPME_MAX_ROUNDS", "MeanResult",
-    "RpmeResult", "MeanFieldEntry", "MeanField", "arithmetic_mean",
-    "harmonic_mean", "power_mean", "geometric_mean", "rpme_clean",
-    "build_mean_field",
+    "DEFAULT_H_GRID", "MeanResult", "RpmeResult", "MeanFieldEntry",
+    "MeanField", "arithmetic_mean", "harmonic_mean", "power_mean",
+    "geometric_mean", "rpme_clean", "build_mean_field",
 ]
 
 # Exponent grid of the default mean field: eleven values, symmetric

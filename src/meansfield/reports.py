@@ -1,11 +1,6 @@
-"""Canonical JSON serialization of score tables and meta reports.
-
-The canonical form is deterministic: sorted keys, two-space indent,
-trailing newline, rows ordered by (dataset, subject, session, fold).
-Fold wall-clock times are excluded unless explicitly requested, so
-that identical configurations yield byte-identical files regardless
-of machine load or worker count. Schemas live under ``docs/``.
-"""
+"""JSON score tables and meta reports, in the canonical form of
+``docs/determinism.md`` and the schemas ``docs/score_table.schema.json``
+and ``docs/meta_report.schema.json``."""
 
 import json
 import math
@@ -15,8 +10,7 @@ from .evaluation import PipelineScoreTable, ScoreRow
 from .exceptions import UnsupportedFormat
 
 __all__ = [
-    "score_table_to_dict", "score_table_from_dict",
-    "meta_report_to_dict", "dumps_canonical",
+    "score_table_to_dict", "score_table_from_dict", "meta_report_to_dict",
     "load_score_table", "save_score_table", "save_meta_report",
     "format_meta_table",
 ]

@@ -17,7 +17,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .exceptions import InvalidInput
-from .geometry import _eigh_stack, check_spd
+from .geometry import _eigh_stack, _is_integer, check_spd
 from .means import (
     _check_set, _in_class, _labelled_set, arithmetic_mean, geometric_mean,
 )
@@ -25,7 +25,6 @@ from .means import (
 __all__ = [
     "SpatialFilter", "csp_gevd", "csp_fit", "pham_ajd", "adcsp_fit",
     "apply_filter",
-    "STAGE1_DIM", "STAGE2_DIM", "CSP_FILTERS_PER_CLASS",
 ]
 
 # Dimension caps of the two-stage adaptive filter and the row budget of
@@ -137,11 +136,11 @@ def csp_gevd(mean_a, mean_b, n_filters):
     mean_b = check_spd(mean_b, "mean_b")
     if mean_a.shape != mean_b.shape:
         raise InvalidInput("class means must share their dimension")
+    if not _is_integer(n_filters) or n_filters < 1 or n_filters % 2:
+        raise InvalidInput("n_filters must be a positive even integer")
     d = mean_a.shape[0]
     if n_filters > d:
         raise InvalidInput(f"cannot retain {n_filters} filters in dimension {d}")
-    if n_filters < 1 or n_filters % 2 != 0:
-        raise InvalidInput("n_filters must be a positive even integer")
     lam, v = _gevd(mean_a, mean_b)
     rows = _alternate_extremes(lam, n_filters)
     return SpatialFilter(v[:, rows].T)

@@ -1,13 +1,4 @@
-"""Paired statistical comparison of pipeline score tables.
-
-Per dataset, the per-subject paired difference in mean AUC is tested
-one-sided (second pipeline better), by the exact sign-flip test or the
-signed-rank normal approximation as :func:`meta_compare` routes it by
-the number of subjects. Per-dataset p-values combine across datasets
-through the weighted inverse-normal (Liptak) function and effect sizes
-through a weighted arithmetic mean, both with weights equal to the
-square root of the number of subjects.
-"""
+"""Paired statistical comparison of pipeline score tables."""
 
 import math
 import statistics
@@ -221,14 +212,8 @@ def _subject_means(table):
 
 
 def _paired_scores(table_a, table_b):
-    """Align two score tables into per-dataset paired subject scores.
-
-    Both tables must cover identical (dataset, subject, session, fold)
-    cells. Per subject the score is the mean AUC over all of that
-    subject's sessions and folds; subjects without a valid score on
-    both sides are dropped. Returns ``(dataset, scores_a, scores_b)``
-    per dataset, datasets and subjects in sorted order.
-    """
+    """``(dataset, scores_a, scores_b)`` per dataset, datasets and
+    subjects in sorted order, paired as :func:`meta_compare` states."""
     cells_a = sorted((r.dataset, r.subject, r.session, r.fold)
                      for r in table_a.rows)
     cells_b = sorted((r.dataset, r.subject, r.session, r.fold)
@@ -263,12 +248,15 @@ def _paired_scores(table_a, table_b):
 def meta_compare(table_a, table_b):
     """Compare two pipelines' score tables across datasets.
 
-    Per dataset: the standardized mean difference and a one-sided
-    p-value, routed to the exact sign-flip test for fewer than 20
-    subjects and to the signed-rank test otherwise. Combined: the
-    weighted arithmetic mean of the effect sizes and the weighted
-    inverse-normal combination of the p-values, weights
-    ``sqrt(n_subjects)``.
+    Both tables must cover the same (dataset, subject, session, fold)
+    cells. A subject's score is its mean AUC over its sessions and
+    folds, failed rows excluded; a subject without a score on both
+    sides is dropped, and each dataset needs 2 subjects left. Per
+    dataset: the standardized mean difference of ``b - a`` and a
+    one-sided p-value (second pipeline better), from the exact sign-flip
+    test for fewer than 20 subjects and the signed-rank test otherwise.
+    Combined: the weighted mean of the effect sizes and the Liptak
+    combination of the p-values, weights ``sqrt(n_subjects)``.
     """
     paired = _paired_scores(table_a, table_b)
     if not paired:

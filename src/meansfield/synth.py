@@ -1,19 +1,15 @@
-"""Seeded synthetic trial generators.
+"""Seeded synthetic trial generators: the models and key domains of
+``docs/config_format.md``, drawn from the random streams of
+``docs/determinism.md``."""
 
-Randomness is drawn from named, portable PCG64 streams split per
-(class, trial) so archives are bit-reproducible across platforms and
-independent of generation order: the stream for trial ``t`` of class
-``c`` is ``PCG64(SeedSequence([seed, 1, c, t]))`` and generator-global
-draws (the mixing matrix) use ``PCG64(SeedSequence([seed, 0]))``.
-"""
-
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .archive import TrialArchive
 from .exceptions import InvalidInput
-from .geometry import check_spd, expm, sqrtm
+from .geometry import _is_integer, check_spd, expm, sqrtm
 
 __all__ = [
     "RiemannianGaussianSpec", "MixedSourcesSpec",
@@ -34,6 +30,17 @@ def _global_rng(seed):
     ))
 
 
+def _check_integers(spec, *counts):
+    """Refuse a spec whose ``counts`` are not positive integers or whose
+    seed is not a non-negative integer, naming the field."""
+    for name in counts:
+        value = getattr(spec, name)
+        if not _is_integer(value) or value < 1:
+            raise InvalidInput(f"{name} must be a positive integer")
+    if not _is_integer(spec.seed) or spec.seed < 0:
+        raise InvalidInput("seed must be a non-negative integer")
+
+
 @dataclass(frozen=True)
 class RiemannianGaussianSpec:
     """Covariance-kind generator: per class, a log-normal point cloud
@@ -46,14 +53,11 @@ class RiemannianGaussianSpec:
     centers: tuple = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InvalidInput("dim must be positive")
+        _check_integers(self, "dim", "trials_per_class")
         if len(self.sigmas) < 2:
             raise InvalidInput("need at least 2 classes")
-        if any(s <= 0 for s in self.sigmas):
-            raise InvalidInput("dispersions must be positive")
-        if self.trials_per_class < 1:
-            raise InvalidInput("trials_per_class must be positive")
+        if not all(0 < s < math.inf for s in self.sigmas):
+            raise InvalidInput("dispersions must be positive and finite")
         centers = self.centers
         if centers is None:
             centers = tuple(np.eye(self.dim) for _ in self.sigmas)
@@ -82,6 +86,7 @@ class MixedSourcesSpec:
     noise_std: float = 0.1
 
     def __post_init__(self):
+        _check_integers(self, "channels", "samples", "trials_per_class")
         if len(self.profiles) < 2:
             raise InvalidInput("need at least 2 classes")
         profiles = tuple(np.asarray(p, dtype=np.float64)
@@ -89,17 +94,16 @@ class MixedSourcesSpec:
         n_sources = profiles[0].size
         if any(p.shape != (n_sources,) for p in profiles):
             raise InvalidInput("profiles must share their source count")
-        if any(np.any(p <= 0) for p in profiles):
-            raise InvalidInput("source standard deviations must be positive")
+        if not all(np.all((p > 0) & (p < np.inf)) for p in profiles):
+            raise InvalidInput(
+                "source standard deviations must be positive and finite")
         # identical class profiles are allowed: the null experiment
         if self.channels < n_sources:
             raise InvalidInput("need at least as many channels as sources")
         if self.samples < 2:
             raise InvalidInput("need at least 2 samples")
-        if self.trials_per_class < 1:
-            raise InvalidInput("trials_per_class must be positive")
-        if self.noise_std < 0:
-            raise InvalidInput("noise_std must be non-negative")
+        if not 0 <= self.noise_std < math.inf:
+            raise InvalidInput("noise_std must be non-negative and finite")
         object.__setattr__(self, "profiles", profiles)
 
     @property
@@ -127,12 +131,8 @@ def _symmetric_gaussians(dim, sigma, rngs):
 
 
 def synth_riemannian_gaussian(spec):
-    """Draw SPD trials ``M^{1/2} exp(S) M^{1/2}`` per class.
-
-    ``S`` is the symmetric Gaussian perturbation of
-    :func:`_symmetric_gaussians`; dispersion 0 would reproduce the
-    center exactly. Trials are ordered class-major.
-    """
+    """Draw each class's SPD trials ``M^{1/2} exp(S) M^{1/2}``, ``S``
+    from :func:`_symmetric_gaussians`, class-major."""
     n = spec.trials_per_class
     trials = []
     for c, (sigma, center) in enumerate(zip(spec.sigmas, spec.centers)):
@@ -148,12 +148,8 @@ def synth_riemannian_gaussian(spec):
 
 
 def synth_mixed_sources(spec):
-    """Draw time-series trials ``A diag(profile) Z + noise`` per class.
-
-    ``A`` is one fixed random (channels x sources) mixing matrix per
-    seed; ``Z`` holds independent standard-normal sources and the
-    additive sensor noise is ``N(0, noise_std^2)``.
-    """
+    """Draw each class's time-series trials ``A diag(profile) Z +
+    noise``, class-major."""
     mixing = _global_rng(spec.seed).standard_normal(
         (spec.channels, spec.n_sources)
     )

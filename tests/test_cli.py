@@ -1,8 +1,8 @@
 """Command-line interface: subcommands, determinism, exit codes, and
 CLI/API equivalence."""
 
-import ast
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -71,7 +71,7 @@ MALFORMED_CONFIGS = {
     "dim-x": (RG_CONFIG.replace("dim = 5", "dim = x"), "ValueError",
               "invalid literal for int()"),
     "seed-negative": (RG_CONFIG.replace("seed = 11", "seed = -1"),
-                      "ValueError", "expected non-negative integer"),
+                      "InvalidInput", "seed must be a non-negative integer"),
     "profile-a": (MIX_CONFIG.replace("profile_0 = 1,1,1", "profile_0 = 1,a"),
                   "ValueError", "could not convert string to float"),
     "duplicate-key": (RG_CONFIG + "dim = 4\n", "InvalidInput",
@@ -599,21 +599,69 @@ class TestNumpyOnlyRuntime:
         assert set(result["codes"].values()) == {0}, result["codes"]
 
 
+# The package's public names: a change to the API edits this set.
+PUBLIC_API = {
+    "ConvergenceFailure", "CorruptArchive", "DEFAULT_H_GRID",
+    "DatasetComparison", "DegenerateInput", "EvalConfig", "FieldModel",
+    "InvalidInput", "LdaModel", "MeanField", "MeanFieldEntry",
+    "MeanResult", "MetaReport", "MixedSourcesSpec", "NumericalFailure",
+    "PipelineScoreTable", "RiemannianGaussianSpec", "RpmeResult",
+    "ScoreRow", "SmdResult", "SolverConfig", "SpatialFilter",
+    "TrialArchive", "TrialSet", "TsLrModel", "UndefinedMetric",
+    "UnsupportedFormat", "adcsp_fit", "airm_distance", "apply_filter",
+    "arithmetic_mean", "auc_roc", "build_mean_field", "check_spd",
+    "csp_fit", "csp_gevd", "distance_features",
+    "exact_permutation_test", "expm", "format_meta_table", "geodesic",
+    "geometric_mean", "harmonic_mean", "invsqrtm", "lda_fit",
+    "liptak_combine", "load_score_table", "logm", "mdm_fit",
+    "mdm_score", "mdmf_fit", "meta_compare", "meta_report_to_dict",
+    "mf_fit", "mf_score", "oas_covariance", "parse_pipeline",
+    "pham_ajd", "power_mean", "powm", "read_archive", "rpme_clean",
+    "run_pipeline", "save_meta_report", "save_score_table",
+    "score_table_from_dict", "score_table_to_dict", "smd", "sqrtm",
+    "synth_mixed_sources", "synth_riemannian_gaussian", "tangent_map",
+    "ts_lr_fit", "ts_lr_score", "wilcoxon_signed_rank", "write_archive",
+}
+
+
 class TestExports:
     def test_all_names_resolve_and_cover_reexports(self):
+        # every module's __all__ resolves and names are in one list only;
+        # the package re-exports every list but the CLI's
         modules = {
             info.name: importlib.import_module(f"meansfield.{info.name}")
             for info in pkgutil.iter_modules(meansfield.__path__)
             if info.name != "__main__"
         }
+        owners = {}
         for name, module in modules.items():
             unresolved = [n for n in module.__all__ if not hasattr(module, n)]
             assert unresolved == [], name
-        tree = ast.parse(Path(meansfield.__file__).read_text())
-        reexports = [(node.module, alias.name) for node in tree.body
-                     if isinstance(node, ast.ImportFrom) and node.level == 1
-                     for alias in node.names]
-        assert len(reexports) > 50
-        undeclared = [f"{m}.{n}" for m, n in reexports
-                      if n not in modules[m].__all__]
-        assert undeclared == []
+            for n in module.__all__:
+                owners.setdefault(n, []).append(name)
+        assert {n: m for n, m in owners.items() if len(m) > 1} == {}
+        exported = {n for n, (m,) in owners.items() if m != "cli"}
+        public = {n for n, v in vars(meansfield).items()
+                  if not n.startswith("_") and not inspect.ismodule(v)}
+        assert public == exported == PUBLIC_API
+
+
+class TestModuleEntry:
+    def run_module(self, *args):
+        src = str(Path(meansfield.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-m", "meansfield", *args],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+
+    def test_version(self):
+        proc = self.run_module("--version")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0.1.0"
+
+    def test_no_command_is_a_usage_error(self):
+        proc = self.run_module()
+        assert proc.returncode == 1
+        err = proc.stderr.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"]["type"] == "UsageError"

@@ -86,6 +86,13 @@ class TestCspGevd:
         with pytest.raises(InvalidInput):
             csp_gevd(np.eye(4), np.eye(4), 3)  # odd
 
+    @pytest.mark.parametrize("n_filters", [2.0, True, 0, -2])
+    def test_filter_count_not_a_positive_even_integer_rejected(self,
+                                                               n_filters):
+        with pytest.raises(InvalidInput,
+                           match="^n_filters must be a positive even integer$"):
+            csp_gevd(np.eye(4), np.eye(4), n_filters)
+
     def test_means_of_different_dimensions_rejected(self):
         with pytest.raises(InvalidInput,
                            match="^class means must share their dimension$"):

@@ -91,22 +91,46 @@ MS = dict(channels=4, samples=32, profiles=((1.0, 1.0), (2.0, 1.0)),
 # the message.
 BAD_SPECS = {
     "rg dim": (RiemannianGaussianSpec, RG, {"dim": 0},
-               "dim must be positive"),
+               "dim must be a positive integer"),
+    "rg dim float": (RiemannianGaussianSpec, RG, {"dim": 2.0},
+                     "dim must be a positive integer"),
     "rg trials": (RiemannianGaussianSpec, RG, {"trials_per_class": 0},
-                  "trials_per_class must be positive"),
+                  "trials_per_class must be a positive integer"),
+    "rg seed float": (RiemannianGaussianSpec, RG, {"seed": 2.5},
+                      "seed must be a non-negative integer"),
+    "rg seed bool": (RiemannianGaussianSpec, RG, {"seed": True},
+                     "seed must be a non-negative integer"),
+    "rg seed negative": (RiemannianGaussianSpec, RG, {"seed": -1},
+                         "seed must be a non-negative integer"),
+    "rg sigma nan": (RiemannianGaussianSpec, RG, {"sigmas": (0.2, np.nan)},
+                     "dispersions must be positive and finite"),
+    "rg sigma inf": (RiemannianGaussianSpec, RG, {"sigmas": (np.inf, 0.3)},
+                     "dispersions must be positive and finite"),
     "rg centers": (RiemannianGaussianSpec, RG, {"centers": (np.eye(3),)},
                    "need one center per class"),
+    "ms channels": (MixedSourcesSpec, MS, {"channels": 4.0},
+                    "channels must be a positive integer"),
     "ms classes": (MixedSourcesSpec, MS, {"profiles": ((1.0, 1.0),)},
                    "need at least 2 classes"),
     "ms sources": (MixedSourcesSpec, MS,
                    {"profiles": ((1.0, 1.0), (1.0, 1.0, 1.0))},
                    "profiles must share their source count"),
+    "ms profile inf": (MixedSourcesSpec, MS,
+                       {"profiles": ((1.0, np.inf), (2.0, 1.0))},
+                       "source standard deviations must be positive and "
+                       "finite"),
     "ms samples": (MixedSourcesSpec, MS, {"samples": 1},
                    "need at least 2 samples"),
+    "ms samples bool": (MixedSourcesSpec, MS, {"samples": True},
+                        "samples must be a positive integer"),
     "ms trials": (MixedSourcesSpec, MS, {"trials_per_class": 0},
-                  "trials_per_class must be positive"),
+                  "trials_per_class must be a positive integer"),
+    "ms seed float": (MixedSourcesSpec, MS, {"seed": 2.5},
+                      "seed must be a non-negative integer"),
     "ms noise": (MixedSourcesSpec, MS, {"noise_std": -0.1},
-                 "noise_std must be non-negative"),
+                 "noise_std must be non-negative and finite"),
+    "ms noise nan": (MixedSourcesSpec, MS, {"noise_std": np.nan},
+                     "noise_std must be non-negative and finite"),
 }
 
 
