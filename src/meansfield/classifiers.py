@@ -27,7 +27,7 @@ from .exceptions import (
     ConvergenceFailure, InvalidInput, NumericalFailure,
 )
 from .geometry import (
-    _spectral, _sq_distances, _sym, check_spd, invsqrtm, sqrtm,
+    _as_matrix, _spectral, _sq_distances, _sym, check_spd, invsqrtm, sqrtm,
 )
 from .means import (
     DEFAULT_H_GRID, MeanField, _check_set, _labelled_set, _solve_field,
@@ -279,7 +279,7 @@ def tangent_map(cov, reference):
     take it, of the reference's dimension; :class:`InvalidInput` names
     the first trial that is not finite, symmetric and positive definite.
     """
-    reference = check_spd(reference, "reference")
+    reference = check_spd(_as_matrix(reference, "reference"), "reference")
     covs, single = _trials(cov, reference.shape[0])
     r = invsqrtm(reference)
     feats = _upper_triangle(_spectral(r @ covs @ r, np.log, "trial"))
@@ -309,43 +309,45 @@ def _expit(z):
     return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
 
 
-def _logistic_objective(params, x, y01, penalty):
-    """Value and gradient of the penalized negative log-likelihood;
-    the intercept (last parameter) is unpenalized."""
-    w, b = params[:-1], params[-1]
-    z = x @ w + b
-    # log(1 + exp(-t*z)) with t in {-1, +1}, stable form
-    t = 2.0 * y01 - 1.0
-    m = -t * z
-    loss = np.logaddexp(0.0, m).sum() + 0.5 * penalty * (w @ w)
-    resid = _expit(z) - y01
-    grad = np.concatenate([x.T @ resid + penalty * w, [resid.sum()]])
-    return loss, grad
+def _logistic(beta, xa, y01, penalty):
+    """Penalized negative log-likelihood of the logits ``xa @ beta``, its
+    gradient ``xaᵀ(p - y) + penalty·beta`` and the probabilities ``p``."""
+    z = xa @ beta
+    p = _expit(z)
+    # log(1 + exp(-z)) where y is 1, log(1 + exp(z)) where it is 0
+    loss = (np.logaddexp(0.0, np.where(y01, -z, z)).sum()
+            + 0.5 * (penalty * beta) @ beta)
+    return loss, xa.T @ (p - y01) + penalty * beta, p
 
 
-def _fit_binary_lr(x, y01):
-    """Weights and intercept of a binary logistic regression by damped
-    Newton steps from zero, Armijo backtracking on the strictly convex
-    objective, to gradient norm ``LR_GRAD_TOL``; failing that,
-    :class:`ConvergenceFailure`. Where the loss no longer resolves the
-    decrease (within rounding of the optimum), a step is also accepted
-    if it shrinks the gradient."""
-    beta = np.zeros(x.shape[1] + 1)
-    loss, grad = _logistic_objective(beta, x, y01, LR_PENALTY)
+def _logistic_hessian(xa, p, penalty):
+    """``xaᵀ diag(p(1 - p)) xa + diag(penalty)``."""
+    return (xa * (p * (1.0 - p))[:, None]).T @ xa + np.diag(penalty)
+
+
+def _fit_binary_lr(xa, y01):
+    """Coefficients of a binary logistic regression on the design ``xa``,
+    its last column the unpenalized intercept's, by damped Newton steps
+    from zero, Armijo backtracking on the strictly convex objective, to
+    gradient norm ``LR_GRAD_TOL``; failing that, :class:`ConvergenceFailure`.
+    Where the loss no longer resolves the decrease (within rounding of
+    the optimum), a step is also accepted if it shrinks the gradient."""
+    penalty = np.append(np.full(xa.shape[1] - 1, LR_PENALTY), 0.0)
+    beta = np.zeros(xa.shape[1])
+    loss, grad, p = _logistic(beta, xa, y01, penalty)
     gnorm = float(np.linalg.norm(grad))
     for _ in range(100):
         if gnorm <= LR_GRAD_TOL:
             return beta
         try:
-            step = np.linalg.solve(_logistic_hessian(beta, x, LR_PENALTY),
-                                   grad)
+            step = np.linalg.solve(_logistic_hessian(xa, p, penalty), grad)
         except np.linalg.LinAlgError:
             break
         decrease = float(grad @ step)
         for halvings in range(50):
             t = 0.5 ** halvings
             trial = beta - t * step
-            t_loss, t_grad = _logistic_objective(trial, x, y01, LR_PENALTY)
+            t_loss, t_grad, t_p = _logistic(trial, xa, y01, penalty)
             t_gnorm = float(np.linalg.norm(t_grad))
             if (t_loss <= loss - 1e-4 * t * decrease
                     or (abs(t_loss - loss) <= 16 * np.finfo(float).eps
@@ -353,7 +355,7 @@ def _fit_binary_lr(x, y01):
                 break
         else:
             break
-        beta, loss, grad, gnorm = trial, t_loss, t_grad, t_gnorm
+        beta, loss, grad, p, gnorm = trial, t_loss, t_grad, t_p, t_gnorm
     raise ConvergenceFailure(
         f"logistic regression gradient norm {gnorm:.3e} exceeds "
         f"{LR_GRAD_TOL}",
@@ -361,23 +363,10 @@ def _fit_binary_lr(x, y01):
     )
 
 
-def _logistic_hessian(params, x, penalty):
-    w, b = params[:-1], params[-1]
-    p = _expit(x @ w + b)
-    s = p * (1.0 - p)
-    k = x.shape[1]
-    h = np.empty((k + 1, k + 1))
-    h[:k, :k] = (x * s[:, None]).T @ x + penalty * np.eye(k)
-    h[:k, k] = x.T @ s
-    h[k, :k] = h[:k, k]
-    h[k, k] = s.sum()
-    return h
-
-
 @dataclass(frozen=True)
 class TsLrModel:
-    """Tangent-space logistic regression of :func:`ts_lr_fit`: one
-    weight vector per class beyond the first (one-vs-rest)."""
+    """Tangent-space logistic regression of :func:`ts_lr_fit`: one-vs-rest
+    weight vectors, one per class, or the second's alone of two."""
 
     classes: tuple
     reference: np.ndarray
@@ -412,14 +401,11 @@ def ts_lr_fit(train_covs, labels):
     scale = np.where(spread, scale, 1.0)
     x = np.where(spread, (feats - mean) / scale, 0.0)
 
-    targets = np.zeros((len(classes), len(covs)))
-    for j, i in enumerate(members.values()):
-        targets[j, i] = 1.0
-    if len(classes) == 2:
-        targets = targets[1:]
-    solutions = [_fit_binary_lr(x, t) for t in targets]
-    weights = np.stack([s[:-1] for s in solutions])
-    intercepts = np.array([s[-1] for s in solutions])
+    xa = np.column_stack([x, np.ones(len(x))])
+    positives = list(members.values())[len(classes) == 2:]
+    solution = np.column_stack([
+        _fit_binary_lr(xa, np.isin(np.arange(len(x)), i)) for i in positives])
+    weights, intercepts = solution[:-1].T, solution[-1]
     for a in (reference, mean, scale, weights, intercepts):
         a.flags.writeable = False
     return TsLrModel(classes, reference, mean, scale, weights, intercepts)

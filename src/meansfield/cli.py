@@ -110,7 +110,7 @@ def _build_synth_spec(cfg):
         centers = None
         if centers_raw:
             centers = tuple(
-                np.eye(dim) if c == "identity" else np.diag(_parse_floats(c))
+                None if c == "identity" else np.diag(_parse_floats(c))
                 for c in centers_raw
             )
         spec = RiemannianGaussianSpec(
@@ -401,8 +401,9 @@ def _build_parser():
                    help="restrict to one class label")
     p.add_argument("--robust", action="store_true",
                    help="drop outlying trials before estimating")
-    p.add_argument("--tolerance", type=float, default=1e-7)
-    p.add_argument("--max-iterations", type=int, default=150)
+    p.add_argument("--tolerance", type=float, default=SolverConfig.tolerance)
+    p.add_argument("--max-iterations", type=int,
+                   default=SolverConfig.max_iterations)
     p.add_argument("--out", default=None, help="write JSON here instead of "
                                                "standard output")
     p.set_defaults(fn=_cmd_mean)
@@ -411,7 +412,7 @@ def _build_parser():
     p.add_argument("--pipeline", required=True,
                    help="e.g. MDM, MDMF, MF, MF_RPME, TS+LR, ADCSP+MF")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=int, default=EvalConfig.k)
     p.add_argument("--dataset-id", default="dataset")
     p.add_argument("--workers", type=_worker_count, default=1)
     p.add_argument("--timing", action="store_true",

@@ -48,13 +48,10 @@ def _oas_shrinkage(s, n_samples):
     denominator overflows float64, so that the estimate is not finite.
     """
     p = s.shape[0]
-    tr_s = float(np.trace(s))
-    tr_s2 = float(np.sum(s * s))
-    try:
-        num = (1.0 - 2.0 / p) * tr_s2 + tr_s**2
-        den = (n_samples + 1.0 - 2.0 / p) * (tr_s2 - tr_s**2 / p)
-    except OverflowError:  # a float power raises where numpy gives inf
-        return math.nan
+    tr_s = np.trace(s)
+    tr_s2 = np.sum(s * s)
+    num = (1.0 - 2.0 / p) * tr_s2 + tr_s**2
+    den = (n_samples + 1.0 - 2.0 / p) * (tr_s2 - tr_s**2 / p)
     if not math.isfinite(den):  # the ratio is unknown, not 0
         return math.nan
     if den <= 0.0:

@@ -254,8 +254,8 @@ def run_pipeline(trialset, config, workers=1):
         Binary-labeled trials (AUC is only defined for two classes).
     config : EvalConfig
     workers : int, default 1
-        Thread pool width over (subject, session, fold) tasks, at least
-        1; the result is identical for any width.
+        Thread pool width over (subject, session, fold) tasks, an
+        integer of at least 1; the result is identical for any width.
 
     Returns
     -------
@@ -263,8 +263,9 @@ def run_pipeline(trialset, config, workers=1):
     """
     if not isinstance(config, EvalConfig):
         raise InvalidInput("config must be an EvalConfig")
-    if workers < 1:
-        raise InvalidInput(f"workers must be at least 1, got {workers}")
+    if not _is_integer(workers) or workers < 1:
+        raise InvalidInput(
+            f"workers must be an integer of at least 1, got {workers}")
     filter_kind, clf_kind = parse_pipeline(config.pipeline)
     classes = trialset.classes
     if len(classes) != 2:

@@ -68,6 +68,15 @@ def _as_square(a, name="matrix"):
     return _check_finite(a, name)
 
 
+def _as_matrix(a, name, d=None):
+    """:func:`_as_square` of one matrix, not a stack, ``(d, d)`` if given."""
+    a = _as_square(a, name)
+    if a.ndim != 2 or d not in (None, len(a)):
+        want = "be one matrix" if d is None else f"have shape {(d, d)}"
+        raise InvalidInput(f"{name} must {want}, got {a.shape}")
+    return a
+
+
 def _check_finite(a, name):
     """``a``, one matrix or a stack, when all its entries are finite;
     else :class:`InvalidInput` naming the first that is not."""
@@ -221,11 +230,17 @@ def powm(s, t):
     return _spectral(s, lambda w: np.power(w, t))
 
 
-def _check_same_dim(a, b):
+def _pair_shape(a, b):
+    """The broadcast shape of two square arguments ``a`` and ``b``."""
     if a.shape[-1] != b.shape[-1]:
         raise InvalidInput(
             f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}"
         )
+    try:
+        return np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise InvalidInput(f"stacks a {a.shape} and b {b.shape} do not "
+                           "broadcast") from None
 
 
 def airm_distance(a, b):
@@ -244,9 +259,9 @@ def airm_distance(a, b):
     float or ndarray
         Distance per matrix in ``b``.
     """
-    a = _as_square(a, "a")
+    a = _as_matrix(a, "a")
     b = _as_square(b, "b")
-    _check_same_dim(a, b)
+    _pair_shape(a, b)
     d = np.sqrt(_sq_distances(_spectral(a, _inv_sqrt, "a")[None], b, "b"))
     return float(d[0, 0]) if b.ndim == 2 else d.reshape(b.shape[:-2])
 
@@ -280,12 +295,11 @@ def geodesic(a, b, t):
     """
     a = _as_square(a, "a")
     b = _as_square(b, "b")
-    _check_same_dim(a, b)
+    shape = _pair_shape(a, b)
     if not 0.0 <= t <= 1.0:
         raise InvalidInput(f"geodesic parameter must lie in [0, 1], got {t}")
     if t == 0.0 or t == 1.0:
-        return np.broadcast_to(b if t == 1.0 else a,
-                               np.broadcast_shapes(a.shape, b.shape)).copy()
+        return np.broadcast_to(b if t == 1.0 else a, shape).copy()
     chol = _cholesky(a, "a")
     li = np.linalg.inv(chol)
     inner = _spectral(li @ b @ np.swapaxes(li, -1, -2),

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .exceptions import ConvergenceFailure, InvalidInput
 from .geometry import (
-    SolverConfig, _as_square, _check_finite, _check_symmetric, _cholesky,
+    SolverConfig, _as_matrix, _check_finite, _check_symmetric, _cholesky,
     _eigh_stack, _not_pd, _sym, frobenius,
 )
 
@@ -171,10 +171,7 @@ def _check_init(init, d):
     """A warm start as a float matrix: square of the set's dimension,
     finite and symmetric; its positive definiteness is left to the
     solver's first factorization."""
-    init = _as_square(init, name="init")
-    if init.shape != (d, d):
-        raise InvalidInput(f"init must have shape {(d, d)}, got {init.shape}")
-    return _check_symmetric(init, "init")
+    return _check_symmetric(_as_matrix(init, "init", d), "init")
 
 
 def arithmetic_mean(mats):

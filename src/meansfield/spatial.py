@@ -17,7 +17,9 @@ import numpy as np
 from dataclasses import dataclass
 
 from .exceptions import InvalidInput
-from .geometry import _eigh_stack, _is_integer, check_spd
+from .geometry import (
+    _as_matrix, _check_finite, _eigh_stack, _is_integer, check_spd,
+)
 from .means import (
     _check_set, _in_class, _labelled_set, arithmetic_mean, geometric_mean,
 )
@@ -41,7 +43,7 @@ _TIE_RESOLUTION = 1e-10
 @dataclass(frozen=True)
 class SpatialFilter:
     """A linear spatial filter: the ``k x d`` rows ``W`` of ``matrix``,
-    ``k <= d`` and linearly independent, applied as ``W C W^T``."""
+    ``k <= d``, finite and linearly independent, applied as ``W C W^T``."""
 
     matrix: np.ndarray
 
@@ -50,7 +52,7 @@ class SpatialFilter:
         if w.ndim != 2 or w.shape[0] > w.shape[1]:
             raise InvalidInput(
                 f"filter matrix must be k x d with k <= d, got {w.shape}")
-        if np.linalg.matrix_rank(w) != w.shape[0]:
+        if np.linalg.matrix_rank(_check_finite(w, "filter matrix")) != len(w):
             raise InvalidInput("filter rows are linearly dependent")
         w = w.copy()
         w.flags.writeable = False
@@ -132,8 +134,8 @@ def csp_gevd(mean_a, mean_b, n_filters):
     n_filters : int
         Even number of rows to retain, at most ``d``.
     """
-    mean_a = check_spd(mean_a, "mean_a")
-    mean_b = check_spd(mean_b, "mean_b")
+    mean_a = check_spd(_as_matrix(mean_a, "mean_a"), "mean_a")
+    mean_b = check_spd(_as_matrix(mean_b, "mean_b"), "mean_b")
     if mean_a.shape != mean_b.shape:
         raise InvalidInput("class means must share their dimension")
     if not _is_integer(n_filters) or n_filters < 1 or n_filters % 2:

@@ -44,7 +44,7 @@ def _check_integers(spec, *counts):
 @dataclass(frozen=True)
 class RiemannianGaussianSpec:
     """Covariance-kind generator: per class, a log-normal point cloud
-    around an SPD center with dispersion ``sigma``."""
+    with dispersion ``sigma`` around an SPD center (``None``: identity)."""
 
     dim: int
     sigmas: tuple
@@ -60,10 +60,11 @@ class RiemannianGaussianSpec:
             raise InvalidInput("dispersions must be positive and finite")
         centers = self.centers
         if centers is None:
-            centers = tuple(np.eye(self.dim) for _ in self.sigmas)
+            centers = (None,) * len(self.sigmas)
         if len(centers) != len(self.sigmas):
             raise InvalidInput("need one center per class")
-        centers = tuple(check_spd(c, "class center") for c in centers)
+        centers = tuple(np.eye(self.dim) if c is None
+                        else check_spd(c, "class center") for c in centers)
         if any(c.shape != (self.dim, self.dim) for c in centers):
             raise InvalidInput("centers must match dim")
         object.__setattr__(self, "centers", centers)

@@ -72,6 +72,10 @@ MALFORMED_CONFIGS = {
               "invalid literal for int()"),
     "seed-negative": (RG_CONFIG.replace("seed = 11", "seed = -1"),
                       "InvalidInput", "seed must be a non-negative integer"),
+    "dim-negative-identity-centers": (
+        RG_CONFIG.replace("dim = 5", "dim = -1")
+        + "center_0 = identity\ncenter_1 = identity\n",
+        "InvalidInput", "dim must be a positive integer"),
     "profile-a": (MIX_CONFIG.replace("profile_0 = 1,1,1", "profile_0 = 1,a"),
                   "ValueError", "could not convert string to float"),
     "duplicate-key": (RG_CONFIG + "dim = 4\n", "InvalidInput",

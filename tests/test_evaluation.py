@@ -484,7 +484,7 @@ class TestRunPipeline:
         assert stacks == [20, 20]
         assert table.mean_auc() == 1.0
 
-    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, True])
     def test_worker_count_below_one_rejected(self, workers):
         rng = np.random.default_rng(13)
         ts = make_trialset(rng, SEPARABLE_CENTERS, n=5)

@@ -11,7 +11,7 @@ import pytest
 from meansfield.archive import TrialArchive
 from meansfield.classifiers import (
     distance_features, mdm_fit, mdm_score, mdmf_fit, mf_fit, mf_score,
-    ts_lr_fit, ts_lr_score,
+    tangent_map, ts_lr_fit, ts_lr_score,
 )
 from meansfield.exceptions import InvalidInput
 from meansfield.geometry import (
@@ -21,7 +21,9 @@ from meansfield.geometry import (
 from meansfield.means import (
     arithmetic_mean, geometric_mean, harmonic_mean, power_mean, rpme_clean,
 )
-from meansfield.spatial import SpatialFilter, adcsp_fit, apply_filter, csp_fit
+from meansfield.spatial import (
+    SpatialFilter, adcsp_fit, apply_filter, csp_fit, csp_gevd,
+)
 
 from oracles import spd_cloud
 
@@ -180,3 +182,46 @@ def test_skewed_trials_are_positive_definite():
     # x^T C x > 0 for every x: only symmetry is refused
     for m in (SKEW, *(_skewed_training_set(d)[0] for d in ADCSP_DIMS)):
         assert np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m, 1, 2))).min() > 0
+
+
+# stacks of SPD matrices where one matrix is named
+PAIR = np.stack([EYE, 4.0 * EYE])
+TRIPLE = np.stack([EYE] * 3)
+
+
+def _with(entry, value):
+    m = np.ones((2, 3))
+    m[entry] = value
+    return m
+
+
+# an argument that names one matrix refuses a stack; endpoints that do
+# not broadcast, and a filter that is not finite, are refused by name
+MALFORMED_ARGUMENTS = {
+    "airm_distance a": (lambda: airm_distance(PAIR, EYE),
+                        r"^a must be one matrix, got \(2, 3, 3\)$"),
+    "airm_distance a and b": (lambda: airm_distance(PAIR, TRIPLE),
+                              r"^a must be one matrix, got \(2, 3, 3\)$"),
+    "tangent_map reference": (lambda: tangent_map(EYE, TRIPLE),
+                              r"^reference must be one matrix, "
+                              r"got \(3, 3, 3\)$"),
+    "csp_gevd mean_a": (lambda: csp_gevd(PAIR, PAIR, 2),
+                        r"^mean_a must be one matrix, got \(2, 3, 3\)$"),
+    "csp_gevd mean_b": (lambda: csp_gevd(EYE, PAIR, 2),
+                        r"^mean_b must be one matrix, got \(2, 3, 3\)$"),
+    **{f"geodesic t={t}": (lambda t=t: geodesic(PAIR, TRIPLE, t),
+                           r"^stacks a \(2, 3, 3\) and b \(3, 3, 3\) do "
+                           "not broadcast$")
+       for t in (0.0, 0.5)},
+    **{f"SpatialFilter {v}": (
+        lambda v=v: SpatialFilter(_with((1, 2), v)),
+        "^filter matrix contains non-finite entries$")
+       for v in (np.nan, np.inf)},
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MALFORMED_ARGUMENTS))
+def test_malformed_argument_named(entry):
+    call, message = MALFORMED_ARGUMENTS[entry]
+    with pytest.raises(InvalidInput, match=message):
+        call()

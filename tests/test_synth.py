@@ -5,6 +5,7 @@ numbers were obtained)."""
 import numpy as np
 import pytest
 
+from meansfield.archive import write_archive
 from meansfield.evaluation import EvalConfig, TrialSet, run_pipeline
 from meansfield.exceptions import InvalidInput
 from meansfield.geometry import airm_distance
@@ -60,6 +61,17 @@ class TestRiemannianGaussian:
         archive = synth_riemannian_gaussian(spec)
         mean = geometric_mean(archive.trials).matrix
         assert airm_distance(np.eye(4), mean) <= 0.05
+
+    def test_none_center_is_the_identity(self, tmp_path):
+        d, center = 4, np.diag([2.0, 0.5, 1.5, 1.0])
+        paths = []
+        for first in (None, np.eye(d)):
+            spec = RiemannianGaussianSpec(dim=d, sigmas=(0.2, 0.4),
+                                          trials_per_class=6, seed=42,
+                                          centers=(first, center))
+            paths.append(tmp_path / f"{len(paths)}.spdt")
+            write_archive(synth_riemannian_gaussian(spec), paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_trials_are_spd_and_labeled(self):
         spec = RiemannianGaussianSpec(dim=3, sigmas=(0.2, 0.5),
