@@ -1,7 +1,6 @@
 """Binary trial archives (``.spdt``), in the layout and with the
 checks of ``docs/archive_format.md``."""
 
-import numbers
 import struct
 import zlib
 from dataclasses import dataclass
@@ -9,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import CorruptArchive, InvalidInput, UnsupportedFormat
-from .geometry import _first_not_spd
+from .geometry import _first_not_spd, _is_integer
 
 __all__ = ["TrialArchive", "read_archive", "write_archive"]
 
@@ -48,8 +47,7 @@ class TrialArchive:
             raise InvalidInput("trials must be a non-empty 3-d stack")
         if labels.shape != (trials.shape[0],) or labels.dtype.kind not in "iu":
             raise InvalidInput("need exactly one integer label per trial")
-        if not (isinstance(self.n_classes, numbers.Integral)
-                and 1 <= self.n_classes < 2**32):
+        if not (_is_integer(self.n_classes) and 1 <= self.n_classes < 2**32):
             raise InvalidInput("n_classes must be an integer in [1, 2**32)")
         if self.kind == "covariance" and trials.shape[1] != trials.shape[2]:
             raise InvalidInput("covariance trials must be square")

@@ -4,6 +4,7 @@ session) group at a time."""
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -80,7 +81,8 @@ class PipelineScoreTable:
 
 @dataclass(frozen=True)
 class TrialSet:
-    """A dataset of labeled trials with per-trial subject/session ids.
+    """A dataset, named by a string, of labeled trials with per-trial
+    subject/session ids.
 
     ``trials`` is ``(n, channels, samples)`` for time-series data or
     ``(n, d, d)`` for ready-made SPD matrices (``kind`` tells which).
@@ -98,10 +100,14 @@ class TrialSet:
         labels = np.asarray(self.labels)
         subjects = np.asarray(self.subjects)
         sessions = np.asarray(self.sessions)
+        if not isinstance(self.dataset_id, str):
+            raise InvalidInput("dataset_id must be a string")
         if self.kind not in ("time-series", "covariance"):
             raise InvalidInput(f"unknown trial kind {self.kind!r}")
         if trials.ndim != 3:
             raise InvalidInput("trials must be a 3-d stack")
+        if self.kind == "covariance" and trials.shape[1] != trials.shape[2]:
+            raise InvalidInput("covariance trials must be square")
         n = trials.shape[0]
         for name, arr in (("labels", labels), ("subjects", subjects),
                           ("sessions", sessions)):
@@ -199,29 +205,26 @@ def auc_roc(scores, labels):
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def _fit_and_score(filter_kind, clf_kind, train_covs, train_labels,
-                   test_covs):
-    if filter_kind is None:
-        train_f, test_f = train_covs, test_covs
-    else:
-        fit = csp_fit if filter_kind == "CSP" else adcsp_fit
-        filt = fit(train_covs, train_labels)
-        train_f = apply_filter(filt, train_covs)
-        test_f = apply_filter(filt, test_covs)
+def _stages(name):
+    """The filter fit (``None`` without a filter), the classifier fit
+    and the scorer of pipeline ``name``, read from this module's
+    bindings when called, so that a wrapped or patched binding runs."""
+    filter_kind, clf_kind = parse_pipeline(name)
+    filter_fit = {None: None, "CSP": csp_fit, "ADCSP": adcsp_fit}[filter_kind]
+    fit, score = {"MDM": (mdm_fit, mdm_score), "MDMF": (mdmf_fit, mdm_score),
+                  "MF": (mf_fit, mf_score),
+                  "MF_RPME": (partial(mf_fit, robust=True), mf_score),
+                  "TS+LR": (ts_lr_fit, ts_lr_score)}[clf_kind]
+    return filter_fit, fit, score
 
-    if clf_kind == "MDM":
-        model = mdm_fit(train_f, train_labels)
-        score = mdm_score
-    elif clf_kind == "MDMF":
-        model = mdmf_fit(train_f, train_labels)
-        score = mdm_score
-    elif clf_kind in ("MF", "MF_RPME"):
-        model = mf_fit(train_f, train_labels, robust=clf_kind == "MF_RPME")
-        score = mf_score
-    else:  # TS+LR
-        model = ts_lr_fit(train_f, train_labels)
-        score = ts_lr_score
-    return score(model, test_f)[1]
+
+def _fit_and_score(stages, train_covs, train_labels, test_covs):
+    filter_fit, fit, score = stages
+    if filter_fit is not None:
+        filt = filter_fit(train_covs, train_labels)
+        train_covs = apply_filter(filt, train_covs)
+        test_covs = apply_filter(filt, test_covs)
+    return score(fit(train_covs, train_labels), test_covs)[1]
 
 
 def _take(a, idx):
@@ -266,7 +269,7 @@ def run_pipeline(trialset, config, workers=1):
     if not _is_integer(workers) or workers < 1:
         raise InvalidInput(
             f"workers must be an integer of at least 1, got {workers}")
-    filter_kind, clf_kind = parse_pipeline(config.pipeline)
+    stages = _stages(config.pipeline)
     classes = trialset.classes
     if len(classes) != 2:
         raise InvalidInput(
@@ -297,9 +300,8 @@ def run_pipeline(trialset, config, workers=1):
         subject, session, f, covs, labels, train, test = task
         t0 = time.perf_counter()
         try:
-            scores = _fit_and_score(
-                filter_kind, clf_kind, covs[train], labels[train], covs[test],
-            )
+            scores = _fit_and_score(stages, covs[train], labels[train],
+                                    covs[test])
             auc = auc_roc(scores, labels[test])
             error = None
         except (InvalidInput, NumericalFailure) as exc:

@@ -1,10 +1,9 @@
 """Dimensionality-reducing spatial filters for covariance trials.
 
-Both building blocks are one generalized eigendecomposition of two SPD
-matrices: :func:`csp_gevd` keeps the most discriminative eigenvectors
-of the two class means as filter rows, and :func:`pham_ajd` returns all
-of them as the exact joint diagonalizer of a pair. The adaptive
-two-stage filter :func:`adcsp_fit` chains them.
+Every filter ranks the rows of one joint diagonalizer: :func:`csp_gevd`
+keeps the rows of :func:`pham_ajd` of two SPD class means whose variance
+is most unequal between the classes. :func:`csp_fit` and the adaptive
+two-stage filter :func:`adcsp_fit` are made of it.
 
 The fits raise :class:`InvalidInput` unless their training set is an
 ``(n, d, d)`` stack with one label per trial and exactly two classes,
@@ -35,8 +34,8 @@ STAGE1_DIM = 28
 STAGE2_DIM = 10
 CSP_FILTERS_PER_CLASS = 4
 
-# Scores and eigenvalues are quantized at this granularity before
-# ranking so that exact ties resolve by index, not by rounding noise.
+# Variance ratios are quantized at this granularity before ranking so
+# that exact ties resolve by index, not by rounding noise.
 _TIE_RESOLUTION = 1e-10
 
 
@@ -100,32 +99,35 @@ def _alternate_extremes(ratios, k):
     return [i for pair in pairs for i in pair if i is not None]
 
 
-def _gevd(mean_a, mean_b):
-    """Generalized eigendecomposition ``mean_a v = lambda (mean_a +
-    mean_b) v`` of two SPD matrices, eigenvalues descending.
+def pham_ajd(mats):
+    """Exact joint diagonalizer ``B`` of a ``(2, d, d)`` stack of SPD
+    matrices ``A``, ``C`` (Pham's criterion 0, its minimum), its rows
+    ordered by descending ``b A b^T``; :class:`InvalidInput` unless
+    given exactly two SPD matrices.
 
-    With ``L L^T = mean_a + mean_b`` (Cholesky) and ``L^{-1} mean_a
-    L^{-T} = U diag(lambda) U^T``, one symmetric eigendecomposition, the
-    columns of ``V = L^{-T} U`` satisfy ``V^T (mean_a + mean_b) V = I``
-    and ``V^T mean_a V = diag(lambda)``, so they diagonalize both
-    matrices exactly (Ramoser, Mueller-Gerking & Pfurtscheller, 2000).
-    The eigenvalues lie in (0, 1): the share of the composite variance
-    that each direction assigns to ``mean_a``.
+    With ``L L^T = A + C`` (Cholesky) and ``L^{-1} A L^{-T} = U diag(lambda)
+    U^T``, one symmetric eigendecomposition, ``B = U^T L^{-1}`` gives
+    ``B (A + C) B^T = I`` and ``B A B^T = diag(lambda)``: each
+    ``lambda`` in (0, 1) is the share of a row's variance that ``A``
+    holds.
     """
-    chol = np.linalg.cholesky(mean_a + mean_b)
-    reduced = np.linalg.solve(chol, np.linalg.solve(chol, mean_a).T)
-    lam, u = _eigh_stack(reduced)
-    v = np.linalg.solve(chol.T, u)
-    return lam[::-1], v[:, ::-1]
+    mats = np.asarray(mats, dtype=np.float64)
+    if mats.ndim != 3 or mats.shape[0] != 2:
+        raise InvalidInput(f"joint diagonalization needs exactly 2 "
+                           f"matrices, got shape {mats.shape}")
+    a, c = check_spd(mats, "ajd input")
+    chol = np.linalg.cholesky(a + c)
+    reduced = np.linalg.solve(chol, np.linalg.solve(chol, a).T)
+    u = _eigh_stack(reduced)[1]
+    return np.linalg.solve(chol.T, u)[:, ::-1].T
 
 
 def csp_gevd(mean_a, mean_b, n_filters):
-    """Two-class spatial filter from the generalized eigendecomposition
-    of the class means (:func:`_gevd`).
-
-    The ``n_filters`` most discriminative eigenvectors (largest
-    ``|lambda - 0.5|``) become the filter rows, ordered alternating
-    between the large- and small-eigenvalue extremes.
+    """Two-class spatial filter (Ramoser, Mueller-Gerking & Pfurtscheller,
+    2000): the ``n_filters`` rows ``b`` of :func:`pham_ajd` of ``A =
+    mean_a`` and ``B = mean_b`` whose variance share ``b A b^T / (b A b^T
+    + b B b^T)`` lies farthest from 0.5, ordered as
+    :func:`_alternate_extremes` orders them.
 
     Parameters
     ----------
@@ -134,8 +136,8 @@ def csp_gevd(mean_a, mean_b, n_filters):
     n_filters : int
         Even number of rows to retain, at most ``d``.
     """
-    mean_a = check_spd(_as_matrix(mean_a, "mean_a"), "mean_a")
-    mean_b = check_spd(_as_matrix(mean_b, "mean_b"), "mean_b")
+    mean_a = _as_matrix(mean_a, "mean_a")
+    mean_b = _as_matrix(mean_b, "mean_b")
     if mean_a.shape != mean_b.shape:
         raise InvalidInput("class means must share their dimension")
     if not _is_integer(n_filters) or n_filters < 1 or n_filters % 2:
@@ -143,9 +145,10 @@ def csp_gevd(mean_a, mean_b, n_filters):
     d = mean_a.shape[0]
     if n_filters > d:
         raise InvalidInput(f"cannot retain {n_filters} filters in dimension {d}")
-    lam, v = _gevd(mean_a, mean_b)
-    rows = _alternate_extremes(lam, n_filters)
-    return SpatialFilter(v[:, rows].T)
+    b = pham_ajd(np.stack([mean_a, mean_b]))
+    diag_a, diag_b = (np.diag(b @ m @ b.T) for m in (mean_a, mean_b))
+    rows = _alternate_extremes(diag_a / (diag_a + diag_b), n_filters)
+    return SpatialFilter(b[rows])
 
 
 def _two_classes(trial_covs, labels):
@@ -173,28 +176,15 @@ def csp_fit(trial_covs, labels):
     return csp_gevd(*means, 2 * CSP_FILTERS_PER_CLASS)
 
 
-def pham_ajd(mats):
-    """Exact joint diagonalizer of a ``(2, d, d)`` stack of SPD matrices,
-    the rows of :func:`_gevd`'s ``V`` (Pham's criterion 0, its minimum);
-    :class:`InvalidInput` unless given exactly two SPD matrices."""
-    mats = np.asarray(mats, dtype=np.float64)
-    if mats.ndim != 3 or mats.shape[0] != 2:
-        raise InvalidInput(f"joint diagonalization needs exactly 2 "
-                           f"matrices, got shape {mats.shape}")
-    check_spd(mats, "ajd input")
-    return _gevd(*mats)[1].T
-
-
 def adcsp_fit(trial_covs, labels):
     """Two-stage adaptive spatial filter for two-class covariance sets.
 
     Stage 1 (entered iff the dimension is >= 28): :func:`csp_gevd` of
     the arithmetic class means, 28 rows. Stage 2 (entered iff the
-    current dimension is >= 10): geometric class means of the
-    stage-1-filtered trials on the default :class:`SolverConfig` budget,
-    their exact joint diagonalizer :func:`pham_ajd`, and 10 of its rows,
-    chosen as :func:`csp_gevd` chooses, composed with stage 1. Inputs of
-    dimension < 10 pass through an identity filter.
+    current dimension is >= 10): :func:`csp_gevd` of the geometric class
+    means of the stage-1-filtered trials on the default
+    :class:`SolverConfig` budget, 10 rows, composed with stage 1. Inputs
+    of dimension < 10 pass through an identity filter.
 
     Returns
     -------
@@ -222,8 +212,4 @@ def adcsp_fit(trial_covs, labels):
         w = csp_gevd(*_per_class(arithmetic_mean, sets), STAGE1_DIM).matrix
         sets = {c: w @ s @ w.T for c, s in sets.items()}
     geo = _per_class(lambda s: geometric_mean(s).matrix, sets)
-    b = pham_ajd(np.stack(geo))
-    diag_a, diag_b = (np.diag(b @ g @ b.T) for g in geo)
-    ratios = diag_a / (diag_a + diag_b)
-    rows = _alternate_extremes(ratios, STAGE2_DIM)
-    return SpatialFilter(b[rows, :] @ w)
+    return SpatialFilter(csp_gevd(*geo, STAGE2_DIM).matrix @ w)

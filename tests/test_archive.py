@@ -237,10 +237,11 @@ class TestValidation:
             TrialArchive(kind="covariance",
                          trials=np.stack([np.eye(2)]),
                          labels=np.array([3]), n_classes=2)
-        # fractional or negative labels, and a fractional class count,
-        # are refused rather than truncated or wrapped
+        # fractional or negative labels, and a fractional or bool class
+        # count, are refused rather than truncated or wrapped
         for labels, n_classes in (([0.7, 1.2], 2), ([0.0, 1.0], 2),
-                                  ([0, -1], 2), ([0, 1], 2.5)):
+                                  ([0, -1], 2), ([0, 1], 2.5),
+                                  ([0, 0], True)):
             with pytest.raises(InvalidInput):
                 TrialArchive(kind="covariance",
                              trials=np.stack([np.eye(2)] * 2),

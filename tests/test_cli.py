@@ -20,9 +20,11 @@ import pytest
 import meansfield
 from meansfield.archive import TrialArchive, read_archive, write_archive
 from meansfield.cli import main
+from meansfield.evaluation import PipelineScoreTable, ScoreRow
 from meansfield.means import geometric_mean, power_mean
 from meansfield.reports import (
-    format_meta_table, load_score_table, meta_report_to_dict,
+    _ROW_SCHEMA, _SCORE_TABLE_KEYS, format_meta_table, load_score_table,
+    meta_report_to_dict, score_table_to_dict,
 )
 from meansfield.stats import DatasetComparison, MetaReport, meta_compare
 from meansfield.synth import RiemannianGaussianSpec, synth_riemannian_gaussian
@@ -669,3 +671,65 @@ class TestModuleEntry:
         err = proc.stderr.splitlines()
         assert len(err) == 1
         assert json.loads(err[0])["error"]["type"] == "UsageError"
+
+
+# The Python types that a JSON Schema "type" admits, as reports reads them.
+JSON_TYPES = {"string": {str}, "integer": {int}, "number": {int, float},
+              "null": {type(None)}}
+
+
+def docs_schema(name):
+    return json.loads((REPO / "docs" / name).read_text(encoding="utf-8"))
+
+
+def assert_keys_within(obj, schema):
+    """``obj`` holds every required key of ``schema`` and no other
+    than its properties."""
+    assert set(schema["required"]) <= obj.keys() <= schema["properties"].keys()
+
+
+class TestDocsSchemas:
+    """The schemas in docs/ state what reports reads and writes."""
+
+    def test_score_table_reader_states_the_schema(self):
+        schema = docs_schema("score_table.schema.json")
+        assert set(schema["required"]) == set(schema["properties"]) \
+            == _SCORE_TABLE_KEYS
+        row = schema["properties"]["rows"]["items"]
+        assert set(row["required"]) == {
+            key for key, *_ in _ROW_SCHEMA} - {"fold_time_seconds"}
+        stated = {}
+        for key, spec in row["properties"].items():
+            kinds = spec["type"]
+            kinds = [kinds] if isinstance(kinds, str) else kinds
+            stated[key] = (set().union(*(JSON_TYPES[t] for t in kinds)),
+                           spec.get("minimum"), spec.get("maximum"))
+        read = {key: (set(types) if isinstance(types, tuple) else {types},
+                      low, high)
+                for key, types, low, high in _ROW_SCHEMA}
+        assert stated == read
+
+    @pytest.mark.parametrize("include_timing", [False, True])
+    def test_score_table_writer_keys(self, include_timing):
+        schema = docs_schema("score_table.schema.json")
+        table = PipelineScoreTable("MDM", 2, 3, (
+            ScoreRow("d", "s", "0", 0, 0.5, 0.1),
+            ScoreRow("d", "s", "0", 1, None, 0.0, "InvalidInput: x")))
+        doc = score_table_to_dict(table, include_timing=include_timing)
+        assert doc.keys() == schema["properties"].keys()
+        row_schema = schema["properties"]["rows"]["items"]
+        for row in doc["rows"]:
+            assert_keys_within(row, row_schema)
+            assert ("fold_time_seconds" in row) == include_timing
+
+    def test_meta_report_writer_keys(self):
+        # every key of a meta report is required
+        schema = docs_schema("meta_report.schema.json")
+        doc = meta_report_to_dict(MetaReport("MDM", "MF", (
+            DatasetComparison("d0", 10, 1.0, 0.5, 0.1, 0.9, 0.03,
+                              "exact-permutation", False),), 0.5, 0.05))
+        props = schema["properties"]
+        for obj, sub in ((doc, schema), (doc["combined"], props["combined"]),
+                         *((row, props["datasets"]["items"])
+                           for row in doc["datasets"])):
+            assert set(sub["required"]) == obj.keys() == sub["properties"].keys()

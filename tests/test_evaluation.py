@@ -43,10 +43,10 @@ def record_folds(monkeypatch, trialset):
     folds = []
     fit_and_score = evaluation._fit_and_score
 
-    def recording(filter_kind, clf_kind, train, labels, test):
+    def recording(stages, train, labels, test):
         folds.append(({index[t.tobytes()] for t in train},
                       {index[t.tobytes()] for t in test}))
-        return fit_and_score(filter_kind, clf_kind, train, labels, test)
+        return fit_and_score(stages, train, labels, test)
 
     monkeypatch.setattr(evaluation, "_fit_and_score", recording)
     return folds
@@ -210,6 +210,12 @@ MALFORMED_RECORDS = {
                      "unknown trial kind 'eeg'"),
     "2-d trials": (lambda: _trial_set(trials=np.eye(4)),
                    "trials must be a 3-d stack"),
+    **{f"covariance trials {shape}": (
+        lambda shape=shape: _trial_set(trials=np.ones(shape)),
+        "covariance trials must be square")
+       for shape in ((4, 3, 4), (4, 4, 3))},
+    "dataset id int": (lambda: _trial_set(dataset_id=5),
+                       "dataset_id must be a string"),
     "labels short": (lambda: _trial_set(labels=[0, 1]),
                      "labels must have one entry per trial"),
     "sessions short": (lambda: _trial_set(sessions=["0"]),

@@ -73,6 +73,7 @@ ENTRY_POINTS = {
                     "trial", 2),
     "apply_filter": (lambda: apply_filter(SpatialFilter(EYE), STACK),
                      "filtered matrix", 2),
+    "csp_gevd": (lambda: csp_gevd(EYE, STACK[2], 2), "ajd input", 1),
     "TrialArchive": (lambda: TrialArchive(
         kind="covariance", trials=STACK, labels=np.zeros(4, dtype=int),
         n_classes=1), "covariance trial", 2),

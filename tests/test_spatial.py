@@ -332,7 +332,8 @@ class TestAdcsp:
         adcsp_fit(covs, labels)
         assert [c for c in checked if c[1][-1] == 28] == [
             ("ajd input", (2, 28, 28))]
-        assert [c[1] for c in checked if c[1][-1] == 32] == [(32, 32)] * 2
+        assert [c for c in checked if c[1][-1] == 32] == [
+            ("ajd input", (2, 32, 32))]
 
     @pytest.mark.parametrize("dim", [12, 32])
     def test_stage2_is_the_two_class_filter(self, dim):
