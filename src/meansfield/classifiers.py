@@ -295,12 +295,13 @@ def _upper_triangle(s):
 
 def _solver_tangent_vectors(solved):
     """:func:`tangent_map` of a mean's trials at the mean, from the last
-    step of its solve (``means._FinalStep``) instead of a second ``eigh``
+    step of its solve (``MeanResult.last``) instead of a second ``eigh``
     of the stack: with ``Q = X R^{1/2}`` orthogonal,
     ``log(R^{-1/2} C R^{-1/2}) = Q^T U log(L) U^T Q``."""
-    qu = (solved.x @ sqrtm(solved.matrix)).T @ solved.u
+    x, u, loglam = solved.last
+    qu = (x @ sqrtm(solved.matrix)).T @ u
     return _upper_triangle(
-        _sym((qu * solved.loglam[:, None, :]) @ np.swapaxes(qu, -1, -2)))
+        _sym((qu * loglam[:, None, :]) @ np.swapaxes(qu, -1, -2)))
 
 
 def _expit(z):

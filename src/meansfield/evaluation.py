@@ -264,6 +264,8 @@ def run_pipeline(trialset, config, workers=1):
     -------
     PipelineScoreTable
     """
+    if not isinstance(trialset, TrialSet):
+        raise InvalidInput("trialset must be a TrialSet")
     if not isinstance(config, EvalConfig):
         raise InvalidInput("config must be an EvalConfig")
     if not _is_integer(workers) or workers < 1:

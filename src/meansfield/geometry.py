@@ -34,6 +34,12 @@ def _is_integer(value):
             and not isinstance(value, bool))
 
 
+def _is_real(value):
+    """Whether a parameter is a real number; a bool is not one (numpy's
+    bool is no ``numbers.Real``)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Convergence budget shared by all iterative solvers.
@@ -54,7 +60,7 @@ class SolverConfig:
     max_iterations: int = 150
 
     def __post_init__(self):
-        if isinstance(self.tolerance, bool) or not 0 < self.tolerance < np.inf:
+        if not (_is_real(self.tolerance) and 0 < self.tolerance < np.inf):
             raise InvalidInput("tolerance must be positive and finite")
         if not (_is_integer(self.max_iterations)
                 and self.max_iterations >= 1):
@@ -296,7 +302,7 @@ def geodesic(a, b, t):
     a = _as_square(a, "a")
     b = _as_square(b, "b")
     shape = _pair_shape(a, b)
-    if not 0.0 <= t <= 1.0:
+    if not (_is_real(t) and 0.0 <= t <= 1.0):
         raise InvalidInput(f"geodesic parameter must lie in [0, 1], got {t}")
     if t == 0.0 or t == 1.0:
         return np.broadcast_to(b if t == 1.0 else a, shape).copy()

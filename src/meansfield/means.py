@@ -20,19 +20,19 @@ positive definiteness; the message says which.
 import math
 import numpy as np
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .exceptions import ConvergenceFailure, InvalidInput
 from .geometry import (
     SolverConfig, _as_matrix, _check_finite, _check_symmetric, _cholesky,
-    _eigh_stack, _not_pd, _sym, frobenius,
+    _eigh_stack, _is_real, _not_pd, _sym, frobenius,
 )
 
 __all__ = [
-    "DEFAULT_H_GRID", "MeanResult", "RpmeResult", "MeanFieldEntry",
-    "MeanField", "arithmetic_mean", "harmonic_mean", "power_mean",
-    "geometric_mean", "rpme_clean", "build_mean_field",
+    "DEFAULT_H_GRID", "MeanResult", "RpmeResult", "MeanField",
+    "arithmetic_mean", "harmonic_mean", "power_mean", "geometric_mean",
+    "rpme_clean", "build_mean_field",
 ]
 
 # Exponent grid of the default mean field: eleven values, symmetric
@@ -56,26 +56,22 @@ _MIN_ABS_H = np.finfo(float).tiny
 _START_NODES = 8
 
 
-class MeanResult(NamedTuple):
-    """A solved mean with its solver diagnostics."""
+@dataclass(frozen=True)
+class MeanResult:
+    """A solved mean: its exponent ``h`` (0 for the geometric mean), the
+    matrix and the solver's diagnostics. ``last`` is the last step of
+    :func:`_mpm`, ``(x, u, loglam)``: ``x`` with ``x^T x = matrix^{-1}``
+    up to rounding, and per trial the eigenvectors ``u`` and
+    log-eigenvalues ``loglam`` of ``x C_i x^T``, the log-spectrum of
+    ``matrix^{-1/2} C_i matrix^{-1/2}``, so a row's sum of squares is the
+    kernel's squared distance of the trial to the mean, to rounding;
+    ``None`` for the closed forms and a :class:`MeanField`'s entries."""
 
+    h: float
     matrix: np.ndarray
     iterations: int
     residual: float
-
-
-class _FinalStep(MeanResult):
-    """A :class:`MeanResult` that also carries the last step of
-    :func:`_mpm`: ``x`` with ``x^T x = matrix^{-1}`` up to rounding, and
-    per trial the eigenvectors ``u`` and log-eigenvalues ``loglam`` of
-    ``x C_i x^T``. A row of ``loglam`` is the log-spectrum of
-    ``matrix^{-1/2} C_i matrix^{-1/2}``, so :attr:`sq_distances` are the
-    kernel's squared distances of the trials to the mean, to rounding,
-    which the field solver, robust cleaning and TS+LR read."""
-
-    @property
-    def sq_distances(self):
-        return np.sum(self.loglam ** 2, axis=1)
+    last: tuple = field(default=None, repr=False, compare=False)
 
 
 class RpmeResult(NamedTuple):
@@ -87,25 +83,16 @@ class RpmeResult(NamedTuple):
 
 
 @dataclass(frozen=True)
-class MeanFieldEntry:
-    """One mean of the field: exponent, matrix, solver diagnostics."""
-
-    h: float
-    matrix: np.ndarray
-    iterations: int
-    residual: float
-
-
-@dataclass(frozen=True)
 class MeanField:
-    """Per class, the means over the exponent grid, ascending in ``h``.
+    """Per class, the :class:`MeanResult` of each grid exponent,
+    ascending in ``h``, each with ``last`` dropped.
 
     ``kept`` maps each class to the trial indices that survived robust
     cleaning (all indices when cleaning was disabled): the trials the
-    means were solved on. ``sq_distances`` holds, per class, the
-    :class:`_FinalStep` distances of those trials, shape ``(kept,
-    h_grid)``, ``nan`` for the closed-form ``h = +-1`` means. ``classes``
-    is the sorted tuple of class labels.
+    means were solved on. ``sq_distances`` holds, per class, the squared
+    distances of those trials that each solve's ``last`` gave, shape
+    ``(kept, h_grid)``, ``nan`` for the closed-form ``h = +-1`` means.
+    ``classes`` is the sorted tuple of class labels.
     """
 
     h_grid: tuple
@@ -288,15 +275,14 @@ def _mpm(mats, h, init, config):
     stops as stalled.
 
     The loop tests the residual before it updates ``X``, so its last
-    decomposition belongs to the returned mean; the result is a
-    :class:`_FinalStep` that hands it on.
+    decomposition belongs to the returned mean: the result's ``last``.
     """
     d = mats.shape[-1]
     tol = config.tolerance
     if h == 0:
         name, scale, bound = "geometric mean", 1.0, tol * d
     else:
-        name, scale, bound = f"power mean (h={h})", np.sqrt(d), tol
+        name, scale, bound = f"power mean (h={h})", math.sqrt(d), tol
     x = np.linalg.inv(_cholesky(init, f"{name}: init"))
     nu, prev = 1.0, np.inf
     for it in range(config.max_iterations + 1):
@@ -336,9 +322,7 @@ def _mpm(mats, h, init, config):
             f"{name} {why} (residual {residual:.3e})",
             last_iterate=p, residual=residual, iterations=it,
         )
-    res = _FinalStep(p, it, residual)
-    res.x, res.loglam, res.u = x, loglam, u
-    return res
+    return MeanResult(h, p, it, residual, (x, u, loglam))
 
 
 def power_mean(mats, h, init=None, config=None):
@@ -361,9 +345,11 @@ def power_mean(mats, h, init=None, config=None):
     Returns
     -------
     MeanResult
-        Solved matrix, update steps used, and the final residual
-        ``||M||_F / sqrt(d)`` of the MPM field (see :func:`_mpm`); to
-        first order, the relative Frobenius error of the returned mean.
+        ``h``, the solved matrix, the update steps used, the final
+        residual ``||M||_F / sqrt(d)`` of the MPM field (see
+        :func:`_mpm`), to first order the relative Frobenius error of the
+        returned mean, and the solver's ``last`` step (``None`` at
+        ``h = +-1``).
 
     Raises
     ------
@@ -378,7 +364,7 @@ def power_mean(mats, h, init=None, config=None):
         When the solve fails, as the module docstring says.
     """
     mats = _check_set(mats)
-    if not (_MIN_ABS_H <= abs(h) <= 1.0):
+    if not (_is_real(h) and _MIN_ABS_H <= abs(h) <= 1.0):
         raise InvalidInput(
             f"power-mean exponent must satisfy {_MIN_ABS_H:.4g} <= |h| <= 1, "
             f"got {h}"
@@ -389,9 +375,9 @@ def power_mean(mats, h, init=None, config=None):
     name = f"power mean (h={h})"
     if h == 1.0:
         _cholesky(mats, f"{name}: trial")
-        return MeanResult(_average(mats), 0, 0.0)
+        return MeanResult(h, _average(mats), 0, 0.0)
     if h == -1.0:
-        return MeanResult(_harmonic(mats, name), 0, 0.0)
+        return MeanResult(h, _harmonic(mats, name), 0, 0.0)
     if init is None:
         init = _average(mats) if h > 0 else _harmonic(mats, name)
     return _mpm(mats, h, init, config)
@@ -405,7 +391,8 @@ def geometric_mean(mats, init=None, config=None):
     Returns
     -------
     MeanResult
-        The residual is the stationarity norm
+        At ``h = 0``, with the solver's ``last`` step. The residual is
+        the stationarity norm
         ``||(1/n) sum_i log(G^{-1/2} C_i G^{-1/2})||_F`` at the returned
         matrix, at most ``tolerance * d``; a mean found before any step
         is a copy of ``init``.
@@ -456,7 +443,7 @@ def rpme_clean(mats, config=None):
         solved = geometric_mean(mats[kept], config=config)
         mean = solved.matrix
         rounds += 1
-        dist = np.sqrt(solved.sq_distances)
+        dist = np.sqrt(np.sum(solved.last[2] ** 2, axis=1))
         spread = float(np.std(dist, ddof=1))
         if spread == 0.0:
             break
@@ -521,15 +508,17 @@ def build_mean_field(trials_per_class, h_grid=DEFAULT_H_GRID, config=None,
     ConvergenceFailure
         When a solve fails, as ``class c: <solver> ...``.
     """
-    grid = tuple(sorted(float(h) for h in h_grid))
+    grid = tuple(h_grid)
+    if not all(_is_real(h) and (h == 0.0 or _MIN_ABS_H <= abs(h) <= 1.0)
+               for h in grid):
+        raise InvalidInput(
+            f"h_grid exponents must be 0 or satisfy "
+            f"{_MIN_ABS_H:.4g} <= |h| <= 1")
+    grid = tuple(sorted(map(float, grid)))
     if len(grid) == 0:
         raise InvalidInput("h_grid is empty")
     if len(set(grid)) != len(grid):
         raise InvalidInput("h_grid contains duplicate exponents")
-    if not all(h == 0.0 or _MIN_ABS_H <= abs(h) <= 1.0 for h in grid):
-        raise InvalidInput(
-            f"h_grid exponents must be 0 or satisfy "
-            f"{_MIN_ABS_H:.4g} <= |h| <= 1")
     if not trials_per_class:
         raise InvalidInput("no classes given")
     return _solve_field(trials_per_class, grid, config, robust)
@@ -564,11 +553,10 @@ def _solve_field(trials_per_class, grid, config, robust):
                     res = geometric_mean(mats, init=init, config=config)
                 else:
                     res = power_mean(mats, h, init=init, config=config)
-                if isinstance(res, _FinalStep):
-                    sq[:, grid.index(h)] = res.sq_distances
+                if res.last is not None:
+                    sq[:, grid.index(h)] = np.sum(res.last[2] ** 2, axis=1)
                 res.matrix.flags.writeable = False  # the solver's own array
-                solved[h] = MeanFieldEntry(h, res.matrix, res.iterations,
-                                           res.residual)
+                solved[h] = replace(res, last=None)
         kept_map[label] = kept
         entries[label] = tuple(solved[h] for h in grid)
         sq.flags.writeable = False

@@ -130,7 +130,12 @@ def save_score_table(table, path, include_timing=False):
 
 def load_score_table(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return score_table_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise UnsupportedFormat(f"score-table file is not UTF-8 JSON: "
+                                    f"{type(exc).__name__}: {exc}") from exc
+    return score_table_from_dict(doc)
 
 
 def save_meta_report(report, path):

@@ -9,7 +9,7 @@ import numpy as np
 
 from .archive import TrialArchive
 from .exceptions import InvalidInput
-from .geometry import _is_integer, check_spd, expm, sqrtm
+from .geometry import _is_integer, _is_real, check_spd, expm, sqrtm
 
 __all__ = [
     "RiemannianGaussianSpec", "MixedSourcesSpec",
@@ -56,7 +56,7 @@ class RiemannianGaussianSpec:
         _check_integers(self, "dim", "trials_per_class")
         if len(self.sigmas) < 2:
             raise InvalidInput("need at least 2 classes")
-        if not all(0 < s < math.inf for s in self.sigmas):
+        if not all(_is_real(s) and 0 < s < math.inf for s in self.sigmas):
             raise InvalidInput("dispersions must be positive and finite")
         centers = self.centers
         if centers is None:
@@ -103,7 +103,7 @@ class MixedSourcesSpec:
             raise InvalidInput("need at least as many channels as sources")
         if self.samples < 2:
             raise InvalidInput("need at least 2 samples")
-        if not 0 <= self.noise_std < math.inf:
+        if not (_is_real(self.noise_std) and 0 <= self.noise_std < math.inf):
             raise InvalidInput("noise_std must be non-negative and finite")
         object.__setattr__(self, "profiles", profiles)
 

@@ -374,13 +374,18 @@ class TestEval:
 
     @pytest.mark.parametrize("damage", [
         "archive", "row-missing-key", "row-unknown-key", "no-rows",
-        "top-unknown-key", "row-missing-error", *RETYPED])
+        "top-unknown-key", "row-missing-error", "not-json", "binary",
+        *RETYPED])
     def test_corrupt_archive_is_data_error(self, tmp_path, capsys, damage):
         bad = tmp_path / "bad.spdt"
         bad.write_bytes(b"SPDTxxxxgarbage")
         argv = ["eval", "--pipeline", "MDM", "--seed", "1",
                 "--out", str(tmp_path / "t.json"), str(bad)]
-        if damage != "archive":  # a damaged score table given to compare
+        if damage in ("not-json", "binary"):  # a file given to compare
+            bad.write_bytes(b"rows: none\n" if damage == "not-json"
+                            else b"SPDT\x01\xff\xfe\x00")
+            argv = ["compare", str(bad), str(bad)]
+        elif damage != "archive":  # a damaged score table given to compare
             doc = {"schema_version": 1, "kind": "score-table",
                    "pipeline": "MDM", "k": 2, "seed": 1, "rows": [
                        {"dataset": "d", "subject": "s", "session": "0",
@@ -609,7 +614,7 @@ class TestNumpyOnlyRuntime:
 PUBLIC_API = {
     "ConvergenceFailure", "CorruptArchive", "DEFAULT_H_GRID",
     "DatasetComparison", "DegenerateInput", "EvalConfig", "FieldModel",
-    "InvalidInput", "LdaModel", "MeanField", "MeanFieldEntry",
+    "InvalidInput", "LdaModel", "MeanField",
     "MeanResult", "MetaReport", "MixedSourcesSpec", "NumericalFailure",
     "PipelineScoreTable", "RiemannianGaussianSpec", "RpmeResult",
     "ScoreRow", "SmdResult", "SolverConfig", "SpatialFilter",

@@ -224,6 +224,8 @@ MALFORMED_RECORDS = {
                     "need one score per label"),
     "run config": (lambda: run_pipeline(_trial_set(), "MDM"),
                    "config must be an EvalConfig"),
+    "run trialset": (lambda: run_pipeline(None, EvalConfig("MDM", 0, 2)),
+                     "trialset must be a TrialSet"),
 }
 
 

@@ -25,7 +25,7 @@ class TestSolverConfig:
         {"tolerance": 0.0}, {"tolerance": -1e-3}, {"max_iterations": 0},
         {"max_iterations": 2.5}, {"tolerance": np.inf},
         {"tolerance": np.nan}, {"max_iterations": True},
-        {"tolerance": True},
+        {"tolerance": True}, {"tolerance": np.True_}, {"tolerance": "1e-7"},
     ])
     def test_rejects_bad_values(self, kwargs):
         # an infinite tolerance would accept any start as converged
@@ -250,6 +250,12 @@ class TestGeodesic:
     def test_parameter_range(self):
         with pytest.raises(InvalidInput):
             geodesic(np.eye(2), np.eye(2), 1.5)
+
+    @pytest.mark.parametrize("t", [True, np.True_, "0.5"])
+    def test_parameter_that_is_no_real_number_refused(self, t):
+        # True used to return b
+        with pytest.raises(InvalidInput, match="^geodesic parameter must "):
+            geodesic(np.eye(2), np.eye(2), t)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInput):

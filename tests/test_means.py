@@ -2,7 +2,9 @@
 geometric mean, robust cleaning, and the mean field with its
 interpolated starts."""
 
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from meansfield.geometry import (
 )
 from meansfield.means import (
     DEFAULT_H_GRID, RPME_MAX_ROUNDS, RPME_Z_THRESHOLD, MeanField,
-    MeanFieldEntry, arithmetic_mean, build_mean_field, geometric_mean,
+    MeanResult, arithmetic_mean, build_mean_field, geometric_mean,
     harmonic_mean, power_mean, rpme_clean,
 )
 
@@ -370,6 +372,12 @@ class TestPowerMean:
             power_mean(mats, 0.0)
         with pytest.raises(InvalidInput):
             power_mean(mats, 1.5)
+
+    @pytest.mark.parametrize("h", [True, np.True_, "0.5"])
+    def test_exponent_that_is_no_real_number_rejected(self, h):
+        # True used to return the arithmetic mean
+        with pytest.raises(InvalidInput, match="^power-mean exponent must"):
+            power_mean(small_spread_set(), h)
 
     @pytest.mark.parametrize("h", [1e-320, -1e-320, 5e-324, np.nan])
     def test_subnormal_exponent_rejected(self, h):
@@ -871,9 +879,44 @@ class TestRpme:
         assert len(res.kept_indices) >= 2
 
 
+class TestMeanResult:
+    """A solve's one record: its exponent, matrix and diagnostics, and
+    the solver's last step outside ``repr`` and comparison."""
+
+    @pytest.mark.parametrize("h", [0.0, 0.5, -0.25, 1.0, -1.0])
+    def test_names_its_exponent(self, h):
+        mats = small_spread_set()
+        res = geometric_mean(mats) if h == 0.0 else power_mean(mats, h)
+        assert isinstance(res, MeanResult) and res.h == h
+        assert (res.last is None) == (abs(h) == 1.0)
+        text = repr(res)
+        assert text.startswith("MeanResult(h=")
+        assert re.findall(r"(\w+)=", text) == [
+            "h", "matrix", "iterations", "residual"]
+
+    @pytest.mark.parametrize("h", [0.0, 0.5, -0.25, 1.0])
+    def test_residual_is_a_python_float(self, h):
+        mats = small_spread_set()
+        res = geometric_mean(mats) if h == 0.0 else power_mean(mats, h)
+        assert type(res.residual) is float
+
+    def test_last_step_is_not_compared(self):
+        res = geometric_mean(small_spread_set())
+        assert res.last is not None
+        assert res == replace(res, last=None)
+
+    def test_field_entries_drop_the_last_step(self):
+        mats = small_spread_set()
+        field = build_mean_field({0: mats, 1: mats[:3]})
+        for label in field.classes:
+            for h, entry in zip(DEFAULT_H_GRID, field.entries[label]):
+                assert type(entry) is MeanResult
+                assert entry.h == h and entry.last is None
+
+
 class TestMeanField:
     def test_classes_sorted_once(self):
-        entry = MeanFieldEntry(0.0, np.eye(2), 1, 0.0)
+        entry = MeanResult(0.0, np.eye(2), 1, 0.0)
         field = MeanField((0.0,), {2: (entry,), 0: (entry,), 1: (entry,)})
         assert field.classes == tuple(sorted(field.entries)) == (0, 1, 2)
         assert field.classes is field.classes
@@ -946,6 +989,13 @@ class TestMeanField:
             build_mean_field(trials, h_grid=(0.0, 0.0))
         with pytest.raises(InvalidInput):
             build_mean_field(trials, h_grid=(0.0, 2.0))
+
+    @pytest.mark.parametrize("grid", [("a",), (True, 0.0), (np.True_, 0.5)])
+    def test_grid_exponent_that_is_no_real_number_rejected(self, grid):
+        # (True, 0.0) used to be solved as the grid (0.0, 1.0)
+        mats = small_spread_set()
+        with pytest.raises(InvalidInput, match="^h_grid exponents must be"):
+            build_mean_field({0: mats, 1: mats}, h_grid=grid)
 
     @pytest.mark.parametrize("h", [1e-320, -5e-324, np.nan])
     def test_subnormal_grid_exponent_rejected_before_solving(self, h,

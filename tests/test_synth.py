@@ -118,6 +118,10 @@ BAD_SPECS = {
                      "dispersions must be positive and finite"),
     "rg sigma inf": (RiemannianGaussianSpec, RG, {"sigmas": (np.inf, 0.3)},
                      "dispersions must be positive and finite"),
+    "rg sigma bool": (RiemannianGaussianSpec, RG, {"sigmas": (True, 0.3)},
+                      "dispersions must be positive and finite"),
+    "rg sigma str": (RiemannianGaussianSpec, RG, {"sigmas": (0.2, "0.3")},
+                     "dispersions must be positive and finite"),
     "rg centers": (RiemannianGaussianSpec, RG, {"centers": (np.eye(3),)},
                    "need one center per class"),
     "ms channels": (MixedSourcesSpec, MS, {"channels": 4.0},
@@ -142,6 +146,10 @@ BAD_SPECS = {
     "ms noise": (MixedSourcesSpec, MS, {"noise_std": -0.1},
                  "noise_std must be non-negative and finite"),
     "ms noise nan": (MixedSourcesSpec, MS, {"noise_std": np.nan},
+                     "noise_std must be non-negative and finite"),
+    "ms noise bool": (MixedSourcesSpec, MS, {"noise_std": np.True_},
+                      "noise_std must be non-negative and finite"),
+    "ms noise str": (MixedSourcesSpec, MS, {"noise_std": "0.1"},
                      "noise_std must be non-negative and finite"),
 }
 
